@@ -203,8 +203,9 @@ def constraint_surface_experiment(
     starts = sample_constraint_surface(state, n, seed)
     ensemble = propagate_ensemble(state, starts, config, seed=seed)
 
-    sums = ensemble.recorded_positions[:, :, 0] + ensemble.recorded_positions[:, :, 1]
-    max_abs_sum = float(np.max(np.abs(sums)))
+    # frame by frame, so no temporary is as large as the recording
+    frames = ensemble.recorded_positions
+    max_abs_sum = float(np.max([np.max(np.abs(f[:, 0] + f[:, 1])) for f in frames]))
     final = ensemble.final_positions
     sum_final = final[:, 0] + final[:, 1]
     diff_final = final[:, 0] - final[:, 1]

@@ -2,15 +2,16 @@
 
 Sampling uses the Philox counter-based generator with one 256-bit counter
 block per sample, so sample i sees the same bits no matter how the ensemble
-is chunked. Ensemble propagation keeps the fixed-step path restricted to
-elementwise +,-,*,/ with per-step scalar coefficients, which makes the
-result bit-identical for every parallel width.
+is chunked. The guidance field is affine in each mode coordinate, so one
+fixed RK4 step is an affine map u -> alpha*u + beta with scalar
+coefficients; the steps are composed once per run and applied to every
+trajectory with elementwise arithmetic, which makes ensembles and single
+trajectories agree to the bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,8 +22,8 @@ from scipy.special import ndtri
 from .model import (
     Correlation,
     TwoParticleState,
-    evolve_mode,
     mode_coordinates,
+    mode_field,
     particle_coordinates,
 )
 
@@ -198,47 +199,54 @@ class Ensemble:
         return self.initial_positions.shape[0]
 
 
-def _mode_rates(state: TwoParticleState, t: float):
-    """Per-mode scalars (stretch_rate, center, drift) at time t."""
-    cm = evolve_mode(state.cm_mode, state.params, t)
-    rel = evolve_mode(state.rel_mode, state.params, t)
-    return (
-        (cm.stretch_rate, cm.center, cm.drift),
-        (rel.stretch_rate, rel.center, rel.drift),
-    )
-
-
 def _mode_rhs(state: TwoParticleState, t: float, u: np.ndarray) -> np.ndarray:
-    """Guidance field on stacked mode coordinates u = [[Y...], [y...]].
-
-    Elementwise arithmetic with scalar coefficients only; this keeps every
-    entry's float result independent of the array length.
-    """
-    (a_cm, c_cm, v_cm), (a_rel, c_rel, v_rel) = _mode_rates(state, t)
+    """Guidance field on stacked mode coordinates u = [[Y...], [y...]]."""
     out = np.empty_like(u)
-    out[0] = v_cm + a_cm * (u[0] - c_cm)
-    out[1] = v_rel + a_rel * (u[1] - c_rel)
+    for row, mode in enumerate((state.cm_mode, state.rel_mode)):
+        out[row] = mode_field(mode, state.params, t).velocity(u[row])
     return out
 
 
-def _rk4_advance(
-    state: TwoParticleState,
-    u: np.ndarray,
-    t0: float,
-    dt: float,
-    n_steps: int,
-    monitor: Callable[[int, float, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    for step in range(n_steps):
-        t = t0 + step * dt
-        k1 = _mode_rhs(state, t, u)
-        k2 = _mode_rhs(state, t + 0.5 * dt, u + (0.5 * dt) * k1)
-        k3 = _mode_rhs(state, t + 0.5 * dt, u + (0.5 * dt) * k2)
-        k4 = _mode_rhs(state, t + dt, u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if monitor is not None:
-            monitor(step + 1, t0 + (step + 1) * dt, u)
-    return u
+def _rk4_step(rhs, stages, u, dt: float):
+    """One classical RK4 step; stages holds the field at t, t + dt/2, t + dt."""
+    start, middle, end = stages
+    k1 = rhs(start, u)
+    k2 = rhs(middle, u + (0.5 * dt) * k1)
+    k3 = rhs(middle, u + (0.5 * dt) * k2)
+    k4 = rhs(end, u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _rk4_maps(
+    state: TwoParticleState, t0: float, dt: float, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 as affine maps: u_j = a[j] * u_0 + b[j] per mode.
+
+    One RK4 step of an affine field is itself affine, u -> alpha*u + beta
+    for each mode. alpha comes from the RK4 stage formula on the homogeneous
+    field at u = 1, beta from the full field at u = 0, so the maps carry the
+    method's truncation error, never the exact flow. The step maps are
+    folded in step order up to steps[-1]; a and b have shape (len(steps), 2).
+    """
+    t = t0 + np.arange(steps[-1]) * dt
+    a = np.empty((len(steps), 2))
+    b = np.empty((len(steps), 2))
+    for row, mode in enumerate((state.cm_mode, state.rel_mode)):
+        stages = [mode_field(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
+        alpha = _rk4_step(lambda field, u: field.rate * u, stages, 1.0, dt)
+        beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
+        prefix = [(1.0, 0.0)]
+        for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
+            a_k, b_k = prefix[-1]
+            prefix.append((alpha_k * a_k, alpha_k * b_k + beta_k))
+        a[:, row], b[:, row] = np.array(prefix)[steps].T
+    return a, b
+
+
+def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Particle coordinates (..., 2) of the mode map (a, b) applied to u0 = (Y, y)."""
+    p1, p2 = particle_coordinates(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
+    return np.stack([p1, p2], axis=-1)
 
 
 # Dormand-Prince 5(4) tableau
@@ -320,6 +328,15 @@ def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
     return n_steps, config.t_final / n_steps
 
 
+def _record_steps(config: IntegratorConfig, n_steps: int) -> np.ndarray:
+    """Step 0, every record_stride-th step (if any) and the final step."""
+    stride = config.record_stride if config.record_stride > 0 else n_steps
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return np.array(steps)
+
+
 def integrate_trajectory(
     state: TwoParticleState,
     start: tuple[float, float],
@@ -334,82 +351,53 @@ def integrate_trajectory(
     y1, y2 = float(start[0]), float(start[1])
     if not (math.isfinite(y1) and math.isfinite(y2)):
         raise ValueError(f"start must be finite, got {start!r}")
-    big_y, small_y = mode_coordinates(y1, y2)
-    u = np.array([[big_y], [small_y]])
-    times = [t0]
-    points = [particle_coordinates(u[0, 0], u[1, 0])]
+    u0 = mode_coordinates(y1, y2)
 
     if config.method == "rk4":
         n_steps, dt = _step_grid(config)
-        stride = config.record_stride
+        steps = _record_steps(config, n_steps)
+        a, b = _rk4_maps(state, t0, dt, steps)
+        return Trajectory(times=t0 + steps * dt, positions=_mode_positions(a.T, b.T, u0))
 
-        def monitor(step, t, u_now):
-            if (stride > 0 and step % stride == 0) or step == n_steps:
-                times.append(t)
-                points.append(particle_coordinates(u_now[0, 0], u_now[1, 0]))
+    times = [t0]
+    points = [particle_coordinates(*u0)]
+    stride = config.record_stride
+    accepted = 0
 
-        _rk4_advance(state, u, t0, dt, n_steps, monitor)
-    else:
-        stride = config.record_stride
-        accepted = 0
-
-        def monitor(t, y_now):
-            nonlocal accepted
-            accepted += 1
-            if stride > 0 and accepted % stride == 0 and t < t0 + config.t_final:
-                times.append(t)
-                points.append(particle_coordinates(y_now[0, 0], y_now[1, 0]))
-
-        def rhs(t, y):
-            return _mode_rhs(state, t, y)
-
-        final = _rk45_advance(
-            rhs, u, t0, t0 + config.t_final, config.tolerance, monitor
-        )
-        times.append(t0 + config.t_final)
-        points.append(particle_coordinates(final[0, 0], final[1, 0]))
-
-    return Trajectory(times=np.array(times), positions=np.array(points))
-
-
-def _propagate_chunk_rk4(
-    state: TwoParticleState,
-    u: np.ndarray,
-    t0: float,
-    config: IntegratorConfig,
-    record_steps: list[int],
-):
-    n_steps, dt = _step_grid(config)
-    record_set = set(record_steps)
-    recorded = {}
-
-    def monitor(step, t, u_now):
-        if step in record_set:
-            recorded[step] = u_now
-
-    final = _rk4_advance(state, u, t0, dt, n_steps, monitor if record_set else None)
-    return final, [recorded[s] for s in record_steps]
-
-
-def _propagate_chunk_rk45(
-    state: TwoParticleState, u: np.ndarray, t0: float, config: IntegratorConfig
-):
-    n = u.shape[1]
-    final = np.empty_like(u)
-    failed = []
+    def monitor(t, y_now):
+        nonlocal accepted
+        accepted += 1
+        if stride > 0 and accepted % stride == 0 and t < t0 + config.t_final:
+            times.append(t)
+            points.append(particle_coordinates(y_now[0, 0], y_now[1, 0]))
 
     def rhs(t, y):
         return _mode_rhs(state, t, y)
 
-    for i in range(n):
+    u = np.array([[u0[0]], [u0[1]]])
+    final = _rk45_advance(rhs, u, t0, t0 + config.t_final, config.tolerance, monitor)
+    times.append(t0 + config.t_final)
+    points.append(particle_coordinates(final[0, 0], final[1, 0]))
+    return Trajectory(times=np.array(times), positions=np.array(points))
+
+
+def _propagate_rk45(
+    state: TwoParticleState, u: np.ndarray, t0: float, config: IntegratorConfig
+) -> np.ndarray:
+    """Per-trajectory adaptive integration; failed trajectories end as NaN."""
+    final = np.empty_like(u)
+
+    def rhs(t, y):
+        return _mode_rhs(state, t, y)
+
+    for i in range(u.shape[1]):
         try:
             final[:, i : i + 1] = _rk45_advance(
                 rhs, u[:, i : i + 1], t0, t0 + config.t_final, config.tolerance
             )
         except StepUnderflowError:
             final[:, i] = np.nan
-            failed.append(i)
-    return final, failed
+    return final
 
 
 def propagate_ensemble(
@@ -422,10 +410,11 @@ def propagate_ensemble(
 ) -> Ensemble:
     """Propagate every row of initial_positions from t0 to t0 + t_final.
 
-    parallel_width only controls how the ensemble is split across worker
-    threads; results are bit-identical for every width. Trajectories whose
-    state turns non-finite are marked failed; more than 0.1% failures raise
-    EnsembleFailureError.
+    rk4 composes its steps into one affine map per mode and applies it to
+    the whole ensemble at once; rk45 integrates trajectory by trajectory.
+    parallel_width is validated and kept for compatibility; it does not
+    change the arithmetic. Trajectories whose state turns non-finite are
+    marked failed; more than 0.1% failures raise EnsembleFailureError.
     """
     positions = np.asarray(initial_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -438,67 +427,36 @@ def propagate_ensemble(
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
 
     n = positions.shape[0]
-    big_y, small_y = mode_coordinates(positions[:, 0], positions[:, 1])
-    u_full = np.vstack([big_y, small_y])
-
-    n_steps, dt = _step_grid(config)
-    record_steps: list[int] = []
-    if config.record_stride > 0:
-        record_steps = list(range(config.record_stride, n_steps + 1, config.record_stride))
-        if not record_steps or record_steps[-1] != n_steps:
-            record_steps.append(n_steps)
-
-    chunk_bounds = np.array_split(np.arange(n), min(parallel_width, max(n, 1)))
-    chunks = [u_full[:, idx[0] : idx[-1] + 1] for idx in chunk_bounds if idx.size]
-
-    def run(chunk):
-        if config.method == "rk4":
-            return _propagate_chunk_rk4(state, chunk, t0, config, record_steps)
-        return _propagate_chunk_rk45(state, chunk, t0, config)
-
-    if parallel_width > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=parallel_width) as pool:
-            results = list(pool.map(run, chunks))
+    u0 = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
+    times = None
+    recorded = None
+    if config.method == "rk4":
+        n_steps, dt = _step_grid(config)
+        steps = _record_steps(config, n_steps)
+        a, b = _rk4_maps(state, t0, dt, steps)
+        final = _mode_positions(a[-1], b[-1], u0)
+        if config.record_stride > 0:
+            times = t0 + steps * dt
+            recorded = np.empty((len(steps), n, 2))
+            for j in range(len(steps)):
+                recorded[j] = _mode_positions(a[j], b[j], u0)
     else:
-        results = [run(chunk) for chunk in chunks]
+        final_u = _propagate_rk45(state, u0, t0, config)
+        final = np.column_stack(particle_coordinates(final_u[0], final_u[1]))
 
-    final_u = np.concatenate([r[0] for r in results], axis=1)
-    failed: list[int] = []
-    if config.method == "rk45":
-        offset = 0
-        for chunk, (_, chunk_failed) in zip(chunks, results):
-            failed.extend(offset + i for i in chunk_failed)
-            offset += chunk.shape[1]
-    bad = ~np.all(np.isfinite(final_u), axis=0)
-    failed = sorted(set(failed) | set(np.nonzero(bad)[0].tolist()))
+    failed = np.nonzero(~np.all(np.isfinite(final), axis=1))[0]
     if len(failed) > _MAX_FAILED_FRACTION * n:
         raise EnsembleFailureError(
             f"{len(failed)} of {n} trajectories failed to integrate"
         )
-
-    times = None
-    recorded = None
-    if record_steps:
-        times = np.array([t0] + [t0 + s * dt for s in record_steps])
-        frames = [u_full] + [
-            np.concatenate([r[1][j] for r in results], axis=1)
-            for j in range(len(record_steps))
-        ]
-        recorded = np.empty((len(frames), n, 2))
-        for j, frame in enumerate(frames):
-            p1, p2 = particle_coordinates(frame[0], frame[1])
-            recorded[j, :, 0] = p1
-            recorded[j, :, 1] = p2
-
-    f1, f2 = particle_coordinates(final_u[0], final_u[1])
     return Ensemble(
         state=state,
         config=config,
         seed=seed,
         t0=t0,
         initial_positions=positions,
-        final_positions=np.column_stack([f1, f2]),
-        failed_indices=tuple(failed),
+        final_positions=final,
+        failed_indices=tuple(failed.tolist()),
         times=times,
         recorded_positions=recorded,
     )

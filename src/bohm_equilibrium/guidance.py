@@ -16,15 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    EvolvedMode,
     GaussianMode,
     PhysicalParams,
     TwoParticleState,
     _require_finite,
     eval_density,
     eval_psi,
-    evolve_mode,
     mode_coordinates,
+    mode_field,
 )
 
 AMPLITUDE_FLOOR = 1e-150
@@ -46,14 +45,14 @@ def mode_velocity(mode: GaussianMode, params: PhysicalParams, u, t: float):
     of this field scale affinely with the spreading width.
     """
     _require_finite("u", u)
-    ev = evolve_mode(mode, params, t)
-    return ev.drift + (np.asarray(u, dtype=float) - ev.center) * ev.stretch_rate
+    _require_finite("t", t)
+    return mode_field(mode, params, t).velocity(np.asarray(u, dtype=float))
 
 
-def _pair_velocity(cm: EvolvedMode, rel: EvolvedMode, y1, y2) -> VelocityPair:
+def _pair_velocity(state: TwoParticleState, t: float, y1, y2) -> VelocityPair:
     big_y, small_y = mode_coordinates(y1, y2)
-    v_cm = cm.drift + (big_y - cm.center) * cm.stretch_rate
-    v_rel = rel.drift + (small_y - rel.center) * rel.stretch_rate
+    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
+    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
     return VelocityPair(v_cm + 0.5 * v_rel, v_cm - 0.5 * v_rel)
 
 
@@ -65,8 +64,8 @@ def velocity(state: TwoParticleState, y1, y2, t: float) -> VelocityPair:
     """
     _require_finite("y1", y1)
     _require_finite("y2", y2)
-    cm, rel = state.evolved(t)
-    return _pair_velocity(cm, rel, y1, y2)
+    _require_finite("t", t)
+    return _pair_velocity(state, t, y1, y2)
 
 
 def velocity_fd(
@@ -241,7 +240,7 @@ def continuity_residual(
     yy1 = ext1[:, None]
     yy2 = ext2[None, :]
     rho = eval_density(state, yy1, yy2, t)
-    v1, v2 = _pair_velocity(cm, rel, yy1, yy2)
+    v1, v2 = _pair_velocity(state, t, yy1, yy2)
     flux1 = rho * v1
     flux2 = rho * v2
 

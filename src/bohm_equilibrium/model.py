@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +128,43 @@ class EvolvedMode:
     phase: float
 
 
+class ModeField(NamedTuple):
+    """Affine guidance field of one mode: v(u) = drift + rate * (u - center).
+
+    rate is the stretch rate sigma'(t)/sigma(t), center the packet center
+    and drift the group velocity hbar*k/m_c. The entries are floats or
+    arrays, matching the time argument of mode_field.
+    """
+
+    rate: float | np.ndarray
+    center: float | np.ndarray
+    drift: float
+
+    def velocity(self, u):
+        return self.drift + self.rate * (u - self.center)
+
+
+def _spread_rate(mode: GaussianMode, params: PhysicalParams) -> float:
+    """beta = hbar / (2 m_c sigma0^2), the inverse spreading time."""
+    return params.hbar / (2.0 * mode.coord_mass * mode.sigma0**2)
+
+
+def mode_field(mode: GaussianMode, params: PhysicalParams, t) -> ModeField:
+    """The mode's guidance field at time t, a finite float or array of times.
+
+    Every velocity in the package derives from this one definition; array
+    times give elementwise the same bits as scalar calls.
+    """
+    beta = _spread_rate(mode, params)
+    sf = beta * t
+    drift = params.hbar * mode.wavenumber / mode.coord_mass
+    return ModeField(
+        rate=beta * sf / (1.0 + sf * sf),
+        center=mode.center0 + drift * t,
+        drift=drift,
+    )
+
+
 def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> EvolvedMode:
     """Evolve one Gaussian mode to time t under free dynamics.
 
@@ -135,23 +173,17 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    beta = params.hbar / (2.0 * mode.coord_mass * mode.sigma0**2)
-    sf = beta * t
-    sigma = mode.sigma0 * math.hypot(1.0, sf)
-    drift = params.hbar * mode.wavenumber / mode.coord_mass
-    center = mode.center0 + drift * t
-    stretch_rate = beta * sf / (1.0 + sf * sf)
-    complex_width = mode.sigma0**2 * complex(1.0, sf)
-    phase = -0.5 * mode.wavenumber * drift * t
+    sf = _spread_rate(mode, params) * t
+    field = mode_field(mode, params, t)
     return EvolvedMode(
         mode=mode,
         t=t,
-        sigma=sigma,
-        center=center,
-        drift=drift,
-        stretch_rate=stretch_rate,
-        complex_width=complex_width,
-        phase=phase,
+        sigma=mode.sigma0 * math.hypot(1.0, sf),
+        center=field.center,
+        drift=field.drift,
+        stretch_rate=field.rate,
+        complex_width=mode.sigma0**2 * complex(1.0, sf),
+        phase=-0.5 * mode.wavenumber * field.drift * t,
     )
 
 
