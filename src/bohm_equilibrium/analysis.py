@@ -26,6 +26,7 @@ from .model import (
     OBSERVABLES,
     Correlation,
     TwoParticleState,
+    _spread_rate,
     constraint_width,
     evolve_mode,
     observable_normal,
@@ -59,20 +60,6 @@ def normal_cdf(mean: float, std: float):
     return cdf
 
 
-def _observable_values(positions: np.ndarray, observable: str) -> np.ndarray:
-    y1 = positions[:, 0]
-    y2 = positions[:, 1]
-    if observable == "y1":
-        return y1
-    if observable == "y2":
-        return y2
-    if observable == "y1+y2":
-        return y1 + y2
-    if observable == "y1-y2":
-        return y1 - y2
-    raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
-
-
 @dataclass(frozen=True)
 class ObservableStats:
     """Per-observable comparison of an ensemble against |psi|^2."""
@@ -104,8 +91,8 @@ class EquivarianceReport:
 
 def _snapshot(state: TwoParticleState, positions: np.ndarray, t: float) -> EquivarianceReport:
     rows = []
-    for name in OBSERVABLES:
-        values = _observable_values(positions, name)
+    for name, coefficients in OBSERVABLES.items():
+        values = positions @ coefficients
         mean, std = observable_normal(state, t, name)
         rows.append(
             ObservableStats(
@@ -133,6 +120,8 @@ def equivariance_check(
     each requested time the four linear observables are tested against
     their exact normal laws. Equivariance predicts every KS statistic stays
     at the sampling-noise level no matter how far the ensemble is pushed.
+    Trajectories that fail to integrate (at most 0.1%, see
+    propagate_ensemble) are dropped, so ObservableStats.n counts survivors.
     """
     times = [float(t) for t in times]
     if not times:
@@ -157,6 +146,9 @@ def equivariance_check(
                 seed=seed,
             )
             positions = ensemble.final_positions
+            if ensemble.failed_indices:
+                # NaN rows would poison the statistics and the next segment
+                positions = np.delete(positions, ensemble.failed_indices, axis=0)
             t_now = t
         reports.append(_snapshot(state, positions, t))
     return reports
@@ -284,9 +276,7 @@ def regularization_sweep(
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
         if config.method == "rk4":
             # stiffness guard: the stretch rate peaks at beta/2 at t = 1/beta
-            beta = row_state.params.hbar / (
-                2.0 * narrow_t.mode.coord_mass * narrow_t.mode.sigma0**2
-            )
+            beta = _spread_rate(row_state.narrow_mode, row_state.params)
             if 0.5 * beta * config.dt > 0.5:
                 warnings.warn(
                     f"width {width:g} makes the guidance field stiff for "

@@ -24,6 +24,7 @@ from .model import (
     eval_psi,
     mode_coordinates,
     mode_field,
+    observable_normal,
 )
 
 AMPLITUDE_FLOOR = 1e-150
@@ -150,11 +151,10 @@ class ResidualGrid:
 def _feature_scale(state: TwoParticleState, t: float) -> float:
     """Narrowest density feature along a particle axis.
 
-    Along y1 at fixed y2 the density varies through Y on scale 2*sigma_cm
-    and through y on scale sigma_rel.
+    Along y1 at fixed y2 the density varies through Y on scale 2*sigma_cm,
+    the width of y1+y2, and through y on scale sigma_rel, that of y1-y2.
     """
-    cm, rel = state.evolved(t)
-    return min(2.0 * cm.sigma, rel.sigma)
+    return min(observable_normal(state, t, name)[1] for name in ("y1+y2", "y1-y2"))
 
 
 def grid_for_state(
@@ -170,10 +170,8 @@ def grid_for_state(
     """
     if h is None:
         h = _feature_scale(state, t) / 8.0
-    cm, rel = state.evolved(t)
-    mean1 = cm.center + 0.5 * rel.center
-    mean2 = cm.center - 0.5 * rel.center
-    std = math.hypot(cm.sigma, 0.5 * rel.sigma)
+    mean1, std = observable_normal(state, t, "y1")
+    mean2 = observable_normal(state, t, "y2")[0]
     half = math.ceil(half_widths * std / h) * h
     n = 2 * int(round(half / h)) + 1
     return ResidualGrid(
@@ -211,10 +209,8 @@ def continuity_residual(
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    cm, rel = state.evolved(t)
-    mean1 = cm.center + 0.5 * rel.center
-    mean2 = cm.center - 0.5 * rel.center
-    std = math.hypot(cm.sigma, 0.5 * rel.sigma)
+    mean1, std = observable_normal(state, t, "y1")
+    mean2 = observable_normal(state, t, "y2")[0]
     y1_axis = grid.y1_axis
     y2_axis = grid.y2_axis
     if (

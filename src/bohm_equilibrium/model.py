@@ -345,37 +345,34 @@ def eval_density(state: TwoParticleState, y1, y2, t: float):
 
 
 def constraint_width(state: TwoParticleState, t: float, which: str = "sum") -> float:
-    """Standard deviation of y1+y2 (which='sum') or y1-y2 (which='difference').
-
-    Var(y1+y2) = 4*Var(Y) and Var(y1-y2) = Var(y), so the sum width is
-    2*sigma_cm(t) and the difference width is sigma_rel(t).
-    """
-    cm, rel = state.evolved(t)
-    if which == "sum":
-        return 2.0 * cm.sigma
-    if which == "difference":
-        return rel.sigma
-    raise ValueError(f"which must be 'sum' or 'difference', got {which!r}")
+    """Standard deviation of y1+y2 (which='sum') or y1-y2 (which='difference')."""
+    names = {"sum": "y1+y2", "difference": "y1-y2"}
+    if which not in names:
+        raise ValueError(f"which must be 'sum' or 'difference', got {which!r}")
+    return observable_normal(state, t, names[which])[1]
 
 
-OBSERVABLES = ("y1", "y2", "y1+y2", "y1-y2")
+# each observable is c1*y1 + c2*y2
+OBSERVABLES = {
+    "y1": (1.0, 0.0),
+    "y2": (0.0, 1.0),
+    "y1+y2": (1.0, 1.0),
+    "y1-y2": (1.0, -1.0),
+}
 
 
 def observable_normal(state: TwoParticleState, t: float, observable: str):
     """(mean, std) of the named linear observable under |psi|^2 at time t.
 
-    Each of y1, y2, y1+y2, y1-y2 is a linear combination of the independent
-    normal coordinates Y and y, hence exactly normal at every t.
+    With y1 = Y + y/2 and y2 = Y - y/2, c1*y1 + c2*y2 = a*Y + b*y for
+    a = c1 + c2 and b = (c1 - c2)/2: a combination of the independent normal
+    mode coordinates, hence exactly normal at every t.
     """
+    if observable not in OBSERVABLES:
+        raise ValueError(
+            f"observable must be one of {tuple(OBSERVABLES)}, got {observable!r}"
+        )
+    c1, c2 = OBSERVABLES[observable]
+    a, b = c1 + c2, 0.5 * (c1 - c2)
     cm, rel = state.evolved(t)
-    if observable == "y1":
-        return cm.center + 0.5 * rel.center, math.hypot(cm.sigma, 0.5 * rel.sigma)
-    if observable == "y2":
-        return cm.center - 0.5 * rel.center, math.hypot(cm.sigma, 0.5 * rel.sigma)
-    if observable == "y1+y2":
-        return 2.0 * cm.center, 2.0 * cm.sigma
-    if observable == "y1-y2":
-        return rel.center, rel.sigma
-    raise ValueError(
-        f"observable must be one of {OBSERVABLES}, got {observable!r}"
-    )
+    return a * cm.center + b * rel.center, math.hypot(a * cm.sigma, b * rel.sigma)

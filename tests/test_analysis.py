@@ -1,20 +1,29 @@
 """KS statistic, equivariance, constraint surface, regularization sweep."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bohm_equilibrium.analysis as analysis
+import bohm_equilibrium.dynamics as dynamics
 from bohm_equilibrium import (
     IntegratorConfig,
+    StepUnderflowError,
     TwoParticleState,
     constraint_surface_experiment,
     constraint_width,
     equivariance_check,
+    evolve_mode,
     ks_statistic,
     normal_cdf,
+    observable_normal,
     regularization_sweep,
+    sample_equilibrium,
     substream_normals,
 )
 
@@ -133,6 +142,81 @@ def test_equivariance_parallel_width_invariance():
     for sa, sb in zip(a[0].observables, b[0].observables):
         assert sa.empirical_std == sb.empirical_std
         assert sa.ks == sb.ks
+
+
+def test_equivariance_drops_failed_trajectories(monkeypatch):
+    # one trajectory of 2000 underflows, inside the 0.1% failure allowance;
+    # the others follow the exact scaling flow, which keeps the test fast
+    state = default_state()
+    calls = []
+
+    def exact_or_underflow(rhs, y, t0, t1, tolerance, monitor=None):
+        calls.append(t0)
+        if len(calls) == 7:
+            raise StepUnderflowError("forced")
+        out = np.empty_like(y)
+        for row, mode in enumerate((state.cm_mode, state.rel_mode)):
+            start = evolve_mode(mode, state.params, t0)
+            end = evolve_mode(mode, state.params, t1)
+            out[row] = end.center + (y[row] - start.center) * (end.sigma / start.sigma)
+        return out
+
+    monkeypatch.setattr(dynamics, "_rk45_advance", exact_or_underflow)
+    config = IntegratorConfig(method="rk45", t_final=1.0)
+    for times in ([1.0], [0.5, 1.0]):
+        calls.clear()
+        reports = equivariance_check(state, 2000, 42, config, times)
+        assert [report.t for report in reports] == times
+        for report in reports:
+            for stats in report.observables:
+                assert stats.n == 1999
+                assert math.isfinite(stats.ks)
+                assert math.isfinite(stats.empirical_std)
+            assert report.max_ks < 1.95 / math.sqrt(1999)
+
+
+FINITE = st.floats(-50.0, 50.0)
+WIDTH = st.floats(1e-3, 1e2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigmas=st.tuples(WIDTH, WIDTH),
+    correlation=st.sampled_from(["sum", "difference"]),
+    centers=st.tuples(FINITE, FINITE),
+    wavenumbers=st.tuples(FINITE, FINITE),
+    t=st.floats(-20.0, 20.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_observable_table_matches_closed_forms(
+    sigmas, correlation, centers, wavenumbers, t, seed
+):
+    state = TwoParticleState.from_widths(
+        *sigmas,
+        correlation=correlation,
+        cm_center=centers[0],
+        rel_center=centers[1],
+        cm_wavenumber=wavenumbers[0],
+        rel_wavenumber=wavenumbers[1],
+    )
+    cm, rel = state.evolved(t)
+    closed_forms = {
+        "y1": (cm.center + 0.5 * rel.center, math.hypot(cm.sigma, 0.5 * rel.sigma)),
+        "y2": (cm.center - 0.5 * rel.center, math.hypot(cm.sigma, 0.5 * rel.sigma)),
+        "y1+y2": (2.0 * cm.center, 2.0 * cm.sigma),
+        "y1-y2": (rel.center, rel.sigma),
+    }
+    for name, expected in closed_forms.items():
+        assert observable_normal(state, t, name) == expected
+
+    positions = sample_equilibrium(state, 50, seed)
+    y1, y2 = positions[:, 0], positions[:, 1]
+    expected_values = {"y1": y1, "y2": y2, "y1+y2": y1 + y2, "y1-y2": y1 - y2}
+    with mock.patch.object(analysis, "ks_statistic", wraps=ks_statistic) as spy:
+        report = analysis._snapshot(state, positions, t)
+    assert [stats.observable for stats in report.observables] == list(expected_values)
+    for call, expected in zip(spy.call_args_list, expected_values.values()):
+        assert call.args[0].tobytes() == expected.tobytes()
 
 
 def test_constraint_surface_experiment():

@@ -82,6 +82,36 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hbar", "0"),
+        ("mass", "nan"),
+        ("sigma_wide", "inf"),
+        ("method", "euler"),
+        ("dt", "0"),
+        ("t_final", "-2"),
+        ("tolerance", "1.0"),
+        ("record_stride", "-1"),
+        ("parallel", "0"),
+        ("seed", str(2**64)),
+        ("times", "3.0"),
+        ("sweep_widths", "-0.1"),
+        ("grid_h", "0"),
+        ("grid_tau", "inf"),
+        ("cm_center", "nan"),
+    ],
+)
+def test_invalid_setting_rejected_at_load(tmp_path, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\nsamples = 10\n")
+    with pytest.raises(ConfigError):
+        load_config(str(path), {})
+    out = tmp_path / "eq.csv"
+    assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
