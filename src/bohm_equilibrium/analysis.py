@@ -26,6 +26,7 @@ from .model import (
     OBSERVABLES,
     Correlation,
     TwoParticleState,
+    _require_positive,
     _spread_rate,
     constraint_width,
     evolve_mode,
@@ -51,8 +52,7 @@ def ks_statistic(samples, cdf) -> float:
 
 def normal_cdf(mean: float, std: float):
     """CDF of N(mean, std^2) as a callable, for ks_statistic."""
-    if not (math.isfinite(std) and std > 0.0):
-        raise ValueError(f"std must be positive and finite, got {std!r}")
+    _require_positive("std", std)
 
     def cdf(x):
         return ndtr((np.asarray(x, dtype=float) - mean) / std)
@@ -128,7 +128,7 @@ def equivariance_check(
         raise ValueError("times must be non-empty")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
-    if times[0] < 0.0 or times[-1] > config.t_final + 1e-12:
+    if not all(0.0 <= t <= config.t_final + 1e-12 for t in times):
         raise ValueError(f"times must lie within [0, t_final={config.t_final}]")
 
     positions = sample_equilibrium(state, n, seed)
@@ -263,8 +263,8 @@ def regularization_sweep(
     widths = [float(w) for w in widths]
     if not widths:
         raise ValueError("widths must be non-empty")
-    if any(w <= 0.0 or not math.isfinite(w) for w in widths):
-        raise ValueError("widths must be positive and finite")
+    for width in widths:
+        _require_positive("widths", width)
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly decreasing")
 

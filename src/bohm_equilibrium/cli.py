@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,13 @@ from .dynamics import (
     sample_equilibrium,
 )
 from .guidance import continuity_residual, grid_for_state
-from .model import PhysicalParams, TwoParticleState
+from .model import (
+    Correlation,
+    PhysicalParams,
+    TwoParticleState,
+    _require_finite,
+    _require_positive,
+)
 
 
 class ConfigError(ValueError):
@@ -76,12 +83,15 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        # GaussianMode would report a bad width as sigma0; name the key instead
-        for key in ("sigma_narrow", "sigma_wide"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         try:
+            for key, value in dataclasses.asdict(self).items():
+                if isinstance(value, (float, tuple)):
+                    _require_finite(key, value)
+            # checked here, not left to GaussianMode, so a bad width names its key
+            for key in ("sigma_narrow", "sigma_wide", "grid_tau"):
+                _require_positive(key, getattr(self, key))
+            if self.grid_h is not None:
+                _require_positive("grid_h", self.grid_h)
             self.state()
             self.integrator()
         except ValueError as exc:
@@ -103,10 +113,6 @@ class RunConfig:
             raise ConfigError("sweep_widths must be positive")
         if any(w2 >= w1 for w1, w2 in zip(self.sweep_widths, self.sweep_widths[1:])):
             raise ConfigError("sweep_widths must be strictly decreasing")
-        for key in ("grid_h", "grid_tau"):
-            value = getattr(self, key)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         if (self.start_y1 is None) != (self.start_y2 is None):
             raise ConfigError("start_y1 and start_y2 must be set together")
 
@@ -135,31 +141,11 @@ class RunConfig:
         return self.times if self.times is not None else (self.t_final,)
 
 
+# field types are strings (postponed annotations); the leading name picks the parser
+_PARSERS_BY_TYPE = {"float": float, "int": int, "str": str, "tuple": _parse_float_list}
 _KEY_PARSERS = {
-    "hbar": float,
-    "mass": float,
-    "sigma_narrow": float,
-    "sigma_wide": float,
-    "correlation": str,
-    "cm_center": float,
-    "rel_center": float,
-    "cm_wavenumber": float,
-    "rel_wavenumber": float,
-    "method": str,
-    "dt": float,
-    "tolerance": float,
-    "t_final": float,
-    "record_stride": int,
-    "samples": int,
-    "seed": int,
-    "parallel": int,
-    "times": _parse_float_list,
-    "sweep_widths": _parse_float_list,
-    "grid_h": float,
-    "grid_tau": float,
-    "start_y1": float,
-    "start_y2": float,
-    "out": str,
+    field.name: _PARSERS_BY_TYPE[re.match(r"\w+", field.type)[0]]
+    for field in dataclasses.fields(RunConfig)
 }
 
 
@@ -360,6 +346,22 @@ _SUBCOMMANDS = {
 }
 
 
+# flags shared by every subcommand; each parses like the config key it sets
+_FLAGS = {
+    "seed": dict(help="RNG seed (unsigned 64-bit)"),
+    "samples": dict(help="ensemble size"),
+    "t_final": dict(help="end time"),
+    "dt": dict(help="fixed step size for rk4"),
+    "sigma_narrow": dict(help="initial width of the narrow mode"),
+    "sigma_wide": dict(help="initial width of the wide mode"),
+    "correlation": dict(
+        help="which combination of y1, y2 is narrow",
+        choices=tuple(member.value for member in Correlation),
+    ),
+    "out": dict(help="output CSV path", metavar="PATH"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bohm-equilibrium",
@@ -369,28 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key=value settings file")
-        p.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
-        p.add_argument("--samples", type=int, help="ensemble size")
-        p.add_argument("--t-final", type=float, dest="t_final", help="end time")
-        p.add_argument("--dt", type=float, help="fixed step size for rk4")
-        p.add_argument(
-            "--sigma-narrow",
-            type=float,
-            dest="sigma_narrow",
-            help="initial width of the narrow mode",
-        )
-        p.add_argument(
-            "--sigma-wide",
-            type=float,
-            dest="sigma_wide",
-            help="initial width of the wide mode",
-        )
-        p.add_argument(
-            "--correlation",
-            choices=("sum", "difference"),
-            help="which combination of y1, y2 is narrow",
-        )
-        p.add_argument("--out", metavar="PATH", help="output CSV path")
+        for key, options in _FLAGS.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=_KEY_PARSERS[key], **options
+            )
     return parser
 
 

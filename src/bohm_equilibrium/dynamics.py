@@ -11,7 +11,6 @@ trajectories agree to the bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +21,8 @@ from scipy.special import ndtri
 from .model import (
     Correlation,
     TwoParticleState,
+    _require_finite,
+    _require_positive,
     mode_coordinates,
     mode_field,
     particle_coordinates,
@@ -144,16 +145,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        _require_positive("dt", self.dt)
         if not 1e-14 < self.tolerance < 1e-2:
             raise ValueError(
                 f"tolerance must lie in (1e-14, 1e-2), got {self.tolerance!r}"
             )
-        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise ValueError(
-                f"t_final must be positive and finite, got {self.t_final!r}"
-            )
+        _require_positive("t_final", self.t_final)
         if not isinstance(self.record_stride, int) or self.record_stride < 0:
             raise ValueError(
                 f"record_stride must be a non-negative integer, got {self.record_stride!r}"
@@ -348,10 +345,8 @@ def integrate_trajectory(
     The ODE is solved in mode coordinates where the two components decouple;
     recorded positions are mapped back to (y1, y2).
     """
-    y1, y2 = float(start[0]), float(start[1])
-    if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ValueError(f"start must be finite, got {start!r}")
-    u0 = mode_coordinates(y1, y2)
+    _require_finite("start", start)
+    u0 = mode_coordinates(float(start[0]), float(start[1]))
 
     if config.method == "rk4":
         n_steps, dt = _step_grid(config)

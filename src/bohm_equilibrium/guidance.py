@@ -20,6 +20,7 @@ from .model import (
     PhysicalParams,
     TwoParticleState,
     _require_finite,
+    _require_positive,
     eval_density,
     eval_psi,
     mode_coordinates,
@@ -81,8 +82,7 @@ def velocity_fd(
     if h is None:
         cm, rel = state.evolved(t)
         h = 1e-4 * min(cm.sigma, rel.sigma)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
+    _require_positive("h", h)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     psi0 = eval_psi(state, y1, y2, t)
@@ -121,10 +121,8 @@ class ResidualGrid:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        _require_positive("h", self.h)
+        _require_positive("tau", self.tau)
         if self.n1 < 3 or self.n2 < 3:
             raise ValueError("grid needs at least 3 points per axis")
 
@@ -170,6 +168,8 @@ def grid_for_state(
     """
     if h is None:
         h = _feature_scale(state, t) / 8.0
+    else:
+        _require_positive("h", h)
     mean1, std = observable_normal(state, t, "y1")
     mean2 = observable_normal(state, t, "y2")[0]
     half = math.ceil(half_widths * std / h) * h
@@ -207,8 +207,7 @@ def continuity_residual(
     O(h^2 + tau^2) if the closed forms actually satisfy the continuity
     equation. The grid must cover ±5 marginal stds of the density.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
     mean2 = observable_normal(state, t, "y2")[0]
     y1_axis = grid.y1_axis

@@ -21,9 +21,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _require_finite(name, value):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(np.asarray(value, dtype=float)).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _require_positive(name, getattr(self, name))
 
     @property
     def cm_mass(self) -> float:
@@ -73,16 +75,10 @@ class GaussianMode:
     coord_mass: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0!r}")
-        if not (math.isfinite(self.coord_mass) and self.coord_mass > 0.0):
-            raise ValueError(
-                f"coord_mass must be positive and finite, got {self.coord_mass!r}"
-            )
+        for name in ("sigma0", "coord_mass"):
+            _require_positive(name, getattr(self, name))
         for name in ("center0", "wavenumber"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
 
 
 class Correlation(enum.Enum):
@@ -171,8 +167,7 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
     Width follows sigma(t) = sigma0 * sqrt(1 + (hbar*t / (2*m_c*sigma0^2))^2)
     and the center translates at the group velocity hbar*k/m_c.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _require_finite("t", t)
     sf = _spread_rate(mode, params) * t
     field = mode_field(mode, params, t)
     return EvolvedMode(

@@ -134,6 +134,16 @@ def test_equivariance_check_validates_times():
         equivariance_check(state, 100, 42, config, [1.0, 5.0])
 
 
+@pytest.mark.parametrize("times", [[math.nan], [0.5, math.nan]])
+def test_equivariance_check_rejects_nan_times_before_work(monkeypatch, times):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the times were validated")
+
+    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
+    with pytest.raises(ValueError, match="times must lie within"):
+        equivariance_check(default_state(), 100, 42, default_config(), times)
+
+
 def test_equivariance_parallel_width_invariance():
     state = default_state()
     config = IntegratorConfig(dt=5e-3, t_final=1.0)

@@ -1,5 +1,6 @@
 """CLI: config resolution, CSV artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -110,6 +111,72 @@ def test_invalid_setting_rejected_at_load(tmp_path, key, value):
     out = tmp_path / "eq.csv"
     assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+NON_FINITE_SETTINGS = {
+    "cm_center": "cm_center = nan",
+    "rel_center": "rel_center = inf",
+    "cm_wavenumber": "cm_wavenumber = nan",
+    "rel_wavenumber": "rel_wavenumber = nan",
+    "times": "times = 0.5, nan",
+    "sweep_widths": "sweep_widths = nan",
+    "start_y1": "start_y1 = nan\nstart_y2 = 0",
+}
+
+
+@pytest.mark.parametrize("key", NON_FINITE_SETTINGS)
+def test_non_finite_setting_names_its_key(tmp_path, capsys, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{NON_FINITE_SETTINGS[key]}\nsamples = 10\n")
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+        load_config(str(path), {})
+    out = tmp_path / "eq.csv"
+    assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a valid value other than the default for every RunConfig field
+NON_DEFAULT_SETTINGS = {
+    "hbar": ("1.5", 1.5),
+    "mass": ("2.0", 2.0),
+    "sigma_narrow": ("0.1", 0.1),
+    "sigma_wide": ("2.0", 2.0),
+    "correlation": ("difference", "difference"),
+    "cm_center": ("0.25", 0.25),
+    "rel_center": ("-0.5", -0.5),
+    "cm_wavenumber": ("1.5", 1.5),
+    "rel_wavenumber": ("-2.0", -2.0),
+    "method": ("rk45", "rk45"),
+    "dt": ("0.005", 0.005),
+    "tolerance": ("1e-8", 1e-8),
+    "t_final": ("3.0", 3.0),
+    "record_stride": ("4", 4),
+    "samples": ("500", 500),
+    "seed": ("7", 7),
+    "parallel": ("8", 8),
+    "times": ("0.5, 1.0, 2.5", (0.5, 1.0, 2.5)),
+    "sweep_widths": ("0.3, 0.1", (0.3, 0.1)),
+    "grid_h": ("0.05", 0.05),
+    "grid_tau": ("0.002", 0.002),
+    "start_y1": ("0.3", 0.3),
+    "start_y2": ("-0.2", -0.2),
+    "out": ("result.csv", "result.csv"),
+}
+
+
+def test_every_setting_parses_from_config_file(tmp_path):
+    fields = dataclasses.fields(RunConfig)
+    assert [field.name for field in fields] == list(NON_DEFAULT_SETTINGS)
+    path = tmp_path / "all.cfg"
+    lines = [f"{key} = {text}\n" for key, (text, _) in NON_DEFAULT_SETTINGS.items()]
+    path.write_text("".join(lines))
+    config = load_config(str(path), {})
+    for field in fields:
+        value = getattr(config, field.name)
+        expected = NON_DEFAULT_SETTINGS[field.name][1]
+        assert value != field.default
+        assert value == expected and type(value) is type(expected), field.name
 
 
 def test_cli_unknown_subcommand_exits_2():

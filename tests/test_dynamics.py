@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohm_equilibrium.dynamics as dynamics
 from bohm_equilibrium import (
@@ -95,6 +97,34 @@ def test_sample_constraint_surface_exact_zero():
     )
     single = sample_constraint_surface(state, 1, seed=42)
     assert single.shape == (1, 2)
+
+
+WIDTH = st.floats(1e-2, 10.0)
+OFFSET = st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    widths=st.tuples(WIDTH, WIDTH),
+    correlation=st.sampled_from(["sum", "difference"]),
+    wide_center=OFFSET,
+    wide_wavenumber=OFFSET,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_surface_ensemble_stays_exactly_on_surface(
+    widths, correlation, wide_center, wide_wavenumber, seed
+):
+    # the narrow mode is centered and at rest, so its coordinate stays 0.0
+    wide = "rel" if correlation == "sum" else "cm"
+    wide_mode = {f"{wide}_center": wide_center, f"{wide}_wavenumber": wide_wavenumber}
+    state = TwoParticleState.from_widths(*widths, correlation=correlation, **wide_mode)
+    start = sample_constraint_surface(state, 64, seed)
+    config = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=1)
+    ensemble = propagate_ensemble(state, start, config)
+    frames = ensemble.recorded_positions
+    assert frames.shape == (101, 64, 2)
+    sign = 1.0 if correlation == "sum" else -1.0
+    assert np.all(frames[:, :, 0] + sign * frames[:, :, 1] == 0.0)
 
 
 def test_sample_constraint_surface_difference_orientation():

@@ -190,6 +190,12 @@ def test_continuity_too_coarse_warns():
     assert res.too_coarse
 
 
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+def test_grid_for_state_rejects_bad_spacing(h):
+    with pytest.raises(ValueError, match="h must be positive"):
+        grid_for_state(default_state(), 1.0, h=h)
+
+
 def test_residual_grid_validation():
     with pytest.raises(ValueError):
         ResidualGrid(y1_min=0.0, y2_min=0.0, n1=21, n2=21, h=-0.1, tau=1e-3)
