@@ -150,8 +150,12 @@ _KEY_PARSERS = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat key = value file; '#' starts a comment, unknown keys fail."""
+    """Read a flat key = value file; '#' starts a comment.
+
+    Unknown and repeated keys fail.
+    """
     settings = {}
+    key_lines = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -168,6 +172,11 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         if key not in _KEY_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r}, first set on line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
         try:
             settings[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:

@@ -21,7 +21,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _require_finite(name, value):
-    if not np.isfinite(np.asarray(value, dtype=float)).all():
+    if isinstance(value, (int, float)):
+        finite = math.isfinite(value)
+    else:
+        finite = np.isfinite(np.asarray(value, dtype=float)).all()
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

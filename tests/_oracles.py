@@ -5,11 +5,16 @@ free kinetic phase in momentum space and measures moments by quadrature;
 it shares no code (and no closed-form width law) with the package. The RK4
 reference integrates the mode guidance fields stage by stage on arrays,
 written out from the textbook method rather than the package's step maps.
+The continuity reference evaluates every stage of the residual over the
+whole grid at once, with no blocking of rows.
 """
 
 import math
 
 import numpy as np
+
+from bohm_equilibrium.guidance import _pair_velocity
+from bohm_equilibrium.model import eval_density
 
 
 def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.0):
@@ -80,3 +85,30 @@ def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
         if done == n_steps or (record_stride > 0 and done % record_stride == 0):
             frames.append(u)
     return frames
+
+
+def continuity_residual_reference(state, grid, t):
+    """Whole-grid d_t rho + div(rho v); returns (residual, max_norm, l2_norm).
+
+    Every stage array spans the full ghost-extended grid; no blocking.
+    """
+    ext1 = (grid.y1_min - grid.h) + grid.h * np.arange(grid.n1 + 2)
+    ext2 = (grid.y2_min - grid.h) + grid.h * np.arange(grid.n2 + 2)
+    yy1 = ext1[:, None]
+    yy2 = ext2[None, :]
+    rho = eval_density(state, yy1, yy2, t)
+    v1, v2 = _pair_velocity(state, t, yy1, yy2)
+    flux1 = rho * v1
+    flux2 = rho * v2
+
+    inner1 = slice(1, -1)
+    rho_plus = eval_density(state, yy1[inner1], yy2[:, inner1], t + grid.tau)
+    rho_minus = eval_density(state, yy1[inner1], yy2[:, inner1], t - grid.tau)
+    dt_rho = (rho_plus - rho_minus) / (2.0 * grid.tau)
+    div1 = (flux1[2:, 1:-1] - flux1[:-2, 1:-1]) / (2.0 * grid.h)
+    div2 = (flux2[1:-1, 2:] - flux2[1:-1, :-2]) / (2.0 * grid.h)
+    residual = dt_rho + div1 + div2
+
+    max_norm = float(np.max(np.abs(residual)))
+    l2_norm = float(math.sqrt(np.sum(residual * residual) * grid.h * grid.h))
+    return residual, max_norm, l2_norm

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohm_equilibrium
 import bohm_equilibrium.cli as cli
 from bohm_equilibrium import StepUnderflowError
 from bohm_equilibrium.cli import ConfigError, RunConfig, load_config, main, parse_config_file
@@ -44,6 +49,17 @@ def test_config_unknown_key(tmp_path):
     path.write_text("samples = 10\nn_steps = 4\n")
     with pytest.raises(ConfigError, match="run.cfg:2.*n_steps"):
         parse_config_file(str(path))
+
+
+def test_config_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("samples = 0\nseed = 3\nsamples = 10\n")
+    with pytest.raises(ConfigError, match="run.cfg:3: duplicate key 'samples'.*line 1"):
+        parse_config_file(str(path))
+    out = tmp_path / "eq.csv"
+    assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
+    assert "duplicate key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_parse_errors(tmp_path):
@@ -248,6 +264,34 @@ def test_continuity_csv(tmp_path):
     assert [row[0] for row in rows] == ["coarse", "fine"]
     ratio = float(rows[0][3]) / float(rows[1][3])
     assert 3.5 < ratio < 4.5
+
+
+_PEAK_RSS_CHILD = """
+import resource, sys
+from bohm_equilibrium.cli import main
+code = main(["continuity", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_continuity_fine_grid_peak_memory(tmp_path):
+    # grid_h = 0.07 gives 1439^2 and 2877^2 grids; whole-grid stage arrays
+    # took 877 MB, row blocks about 230 MB
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_h = 0.07\n")
+    src = str(Path(bohm_equilibrium.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, str(config), str(tmp_path / "c.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kb = child.stdout.split()[-2:]
+    assert code == "0"
+    assert int(maxrss_kb) / 1024 < 400
 
 
 def test_trajectory_csv(tmp_path):

@@ -1,10 +1,14 @@
 """Velocity field: closed form vs finite differences, continuity residual."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import bohm_equilibrium.guidance as guidance
 from bohm_equilibrium import (
     DegenerateAmplitudeError,
     GaussianMode,
@@ -19,6 +23,9 @@ from bohm_equilibrium import (
     velocity,
     velocity_fd,
 )
+from bohm_equilibrium.model import observable_normal
+
+from _oracles import continuity_residual_reference
 
 PARAMS = PhysicalParams()
 
@@ -172,6 +179,48 @@ def test_continuity_residual_zero_at_t0():
     state = default_state()
     res = continuity_residual(state, grid_for_state(state, 0.0), 0.0)
     assert res.max_norm == 0.0
+
+
+MODE_PARAM = st.floats(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@settings(max_examples=50, deadline=None)
+@given(
+    widths=st.tuples(st.floats(0.02, 2.0), st.floats(0.02, 2.0)),
+    correlation=st.sampled_from(["sum", "difference"]),
+    centers=st.tuples(MODE_PARAM, MODE_PARAM),
+    wavenumbers=st.tuples(MODE_PARAM, MODE_PARAM),
+    t=st.floats(0.0, 3.0),
+    half_points=st.integers(181, 249),
+)
+def test_blocked_residual_matches_whole_grid(
+    block_rows, widths, correlation, centers, wavenumbers, t, half_points
+):
+    state = TwoParticleState.from_widths(
+        *widths,
+        correlation=correlation,
+        cm_center=centers[0],
+        rel_center=centers[1],
+        cm_wavenumber=wavenumbers[0],
+        rel_wavenumber=wavenumbers[1],
+    )
+    # n1 = 2 * half_points + 1 rows: 363..499, over two default blocks
+    std = observable_normal(state, t, "y1")[1]
+    grid = grid_for_state(state, t, h=5.0 * std / (half_points - 0.5))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(guidance, "_BLOCK_POINTS", block_rows * grid.n2)
+        rows = max(1, guidance._BLOCK_POINTS // grid.n2)
+        assume(grid.n1 % rows != 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # too_coarse
+            res = continuity_residual(state, grid, t)
+    residual, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
+    assert grid.n1 > rows
+    assert np.array_equal(res.residual, residual)
+    assert res.max_norm == max_norm
+    assert res.l2_norm == l2_norm
 
 
 def test_continuity_grid_coverage_enforced():

@@ -20,6 +20,7 @@ from bohm_equilibrium import (
     particle_coordinates,
     sample_equilibrium,
 )
+from bohm_equilibrium.model import _require_finite
 
 from _oracles import spectral_free_packet
 
@@ -250,3 +251,21 @@ def test_invalid_inputs_rejected():
         evolve_mode(mode, PARAMS, float("inf"))
     with pytest.raises(ValueError, match="finite"):
         eval_psi(default_state(), float("nan"), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, -3, True, np.float64(2.0), np.float32(2.0), np.int64(7), np.zeros((2, 3)), [0.5, 1.0]],
+)
+def test_require_finite_accepts_finite(value):
+    _require_finite("x", value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"), np.array([0.0, math.nan])],
+)
+def test_require_finite_rejects_non_finite(value):
+    with pytest.raises(ValueError) as info:
+        _require_finite("x", value)
+    assert str(info.value) == f"x must be finite, got {value!r}"
