@@ -14,7 +14,7 @@ from bohm_equilibrium import IntegratorConfig, TwoParticleState, regularization_
 def main():
     state = TwoParticleState.from_widths(sigma_narrow=0.05, sigma_wide=1.0)
     # the adaptive integrator handles the stiff early stretch of the
-    # narrowest widths without a warning
+    # narrowest widths, which the sweep refuses to run with fixed-step rk4
     config = IntegratorConfig(method="rk45", tolerance=1e-9, t_final=2.0)
     widths = (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)
     n = 10_000

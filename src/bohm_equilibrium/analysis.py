@@ -10,13 +10,13 @@ while an equilibrium ensemble's width grows), and the regularization sweep
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .dynamics import (
+    EnsembleFailureError,
     IntegratorConfig,
     propagate_ensemble,
     sample_constraint_surface,
@@ -258,7 +258,9 @@ def regularization_sweep(
     R = sigma_narrow(t_final) / sigma_narrow(0): R grows as the width
     shrinks, keeping the final width R * delta_y_i finite, while the KS
     column certifies the ensemble stayed in equilibrium. The same seed is
-    reused across rows (common random numbers).
+    reused across rows (common random numbers). With rk4, every width is
+    checked against the stiffness guard before the first row runs, and a
+    width too narrow for dt raises EnsembleFailureError.
     """
     widths = [float(w) for w in widths]
     if not widths:
@@ -269,21 +271,18 @@ def regularization_sweep(
         raise ValueError("widths must be strictly decreasing")
 
     narrow_is_sum = state.correlation is Correlation.SUM_NARROW
+    row_states = [state.with_narrow_sigma(0.5 * w if narrow_is_sum else w) for w in widths]
+    for width, row_state in zip(widths, row_states):
+        # stiffness guard: the stretch rate peaks at beta/2 at t = 1/beta
+        beta = _spread_rate(row_state.narrow_mode, row_state.params)
+        if config.method == "rk4" and 0.5 * beta * config.dt > 0.5:
+            raise EnsembleFailureError(
+                f"width {width:g} makes the guidance field stiff for rk4 with "
+                f"dt={config.dt:g}; use method = rk45"
+            )
     rows = []
-    for width in widths:
-        sigma_narrow = 0.5 * width if narrow_is_sum else width
-        row_state = state.with_narrow_sigma(sigma_narrow)
+    for width, row_state in zip(widths, row_states):
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
-        if config.method == "rk4":
-            # stiffness guard: the stretch rate peaks at beta/2 at t = 1/beta
-            beta = _spread_rate(row_state.narrow_mode, row_state.params)
-            if 0.5 * beta * config.dt > 0.5:
-                warnings.warn(
-                    f"width {width:g} makes the guidance field stiff for "
-                    f"dt={config.dt:g}; consider the adaptive method",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         report = equivariance_check(
             row_state, n, seed, config, [config.t_final]
         )[0]

@@ -6,13 +6,16 @@ is chunked. The guidance field is affine in each mode coordinate, so one
 fixed RK4 step is an affine map u -> alpha*u + beta with scalar
 coefficients; the steps are composed once per run and applied to every
 trajectory with elementwise arithmetic, which makes ensembles and single
-trajectories agree to the bit.
+trajectories agree to the bit. Adaptive Dormand-Prince runs each trajectory
+as one lane of a single step loop, with its own time and step size, so it
+agrees to the bit as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
 
 import numpy as np
 from numpy.random import Philox
@@ -42,7 +45,11 @@ class StepUnderflowError(RuntimeError):
 
 
 class EnsembleFailureError(RuntimeError):
-    """Raised when more than 0.1% of ensemble trajectories fail."""
+    """Raised when an ensemble cannot be integrated faithfully.
+
+    Either more than 0.1% of its trajectories failed, or (in the
+    regularization sweep) a width is too stiff for the fixed rk4 step.
+    """
 
 
 def _check_seed(seed: int) -> int:
@@ -196,8 +203,11 @@ class Ensemble:
         return self.initial_positions.shape[0]
 
 
-def _mode_rhs(state: TwoParticleState, t: float, u: np.ndarray) -> np.ndarray:
-    """Guidance field on stacked mode coordinates u = [[Y...], [y...]]."""
+def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
+    """Guidance field on stacked mode coordinates u = [[Y...], [y...]].
+
+    t is one time or one time per column of u.
+    """
     out = np.empty_like(u)
     for row, mode in enumerate((state.cm_mode, state.rel_mode)):
         out[row] = mode_field(mode, state.params, t).velocity(u[row])
@@ -268,30 +278,31 @@ _DP_ERR = (
 )
 
 
-def _rk45_advance(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y: np.ndarray,
-    t0: float,
-    t1: float,
-    tolerance: float,
-    monitor: Callable[[float, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Adaptive Dormand-Prince step loop from t0 to t1.
+def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, record=False):
+    """Adaptive Dormand-Prince from t0 to t1 on every lane (column) of u.
 
-    Error is measured against tolerance*(1 + |y|) per component; steps
-    shrink by at most 5x and grow by at most 5x per attempt. Raises
-    StepUnderflowError below dt = 1e-12.
+    Each lane keeps its own time, step and accept decision, so it does the
+    arithmetic of a one-lane call, bit for bit; rhs(t, u) gets the lanes'
+    times and states. Error is measured against tolerance*(1 + |u|) per
+    component; steps shrink by at most 5x and grow by at most 5x per
+    attempt. A lane whose step falls below 1e-12 stops and ends as NaN.
+    Returns the final states and, with record, each iteration's accepted
+    steps as (t, u) of the lanes that took them.
     """
-    t = t0
-    dt = min((t1 - t0) / 100.0, 0.1)
-    while t < t1:
+    y = np.array(u, dtype=float)
+    final = np.empty_like(y)
+    lanes = np.arange(y.shape[1])
+    t = np.full(lanes.size, float(t0))
+    dt = np.full(lanes.size, min((t1 - t0) / 100.0, 0.1))
+    steps = []
+    while lanes.size:
         remaining = t1 - t
         last = dt >= remaining
-        h = remaining if last else dt
-        if h < _MIN_ADAPTIVE_DT:
-            raise StepUnderflowError(
-                f"adaptive step fell below {_MIN_ADAPTIVE_DT:g} at t = {t:.6g}"
-            )
+        h = np.where(last, remaining, dt)
+        ok = h >= _MIN_ADAPTIVE_DT
+        if not ok.all():
+            final[:, lanes[~ok]] = np.nan
+            lanes, y, t, h, last = lanes[ok], y[:, ok], t[ok], h[ok], last[ok]
         k = [rhs(t, y)]
         for stage in range(1, 6):
             yk = y
@@ -306,17 +317,21 @@ def _rk45_advance(
         for coeff, ki in zip(_DP_ERR, k):
             err = err + (h * coeff) * ki
         scale = tolerance * (1.0 + np.abs(y))
-        err_norm = float(np.max(np.abs(err) / scale))
-        if err_norm <= 1.0:
-            t = t1 if last else t + h
-            y = y5
-            if monitor is not None:
-                monitor(t, y)
-            factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm**-0.2
-        else:
-            factor = max(0.2, 0.9 * err_norm**-0.2)
-        dt = h * min(5.0, factor)
-    return y
+        err_norm = np.max(np.abs(err) / scale, axis=0)
+        accept = err_norm <= 1.0
+        t = np.where(accept, np.where(last, t1, t + h), t)
+        y = np.where(accept, y5, y)
+        if record and accept.any():
+            steps.append((t[accept], y[:, accept]))
+        # err_norm**-0.2 by libm pow, as a Python float takes it: np.power's
+        # SIMD kernel differs in the last bit. A zero error grows the step
+        # 5x, and fmax shrinks it 5x on a NaN error, like any rejection.
+        growth = np.frompyfunc(lambda e: e**-0.2 if e else math.inf, 1, 1)(err_norm)
+        dt = h * np.minimum(np.fmax(0.9 * growth.astype(float), 0.2), 5.0)
+        live = t < t1
+        final[:, lanes[~live]] = y[:, ~live]
+        lanes, y, t, dt = lanes[live], y[:, live], t[live], dt[live]
+    return final, steps
 
 
 def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
@@ -354,45 +369,20 @@ def integrate_trajectory(
         a, b = _rk4_maps(state, t0, dt, steps)
         return Trajectory(times=t0 + steps * dt, positions=_mode_positions(a.T, b.T, u0))
 
-    times = [t0]
-    points = [particle_coordinates(*u0)]
+    t1 = t0 + config.t_final
+    final, steps = _rk45_lanes(
+        partial(_mode_rhs, state), np.vstack(u0), t0, t1, config.tolerance, record=True
+    )
+    if np.isnan(final).any():
+        t_fail = steps[-1][0][0] if steps else t0
+        raise StepUnderflowError(
+            f"adaptive step fell below {_MIN_ADAPTIVE_DT:g} at t = {t_fail:.6g}"
+        )
     stride = config.record_stride
-    accepted = 0
-
-    def monitor(t, y_now):
-        nonlocal accepted
-        accepted += 1
-        if stride > 0 and accepted % stride == 0 and t < t0 + config.t_final:
-            times.append(t)
-            points.append(particle_coordinates(y_now[0, 0], y_now[1, 0]))
-
-    def rhs(t, y):
-        return _mode_rhs(state, t, y)
-
-    u = np.array([[u0[0]], [u0[1]]])
-    final = _rk45_advance(rhs, u, t0, t0 + config.t_final, config.tolerance, monitor)
-    times.append(t0 + config.t_final)
-    points.append(particle_coordinates(final[0, 0], final[1, 0]))
-    return Trajectory(times=np.array(times), positions=np.array(points))
-
-
-def _propagate_rk45(
-    state: TwoParticleState, u: np.ndarray, t0: float, config: IntegratorConfig
-) -> np.ndarray:
-    """Per-trajectory adaptive integration; failed trajectories end as NaN."""
-    final = np.empty_like(u)
-
-    def rhs(t, y):
-        return _mode_rhs(state, t, y)
-
-    for i in range(u.shape[1]):
-        try:
-            final[:, i : i + 1] = _rk45_advance(
-                rhs, u[:, i : i + 1], t0, t0 + config.t_final, config.tolerance
-            )
-        except StepUnderflowError:
-            final[:, i] = np.nan
-    return final
+    kept = [(t, u) for t, u in steps[stride - 1 :: stride] if t[0] < t1] if stride else []
+    times = np.concatenate([[t0], *(t for t, _ in kept), [t1]])
+    u = np.hstack([np.vstack(u0), *(u for _, u in kept), final])
+    return Trajectory(times=times, positions=np.column_stack(particle_coordinates(*u)))
 
 
 def propagate_ensemble(
@@ -406,7 +396,8 @@ def propagate_ensemble(
     """Propagate every row of initial_positions from t0 to t0 + t_final.
 
     rk4 composes its steps into one affine map per mode and applies it to
-    the whole ensemble at once; rk45 integrates trajectory by trajectory.
+    the whole ensemble at once; rk45 steps every trajectory as one lane of
+    a single adaptive loop, each with its own step size.
     parallel_width is validated and kept for compatibility; it does not
     change the arithmetic. Trajectories whose state turns non-finite are
     marked failed; more than 0.1% failures raise EnsembleFailureError.
@@ -436,8 +427,10 @@ def propagate_ensemble(
             for j in range(len(steps)):
                 recorded[j] = _mode_positions(a[j], b[j], u0)
     else:
-        final_u = _propagate_rk45(state, u0, t0, config)
-        final = np.column_stack(particle_coordinates(final_u[0], final_u[1]))
+        final_u, _ = _rk45_lanes(
+            partial(_mode_rhs, state), u0, t0, t0 + config.t_final, config.tolerance
+        )
+        final = np.column_stack(particle_coordinates(*final_u))
 
     failed = np.nonzero(~np.all(np.isfinite(final), axis=1))[0]
     if len(failed) > _MAX_FAILED_FRACTION * n:

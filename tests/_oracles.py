@@ -5,8 +5,10 @@ free kinetic phase in momentum space and measures moments by quadrature;
 it shares no code (and no closed-form width law) with the package. The RK4
 reference integrates the mode guidance fields stage by stage on arrays,
 written out from the textbook method rather than the package's step maps.
-The continuity reference evaluates every stage of the residual over the
-whole grid at once, with no blocking of rows.
+The adaptive reference is the scalar Dormand-Prince step loop, one
+trajectory at a time, with its own copy of the tableau; the package's lane
+loop must match it bit for bit. The continuity reference evaluates every
+stage of the residual over the whole grid at once, with no blocking of rows.
 """
 
 import math
@@ -85,6 +87,75 @@ def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
         if done == n_steps or (record_stride > 0 and done % record_stride == 0):
             frames.append(u)
     return frames
+
+
+# Dormand & Prince (1980) 5(4) tableau
+DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
+DP_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+)
+DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+DP_ERR = (
+    71.0 / 57600.0,
+    0.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+class ReferenceUnderflow(RuntimeError):
+    """The reference controller drove its step below 1e-12."""
+
+
+def rk45_reference(rhs, y, t0, t1, tolerance, monitor=None):
+    """Adaptive Dormand-Prince step loop for one trajectory, t0 to t1.
+
+    Scalar time and step size (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.4): error against tolerance*(1 + |y|) per component, steps shrink by
+    at most 5x and grow by at most 5x per attempt, and a step below 1e-12
+    raises ReferenceUnderflow. monitor(t, y) sees every accepted step.
+    """
+    t = t0
+    dt = min((t1 - t0) / 100.0, 0.1)
+    while t < t1:
+        remaining = t1 - t
+        last = dt >= remaining
+        h = remaining if last else dt
+        if h < 1e-12:
+            raise ReferenceUnderflow(f"step fell below 1e-12 at t = {t:.6g}")
+        k = [rhs(t, y)]
+        for stage in range(1, 6):
+            yk = y
+            for coeff, ki in zip(DP_A[stage], k):
+                yk = yk + (h * coeff) * ki
+            k.append(rhs(t + DP_C[stage] * h, yk))
+        y5 = y
+        for coeff, ki in zip(DP_B5, k):
+            y5 = y5 + (h * coeff) * ki
+        k.append(rhs(t + h, y5))
+        err = np.zeros_like(y)
+        for coeff, ki in zip(DP_ERR, k):
+            err = err + (h * coeff) * ki
+        scale = tolerance * (1.0 + np.abs(y))
+        err_norm = float(np.max(np.abs(err) / scale))
+        if err_norm <= 1.0:
+            t = t1 if last else t + h
+            y = y5
+            if monitor is not None:
+                monitor(t, y)
+            factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm**-0.2
+        else:
+            factor = max(0.2, 0.9 * err_norm**-0.2)
+        dt = h * min(5.0, factor)
+    return y
 
 
 def continuity_residual_reference(state, grid, t):

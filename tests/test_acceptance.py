@@ -128,6 +128,31 @@ def test_criterion_3_regularization_sweep(verdict):
     )
 
 
+def test_criterion_3_adaptive_sweep_to_narrow_widths(verdict):
+    # the adaptive sweep past rk4's stiffness limit, down to R = 2e6 at
+    # n = 2e4: KS < 1.95/sqrt(n) per row and each empirical final width
+    # within 2% of R*dy_i (the std's standard error is about 0.5%); wall
+    # time under 90 s
+    state = default_state()
+    config = IntegratorConfig(method="rk45", t_final=2.0)
+    n = 20_000
+    started = time.time()
+    result = regularization_sweep(state, (0.02, 0.01, 0.005, 0.001), n, 42, config)
+    elapsed = time.time() - started
+    worst_ks = max(row.ks for row in result.rows)
+    worst_width = max(
+        abs(row.delta_y_f_empirical / row.delta_y_f - 1.0) for row in result.rows
+    )
+    ok = worst_ks < 1.95 / math.sqrt(n) and worst_width < 0.02 and elapsed < 90.0
+    assert verdict(
+        "3 (rk45)",
+        ok,
+        f"max KS {worst_ks:.4g} (< {1.95 / math.sqrt(n):.4g}), R up to "
+        f"{result.rows[-1].r:.4g}, max width dev {worst_width:.2%} (< 2%), "
+        f"{elapsed:.1f}s (< 90s)",
+    )
+
+
 def test_criterion_4_continuity_convergence(verdict):
     # residual ratio between (h, tau) and (h/2, tau/2) in [3.5, 4.5],
     # narrow (0.05) and wide (1.0) states, grid covering ±5 marginal stds

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import bohm_equilibrium.analysis as analysis
 import bohm_equilibrium.dynamics as dynamics
 from bohm_equilibrium import (
+    EnsembleFailureError,
     IntegratorConfig,
-    StepUnderflowError,
     TwoParticleState,
     constraint_surface_experiment,
     constraint_width,
@@ -155,28 +155,30 @@ def test_equivariance_parallel_width_invariance():
 
 
 def test_equivariance_drops_failed_trajectories(monkeypatch):
-    # one trajectory of 2000 underflows, inside the 0.1% failure allowance;
-    # the others follow the exact scaling flow, which keeps the test fast
+    # lane 6 of 2000 underflows in the first call, inside the 0.1% failure
+    # allowance; the other lanes follow the exact scaling flow, which keeps
+    # the test fast
     state = default_state()
     calls = []
 
-    def exact_or_underflow(rhs, y, t0, t1, tolerance, monitor=None):
+    def exact_or_underflow(rhs, u, t0, t1, tolerance, record=False):
         calls.append(t0)
-        if len(calls) == 7:
-            raise StepUnderflowError("forced")
-        out = np.empty_like(y)
+        out = np.empty_like(u)
         for row, mode in enumerate((state.cm_mode, state.rel_mode)):
             start = evolve_mode(mode, state.params, t0)
             end = evolve_mode(mode, state.params, t1)
-            out[row] = end.center + (y[row] - start.center) * (end.sigma / start.sigma)
-        return out
+            out[row] = end.center + (u[row] - start.center) * (end.sigma / start.sigma)
+        if len(calls) == 1:
+            out[:, 6] = np.nan
+        return out, []
 
-    monkeypatch.setattr(dynamics, "_rk45_advance", exact_or_underflow)
+    monkeypatch.setattr(dynamics, "_rk45_lanes", exact_or_underflow)
     config = IntegratorConfig(method="rk45", t_final=1.0)
     for times in ([1.0], [0.5, 1.0]):
         calls.clear()
         reports = equivariance_check(state, 2000, 42, config, times)
         assert [report.t for report in reports] == times
+        assert len(calls) == len(times)
         for report in reports:
             for stats in report.observables:
                 assert stats.n == 1999
@@ -285,11 +287,23 @@ def test_regularization_sweep_difference_orientation():
     assert row.delta_y_f_empirical == pytest.approx(row.delta_y_f, rel=0.1)
 
 
-def test_regularization_sweep_warns_when_stiff():
+def test_regularization_sweep_rejects_stiff_rk4(monkeypatch):
+    # the guard checks every width before the first row runs: rk4 would
+    # print a wrong-physics row, so the sweep fails and names rk45 instead
     state = default_state()
     config = IntegratorConfig(dt=1e-3, t_final=0.05)
-    with pytest.warns(RuntimeWarning, match="stiff"):
-        regularization_sweep(state, (0.028,), 100, 42, config)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran before every width was checked")
+
+    monkeypatch.setattr(analysis, "equivariance_check", no_rows)
+    with pytest.raises(EnsembleFailureError, match="method = rk45"):
+        regularization_sweep(state, (0.4, 0.028), 100, 42, config)
+    # the same widths are fine for the adaptive method
+    monkeypatch.undo()
+    rk45 = IntegratorConfig(method="rk45", t_final=0.05)
+    result = regularization_sweep(state, (0.4, 0.028), 100, 42, rk45)
+    assert len(result.rows) == 2
 
 
 def test_regularization_sweep_validates_widths():

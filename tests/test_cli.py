@@ -256,6 +256,16 @@ def test_sweep_csv(tmp_path):
     assert first[3] * first[0] == pytest.approx(first[1], rel=1e-15)
 
 
+def test_sweep_stiff_rk4_exits_3_before_any_row(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text("sweep_widths = 0.02, 0.001\nsamples = 1000\n")
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+    assert "method = rk45" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "sw.csv.meta.json").exists()
+
+
 def test_continuity_csv(tmp_path):
     out = tmp_path / "cont.csv"
     assert main(["continuity", "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Sampling determinism and integrator correctness."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from bohm_equilibrium import (
     TwoParticleState,
     integrate_trajectory,
     mode_coordinates,
+    particle_coordinates,
     propagate_ensemble,
     sample_constraint_surface,
     sample_equilibrium,
     substream_normals,
     substream_uniforms,
 )
-from bohm_equilibrium.dynamics import _rk45_advance
+from bohm_equilibrium.dynamics import _mode_rhs, _rk45_lanes
 
-from _oracles import rk4_reference
+from _oracles import ReferenceUnderflow, rk4_reference, rk45_reference
 
 
 def default_state():
@@ -214,12 +216,29 @@ def test_rk45_trajectory_matches_scaling_solution():
     assert abs(small - small_e) / abs(small_e) < 1e-6
 
 
-def test_rk45_step_underflow():
-    def blowup(t, y):
-        return y / (1.0 - t)
+def blowup(t, u):
+    """Row 0 moves in y/(s - t); row 1 holds the lane's singular time s."""
+    return np.vstack([u[0] / (u[1] - t), np.zeros_like(u[1])])
 
-    with pytest.raises(StepUnderflowError):
-        _rk45_advance(blowup, np.array([1.0]), 0.0, 2.0, 1e-9)
+
+def test_rk45_step_underflow(monkeypatch):
+    # the lane that meets y/(1 - t) underflows and ends NaN; in the same
+    # call a lane whose singularity lies beyond t1 finishes as it would alone
+    final, _ = _rk45_lanes(blowup, np.array([[1.0, 1.0], [1.0, 3.0]]), 0.0, 2.0, 1e-9)
+    assert np.all(np.isnan(final[:, 0]))
+    alone, _ = _rk45_lanes(blowup, np.array([[1.0], [3.0]]), 0.0, 2.0, 1e-9)
+    assert np.array_equal(final[:, 1:], alone)
+    assert final[0, 1] == pytest.approx(3.0, rel=1e-7)  # y = 3 / (3 - t)
+    # both lanes do what the scalar one-trajectory loop does
+    benign = rk45_reference(blowup, np.array([[1.0], [3.0]]), 0.0, 2.0, 1e-9)
+    assert np.array_equal(alone, benign)
+    with pytest.raises(ReferenceUnderflow):
+        rk45_reference(blowup, np.array([[1.0], [1.0]]), 0.0, 2.0, 1e-9)
+
+    monkeypatch.setattr(dynamics, "_mode_rhs", lambda state, t, u: u / (1.0 - t))
+    config = IntegratorConfig(method="rk45", t_final=2.0)
+    with pytest.raises(StepUnderflowError, match="fell below 1e-12"):
+        integrate_trajectory(default_state(), (0.3, -0.2), config)
 
 
 def test_trajectory_rejects_bad_start():
@@ -305,17 +324,26 @@ def test_ensemble_input_validation():
         )
 
 
+def test_rk45_zero_error_grows_steps_like_reference():
+    # a still field has zero error, so every step is accepted and grows 5x
+    def still(t, u):
+        return np.zeros_like(u)
+
+    taken = []
+    rk45_reference(still, np.ones((2, 1)), 0.0, 2.0, 1e-9, lambda t, u: taken.append(t))
+    _, steps = _rk45_lanes(still, np.ones((2, 3)), 0.0, 2.0, 1e-9, record=True)
+    assert [t.tolist() for t, _ in steps] == [[t] * 3 for t in taken]
+    assert np.allclose(np.diff([0.0, *taken]), [0.02, 0.1, 0.5, 1.38])
+
+
 def test_ensemble_failure_threshold(monkeypatch):
+    # every lane meets the singularity of y/(1 - t) and underflows
     state = default_state()
     starts = sample_equilibrium(state, 20, seed=1)
-
-    def always_underflow(*args, **kwargs):
-        raise StepUnderflowError("forced")
-
-    monkeypatch.setattr(dynamics, "_rk45_advance", always_underflow)
-    with pytest.raises(EnsembleFailureError):
+    monkeypatch.setattr(dynamics, "_mode_rhs", lambda state, t, u: u / (1.0 - t))
+    with pytest.raises(EnsembleFailureError, match="20 of 20"):
         propagate_ensemble(
-            state, starts, IntegratorConfig(method="rk45", t_final=1.0)
+            state, starts, IntegratorConfig(method="rk45", t_final=2.0)
         )
 
 
@@ -380,3 +408,68 @@ def test_composed_rk4_keeps_truncation_error():
     assert abs(big - big_e) / abs(big_e) > 1e-6
     reference = reference_mode_coordinates(state, np.array([start]), 5e-3, 2000)[-1]
     assert abs(big - reference[0, 0]) <= 1e-12 * (1.0 + abs(reference[0, 0]))
+
+
+def reference_lane(state, u0, t0, t1, tolerance, stride=0):
+    """One trajectory through the scalar oracle: final u and recorded frames."""
+    frames = []
+
+    def monitor(t, u):
+        frames.append((t, u))
+
+    try:
+        final = rk45_reference(partial(_mode_rhs, state), u0, t0, t1, tolerance, monitor)
+    except ReferenceUnderflow:
+        return np.full_like(u0, np.nan), None
+    kept = frames[stride - 1 :: stride] if stride else []
+    kept = [(t, u) for t, u in kept if t < t1]
+    times = np.array([t0, *(t for t, _ in kept), t1])
+    u = np.hstack([u0, *(u for _, u in kept), final])
+    return final, (times, np.column_stack(particle_coordinates(u[0], u[1])))
+
+
+CENTER = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    narrow=st.floats(1e-3, 2.0),
+    correlation=st.sampled_from(["sum", "difference"]),
+    centers=st.tuples(CENTER, CENTER),
+    wavenumbers=st.tuples(CENTER, CENTER),
+    log_tolerance=st.floats(-10.0, -5.0),
+    t0=st.floats(0.0, 2.0),
+    stride=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32),
+)
+def test_rk45_lanes_match_scalar_reference(
+    narrow, correlation, centers, wavenumbers, log_tolerance, t0, stride, seed
+):
+    state = TwoParticleState.from_widths(
+        narrow,
+        1.0,
+        correlation=correlation,
+        cm_center=centers[0],
+        rel_center=centers[1],
+        cm_wavenumber=wavenumbers[0],
+        rel_wavenumber=wavenumbers[1],
+    )
+    tolerance = 10.0**log_tolerance
+    starts = sample_equilibrium(state, 3, seed=seed)
+    u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
+    lanes, _ = _rk45_lanes(partial(_mode_rhs, state), u0, t0, t0 + 1.0, tolerance)
+    for i in range(3):
+        expected, _ = reference_lane(state, u0[:, i : i + 1], t0, t0 + 1.0, tolerance)
+        assert np.array_equal(lanes[:, i : i + 1], expected, equal_nan=True)
+
+    config = IntegratorConfig(
+        method="rk45", tolerance=tolerance, t_final=1.0, record_stride=stride
+    )
+    _, recorded = reference_lane(state, u0[:, :1], t0, t0 + 1.0, tolerance, stride)
+    if recorded is None:
+        with pytest.raises(StepUnderflowError):
+            integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
+    else:
+        traj = integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
+        assert np.array_equal(traj.times, recorded[0])
+        assert np.array_equal(traj.positions, recorded[1])
