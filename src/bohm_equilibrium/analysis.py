@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from .dynamics import (
     EnsembleFailureError,
     IntegratorConfig,
+    _step_grid,
     propagate_ensemble,
     sample_constraint_surface,
     sample_equilibrium,
@@ -190,13 +191,10 @@ def constraint_surface_experiment(
         raise ValueError(
             "constraint experiment requires a centered, zero-wavenumber cm mode"
         )
-    stride = config.record_stride if config.record_stride > 0 else 1
-    config = replace(config, record_stride=stride)
+    config = replace(config, record_stride=config.record_stride or 1)
     starts = sample_constraint_surface(state, n, seed)
     ensemble = propagate_ensemble(state, starts, config, seed=seed)
-
-    # frame by frame, so no temporary is as large as the recording
-    frames = ensemble.recorded_positions
+    frames = ensemble.frames()
     max_abs_sum = float(np.max([np.max(np.abs(f[:, 0] + f[:, 1])) for f in frames]))
     final = ensemble.final_positions
     sum_final = final[:, 0] + final[:, 1]
@@ -272,13 +270,14 @@ def regularization_sweep(
 
     narrow_is_sum = state.correlation is Correlation.SUM_NARROW
     row_states = [state.with_narrow_sigma(0.5 * w if narrow_is_sum else w) for w in widths]
+    step = _step_grid(config)[1]
     for width, row_state in zip(widths, row_states):
-        # stiffness guard: the stretch rate peaks at beta/2 at t = 1/beta
+        # stiffness guard at the step taken: the rate peaks at beta/2 at t = 1/beta
         beta = _spread_rate(row_state.narrow_mode, row_state.params)
-        if config.method == "rk4" and 0.5 * beta * config.dt > 0.5:
+        if config.method == "rk4" and 0.5 * beta * step > 0.5:
             raise EnsembleFailureError(
                 f"width {width:g} makes the guidance field stiff for rk4 with "
-                f"dt={config.dt:g}; use method = rk45"
+                f"step {step:g}; use method = rk45"
             )
     rows = []
     for width, row_state in zip(widths, row_states):

@@ -186,7 +186,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Propagated ensemble with enough metadata to reproduce it."""
+    """Propagated ensemble with enough metadata to reproduce it.
+
+    A recorded rk4 run keeps its composed maps, not its frames.
+    """
 
     state: TwoParticleState
     config: IntegratorConfig
@@ -196,11 +199,22 @@ class Ensemble:
     final_positions: np.ndarray
     failed_indices: tuple[int, ...] = ()
     times: np.ndarray | None = None
-    recorded_positions: np.ndarray | None = None  # (len(times), n, 2)
+    maps: tuple[np.ndarray, np.ndarray] | None = None  # (a, b), each (len(times), 2)
 
     @property
     def n(self) -> int:
         return self.initial_positions.shape[0]
+
+    def frames(self):
+        """Yield the (n, 2) positions at each recorded time, one frame at a time."""
+        u0 = np.vstack(mode_coordinates(*self.initial_positions.T))
+        for a_j, b_j in zip(*(self.maps or ())):
+            yield _mode_positions(a_j, b_j, u0)
+
+    @property
+    def recorded_positions(self) -> np.ndarray | None:
+        """All frames stacked, (len(times), n, 2); None if nothing was recorded."""
+        return None if self.maps is None else np.stack(list(self.frames()))
 
 
 def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
@@ -224,18 +238,27 @@ def _rk4_step(rhs, stages, u, dt: float):
     return u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
+    """Number of fixed steps and the effective dt that lands on t_final."""
+    n_steps = max(1, int(round(config.t_final / config.dt)))
+    return n_steps, config.t_final / n_steps
+
+
 def _rk4_maps(
-    state: TwoParticleState, t0: float, dt: float, steps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    state: TwoParticleState, config: IntegratorConfig, t0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 as affine maps: u_j = a[j] * u_0 + b[j] per mode.
 
     One RK4 step of an affine field is itself affine, u -> alpha*u + beta
     for each mode. alpha comes from the RK4 stage formula on the homogeneous
     field at u = 1, beta from the full field at u = 0, so the maps carry the
-    method's truncation error, never the exact flow. The step maps are
-    folded in step order up to steps[-1]; a and b have shape (len(steps), 2).
+    method's truncation error, never the exact flow. Returns (times, a, b)
+    at step 0, every record_stride-th step and the last step; a and b have
+    shape (len(times), 2) and hold the step maps folded up to each of them.
     """
-    t = t0 + np.arange(steps[-1]) * dt
+    n_steps, dt = _step_grid(config)
+    steps = np.union1d(np.arange(0, n_steps, config.record_stride or n_steps), n_steps)
+    t = t0 + np.arange(n_steps) * dt
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))
     for row, mode in enumerate((state.cm_mode, state.rel_mode)):
@@ -247,7 +270,7 @@ def _rk4_maps(
             a_k, b_k = prefix[-1]
             prefix.append((alpha_k * a_k, alpha_k * b_k + beta_k))
         a[:, row], b[:, row] = np.array(prefix)[steps].T
-    return a, b
+    return t0 + steps * dt, a, b
 
 
 def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -334,21 +357,6 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
     return final, steps
 
 
-def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
-    """Number of fixed steps and the effective dt that lands on t_final."""
-    n_steps = max(1, int(round(config.t_final / config.dt)))
-    return n_steps, config.t_final / n_steps
-
-
-def _record_steps(config: IntegratorConfig, n_steps: int) -> np.ndarray:
-    """Step 0, every record_stride-th step (if any) and the final step."""
-    stride = config.record_stride if config.record_stride > 0 else n_steps
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.array(steps)
-
-
 def integrate_trajectory(
     state: TwoParticleState,
     start: tuple[float, float],
@@ -364,10 +372,8 @@ def integrate_trajectory(
     u0 = mode_coordinates(float(start[0]), float(start[1]))
 
     if config.method == "rk4":
-        n_steps, dt = _step_grid(config)
-        steps = _record_steps(config, n_steps)
-        a, b = _rk4_maps(state, t0, dt, steps)
-        return Trajectory(times=t0 + steps * dt, positions=_mode_positions(a.T, b.T, u0))
+        times, a, b = _rk4_maps(state, config, t0)
+        return Trajectory(times=times, positions=_mode_positions(a.T, b.T, u0))
 
     t1 = t0 + config.t_final
     final, steps = _rk45_lanes(
@@ -396,10 +402,11 @@ def propagate_ensemble(
     """Propagate every row of initial_positions from t0 to t0 + t_final.
 
     rk4 composes its steps into one affine map per mode and applies it to
-    the whole ensemble at once; rk45 steps every trajectory as one lane of
-    a single adaptive loop, each with its own step size.
-    parallel_width is validated and kept for compatibility; it does not
-    change the arithmetic. Trajectories whose state turns non-finite are
+    the whole ensemble at once; with record_stride > 0 it keeps the maps of
+    the recorded times, for Ensemble.frames() to apply. rk45 steps every
+    trajectory as one lane of a single adaptive loop, each with its own step
+    size. parallel_width is validated and kept for compatibility; it does
+    not change the arithmetic. Trajectories whose state turns non-finite are
     marked failed; more than 0.1% failures raise EnsembleFailureError.
     """
     positions = np.asarray(initial_positions, dtype=float)
@@ -414,18 +421,12 @@ def propagate_ensemble(
 
     n = positions.shape[0]
     u0 = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
-    times = None
-    recorded = None
+    times = maps = None
     if config.method == "rk4":
-        n_steps, dt = _step_grid(config)
-        steps = _record_steps(config, n_steps)
-        a, b = _rk4_maps(state, t0, dt, steps)
+        recorded_times, a, b = _rk4_maps(state, config, t0)
         final = _mode_positions(a[-1], b[-1], u0)
         if config.record_stride > 0:
-            times = t0 + steps * dt
-            recorded = np.empty((len(steps), n, 2))
-            for j in range(len(steps)):
-                recorded[j] = _mode_positions(a[j], b[j], u0)
+            times, maps = recorded_times, (a, b)
     else:
         final_u, _ = _rk45_lanes(
             partial(_mode_rhs, state), u0, t0, t0 + config.t_final, config.tolerance
@@ -446,5 +447,5 @@ def propagate_ensemble(
         final_positions=final,
         failed_indices=tuple(failed.tolist()),
         times=times,
-        recorded_positions=recorded,
+        maps=maps,
     )

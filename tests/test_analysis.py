@@ -306,6 +306,14 @@ def test_regularization_sweep_rejects_stiff_rk4(monkeypatch):
     assert len(result.rows) == 2
 
 
+def test_regularization_sweep_guard_uses_effective_step():
+    # t_final / dt = 1.47 rounds to one rk4 step of 0.05, not 0.034: the
+    # guard must judge the step taken (0.5*beta*0.05 = 0.69 > 0.5)
+    config = IntegratorConfig(dt=0.034, t_final=0.05)
+    with pytest.raises(EnsembleFailureError, match="step 0.05; use method = rk45"):
+        regularization_sweep(default_state(), (0.19,), 100, 42, config)
+
+
 def test_regularization_sweep_validates_widths():
     state = default_state()
     config = default_config()

@@ -304,6 +304,33 @@ def test_continuity_fine_grid_peak_memory(tmp_path):
     assert int(maxrss_kb) / 1024 < 400
 
 
+_CLI_PEAK_RSS_CHILD = """
+import resource, sys
+from bohm_equilibrium.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_ga_constraint_default_size_peak_memory(tmp_path):
+    # n = 1e5 with all 2001 frames; a stacked recording would take 3.2 GB,
+    # frames rebuilt one at a time from the rk4 maps about 67 MB
+    src = str(Path(bohm_equilibrium.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_PEAK_RSS_CHILD, "ga-constraint"]
+        + ["--out", str(tmp_path / "g.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kb = child.stdout.split()[-2:]
+    assert code == "0"
+    assert int(maxrss_kb) / 1024 < 200
+
+
 def test_trajectory_csv(tmp_path):
     out = tmp_path / "tr.csv"
     config = tmp_path / "run.cfg"

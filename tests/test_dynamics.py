@@ -1,5 +1,6 @@
 """Sampling determinism and integrator correctness."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -305,6 +306,32 @@ def test_ensemble_recorded_times_grid():
     np.testing.assert_allclose(
         ensemble.recorded_positions[-1], ensemble.final_positions, atol=0
     )
+
+
+def test_ensemble_frames_rebuild_recording_from_maps():
+    # a recorded rk4 run stores its composed maps, not a (frames, n, 2) array
+    assert "recorded_positions" not in {f.name for f in dataclasses.fields(dynamics.Ensemble)}
+    state = default_state()
+    starts = sample_equilibrium(state, 50, seed=4)
+    config = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=7)
+    ensemble = propagate_ensemble(state, starts, config)
+    a, b = ensemble.maps
+    assert a.shape == b.shape == (len(ensemble.times), 2)
+    frames = list(ensemble.frames())
+    assert len(frames) == len(ensemble.times) == 16
+    for frame, recorded in zip(frames, ensemble.recorded_positions):
+        assert frame.shape == (50, 2)
+        assert np.array_equal(frame, recorded)
+    # the first frame is the start, up to the trip through mode coordinates
+    round_trip = np.column_stack(particle_coordinates(*mode_coordinates(*starts.T)))
+    assert np.array_equal(frames[0], round_trip)
+    np.testing.assert_allclose(frames[0], starts, rtol=0, atol=1e-15)
+    assert np.array_equal(frames[-1], ensemble.final_positions)
+    unrecorded = propagate_ensemble(state, starts, IntegratorConfig(dt=1e-2, t_final=1.0))
+    assert unrecorded.times is None
+    assert unrecorded.recorded_positions is None
+    assert list(unrecorded.frames()) == []
+    assert np.array_equal(unrecorded.final_positions, ensemble.final_positions)
 
 
 def test_ensemble_input_validation():
