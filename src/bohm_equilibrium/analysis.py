@@ -35,6 +35,34 @@ from .model import (
 )
 
 
+def _require_samples(n: int):
+    # an experiment's widths use ddof = 1
+    if n < 2:
+        raise ValueError(f"samples must be at least 2, got {n!r}")
+
+
+def _check_times(times, t_final: float) -> list[float]:
+    times = [float(t) for t in times]
+    if not times:
+        raise ValueError("times must be non-empty")
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing")
+    if not all(0.0 <= t <= t_final + 1e-12 for t in times):
+        raise ValueError(f"times must lie within [0, t_final={t_final}]")
+    return times
+
+
+def _check_widths(widths) -> list[float]:
+    widths = [float(w) for w in widths]
+    if not widths:
+        raise ValueError("widths must be non-empty")
+    for width in widths:
+        _require_positive("widths", width)
+    if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
+        raise ValueError("widths must be strictly decreasing")
+    return widths
+
+
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a continuous CDF.
 
@@ -44,8 +72,7 @@ def ks_statistic(samples, cdf) -> float:
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    _require_samples(n)
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
@@ -124,13 +151,8 @@ def equivariance_check(
     Trajectories that fail to integrate (at most 0.1%, see
     propagate_ensemble) are dropped, so ObservableStats.n counts survivors.
     """
-    times = [float(t) for t in times]
-    if not times:
-        raise ValueError("times must be non-empty")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing")
-    if not all(0.0 <= t <= config.t_final + 1e-12 for t in times):
-        raise ValueError(f"times must lie within [0, t_final={config.t_final}]")
+    _require_samples(n)
+    times = _check_times(times, config.t_final)
 
     positions = sample_equilibrium(state, n, seed)
     reports = []
@@ -185,6 +207,7 @@ def constraint_surface_experiment(
     every step (or config.record_stride if set) and reports the worst
     constraint violation together with the width comparison at t_final.
     """
+    _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
         raise ValueError("constraint experiment requires a sum-narrow state")
     if state.cm_mode.center0 != 0.0 or state.cm_mode.wavenumber != 0.0:
@@ -260,14 +283,7 @@ def regularization_sweep(
     checked against the stiffness guard before the first row runs, and a
     width too narrow for dt raises EnsembleFailureError.
     """
-    widths = [float(w) for w in widths]
-    if not widths:
-        raise ValueError("widths must be non-empty")
-    for width in widths:
-        _require_positive("widths", width)
-    if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly decreasing")
-
+    widths = _check_widths(widths)
     narrow_is_sum = state.correlation is Correlation.SUM_NARROW
     row_states = [state.with_narrow_sigma(0.5 * w if narrow_is_sum else w) for w in widths]
     step = _step_grid(config)[1]

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import __version__
+from . import __version__, analysis, dynamics
 from .analysis import (
     constraint_surface_experiment,
     equivariance_check,
@@ -47,10 +47,7 @@ class ConfigError(ValueError):
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [part.strip() for part in text.split(",")]
-    values = tuple(float(part) for part in items if part)
-    if not values:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
-    return values
+    return tuple(float(part) for part in items if part)
 
 
 @dataclass
@@ -94,25 +91,13 @@ class RunConfig:
                 _require_positive("grid_h", self.grid_h)
             self.state()
             self.integrator()
+            analysis._require_samples(self.samples)
+            dynamics._check_seed(self.seed)
+            dynamics._check_parallel_width(self.parallel)
+            analysis._check_times(self.resolved_times(), self.t_final)
+            analysis._check_widths(self.sweep_widths)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {self.samples!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit word, got {self.seed!r}")
-        if self.parallel < 1:
-            raise ConfigError(f"parallel must be at least 1, got {self.parallel!r}")
-        if self.times is not None:
-            if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-                raise ConfigError("times must be strictly increasing")
-            if self.times[0] < 0.0 or self.times[-1] > self.t_final:
-                raise ConfigError(
-                    f"times must lie within [0, t_final={self.t_final!r}]"
-                )
-        if any(w <= 0.0 for w in self.sweep_widths):
-            raise ConfigError("sweep_widths must be positive")
-        if any(w2 >= w1 for w1, w2 in zip(self.sweep_widths, self.sweep_widths[1:])):
-            raise ConfigError("sweep_widths must be strictly decreasing")
         if (self.start_y1 is None) != (self.start_y2 is None):
             raise ConfigError("start_y1 and start_y2 must be set together")
 
@@ -202,7 +187,11 @@ def _format_value(value) -> str:
 
 
 def write_csv(path: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -61,6 +61,11 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_parallel_width(parallel_width: int):
+    if not isinstance(parallel_width, int) or parallel_width < 1:
+        raise ValueError(f"parallel_width must be a positive integer, got {parallel_width!r}")
+
+
 def substream_uniforms(seed: int, first_sample: int, n: int) -> np.ndarray:
     """Open-interval uniforms for samples [first_sample, first_sample + n).
 
@@ -68,8 +73,8 @@ def substream_uniforms(seed: int, first_sample: int, n: int) -> np.ndarray:
     contiguous chunking of an ensemble reads identical bits.
     """
     seed = _check_seed(seed)
-    if n < 0 or first_sample < 0:
-        raise ValueError("sample indices must be non-negative")
+    if n < 1 or first_sample < 0:
+        raise ValueError(f"need n >= 1 and first_sample >= 0, got {n} and {first_sample}")
     bitgen = Philox(key=seed)
     bitgen.advance(first_sample)
     raw = bitgen.random_raw(_WORDS_PER_BLOCK * n).reshape(n, _WORDS_PER_BLOCK)
@@ -91,8 +96,6 @@ def sample_equilibrium(
     Uses the factorized normal law of the mode coordinates: columns 0 and 1
     of each sample's substream feed the cm and relative draws respectively.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     z = substream_normals(seed, first_sample, n)
     big_y = state.cm_mode.center0 + state.cm_mode.sigma0 * z[:, 0]
     small_y = state.rel_mode.center0 + state.rel_mode.sigma0 * z[:, 1]
@@ -111,13 +114,8 @@ def sample_constraint_surface(
     states use y1 - y2 = 0 analogously. Requesting the surface of the wide
     combination raises SurfaceMismatchError.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     narrow = state.correlation.combination
-    if surface is None:
-        surface = narrow
-    if surface not in ("sum", "difference"):
-        raise ValueError(f"surface must be 'sum' or 'difference', got {surface!r}")
+    surface = narrow if surface is None else Correlation.from_label(surface).combination
     if surface != narrow:
         raise SurfaceMismatchError(
             f"state is {narrow}-narrow; starting on the {surface} surface would "
@@ -414,8 +412,7 @@ def propagate_ensemble(
         raise ValueError("initial_positions must have shape (n, 2)")
     if not np.all(np.isfinite(positions)):
         raise ValueError("initial_positions must be finite")
-    if not isinstance(parallel_width, int) or parallel_width < 1:
-        raise ValueError(f"parallel_width must be a positive integer, got {parallel_width!r}")
+    _check_parallel_width(parallel_width)
     if config.record_stride > 0 and config.method != "rk4":
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
 

@@ -222,10 +222,7 @@ class TwoParticleState:
     correlation: Correlation = Correlation.SUM_NARROW
 
     def __post_init__(self):
-        if not isinstance(self.correlation, Correlation):
-            object.__setattr__(
-                self, "correlation", Correlation.from_label(self.correlation)
-            )
+        object.__setattr__(self, "correlation", Correlation.from_label(self.correlation))
         expected_cm = self.params.cm_mass
         expected_rel = self.params.rel_mass
         if not math.isclose(self.cm_mode.coord_mass, expected_cm, rel_tol=1e-12):
@@ -345,10 +342,8 @@ def eval_density(state: TwoParticleState, y1, y2, t: float):
 
 def constraint_width(state: TwoParticleState, t: float, which: str = "sum") -> float:
     """Standard deviation of y1+y2 (which='sum') or y1-y2 (which='difference')."""
-    names = {"sum": "y1+y2", "difference": "y1-y2"}
-    if which not in names:
-        raise ValueError(f"which must be 'sum' or 'difference', got {which!r}")
-    return observable_normal(state, t, names[which])[1]
+    is_sum = Correlation.from_label(which) is Correlation.SUM_NARROW
+    return observable_normal(state, t, "y1+y2" if is_sum else "y1-y2")[1]
 
 
 # each observable is c1*y1 + c2*y2

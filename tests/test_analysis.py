@@ -144,6 +144,18 @@ def test_equivariance_check_rejects_nan_times_before_work(monkeypatch, times):
         equivariance_check(default_state(), 100, 42, default_config(), times)
 
 
+def test_experiments_reject_single_sample_before_work(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before n was validated")
+
+    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
+    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        equivariance_check(default_state(), 1, 42, default_config(), [1.0])
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        constraint_surface_experiment(default_state(), 1, 42, default_config())
+
+
 def test_equivariance_parallel_width_invariance():
     state = default_state()
     config = IntegratorConfig(dt=5e-3, t_final=1.0)

@@ -11,8 +11,18 @@ import numpy as np
 import pytest
 
 import bohm_equilibrium
+import bohm_equilibrium.analysis as analysis
 import bohm_equilibrium.cli as cli
-from bohm_equilibrium import StepUnderflowError
+from bohm_equilibrium import (
+    IntegratorConfig,
+    StepUnderflowError,
+    TwoParticleState,
+    constraint_surface_experiment,
+    equivariance_check,
+    propagate_ensemble,
+    regularization_sweep,
+    sample_equilibrium,
+)
 from bohm_equilibrium.cli import ConfigError, RunConfig, load_config, main, parse_config_file
 
 
@@ -127,6 +137,87 @@ def test_invalid_setting_rejected_at_load(tmp_path, key, value):
     out = tmp_path / "eq.csv"
     assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["equivariance", "ga-constraint", "sweep"])
+def test_single_sample_rejected_at_load(tmp_path, capsys, subcommand):
+    with pytest.raises(ConfigError, match="samples"):
+        load_config(None, {"samples": 1})
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--samples", "1", "--out", str(out)]) == 2
+    assert "samples must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Accepted(Exception):
+    """Raised by a stub in place of an entry point's first piece of work."""
+
+
+def _stop(*args, **kwargs):
+    raise _Accepted
+
+
+def _accepts(call, *args) -> bool:
+    try:
+        call(*args)
+    except _Accepted:
+        pass
+    except ValueError:  # ConfigError included
+        return False
+    return True
+
+
+def _rule_owners(monkeypatch):
+    """The library calls that own each setting's rule, stopped before any work."""
+    monkeypatch.setattr(analysis, "sample_equilibrium", _stop)
+    monkeypatch.setattr(analysis, "sample_constraint_surface", _stop)
+    monkeypatch.setattr(TwoParticleState, "with_narrow_sigma", _stop)
+    state, config = TwoParticleState.from_widths(), IntegratorConfig()
+    return {
+        "times": [lambda v: equivariance_check(state, 2, 42, config, v)],
+        "samples": [
+            lambda v: equivariance_check(state, v, 42, config, [2.0]),
+            lambda v: constraint_surface_experiment(state, v, 42, config),
+        ],
+        "sweep_widths": [lambda v: regularization_sweep(state, v, 2, 42, config)],
+        "seed": [lambda v: sample_equilibrium(state, 2, v)],
+        "parallel": [
+            lambda v: propagate_ensemble(state, np.zeros((2, 2)), config, parallel_width=v)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value, valid",
+    [
+        ("times", (2 + 5e-13,), True),
+        ("times", (2 + 1e-11,), False),
+        ("times", (-0.0,), True),
+        ("times", (1.0, 1.0), False),
+        ("times", (), False),
+        ("sweep_widths", (0.4, 0.4), False),
+        ("sweep_widths", (), False),
+        ("sweep_widths", (0.4, 5e-324), True),
+        ("seed", 0, True),
+        ("seed", 2**64 - 1, True),
+        ("seed", 2**64, False),
+        ("samples", 1, False),
+        ("samples", 2, True),
+        ("parallel", 0, False),
+        ("parallel", 1, True),
+    ],
+)
+def test_load_accepts_exactly_what_the_library_accepts(monkeypatch, key, value, valid):
+    assert _accepts(load_config, None, {key: value}) is valid
+    for call in _rule_owners(monkeypatch)[key]:
+        assert _accepts(call, value) is valid, call
+
+
+def test_unwritable_out_exits_2_without_meta(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["equivariance", "--samples", "10", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 NON_FINITE_SETTINGS = {
