@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -210,7 +211,7 @@ def write_meta(path: str, subcommand: str, config: RunConfig):
         fh.write("\n")
 
 
-def _run_equivariance(config: RunConfig, out: str) -> str:
+def _run_equivariance(config: RunConfig):
     reports = equivariance_check(
         config.state(),
         config.samples,
@@ -224,38 +225,27 @@ def _run_equivariance(config: RunConfig, out: str) -> str:
         for report in reports
         for stats in report.observables
     ]
-    write_csv(out, ("t", "observable", "empirical_std", "analytic_std", "ks", "n"), rows)
     worst = max(report.max_ks for report in reports)
     bound = 1.95 / math.sqrt(config.samples)
-    return (
+    header = ("t", "observable", "empirical_std", "analytic_std", "ks", "n")
+    return header, rows, (
         f"equivariance: n={config.samples}, {len(reports)} time(s), "
         f"max KS = {worst:.4g} (noise level ~{bound:.4g})"
     )
 
 
-def _run_ga_constraint(config: RunConfig, out: str) -> str:
+def _run_ga_constraint(config: RunConfig):
     report = constraint_surface_experiment(
         config.state(), config.samples, config.seed, config.integrator()
     )
-    rows = [
-        ("n", report.n),
-        ("t_final", report.t_final),
-        ("max_abs_sum", report.max_abs_sum),
-        ("sum_width_empirical", report.sum_width_empirical),
-        ("sum_width_equilibrium", report.sum_width_equilibrium),
-        ("width_mismatch_ratio", report.width_mismatch_ratio),
-        ("diff_width_empirical", report.diff_width_empirical),
-        ("diff_width_analytic", report.diff_width_analytic),
-    ]
-    write_csv(out, ("metric", "value"), rows)
-    return (
+    return ("metric", "value"), dataclasses.asdict(report).items(), (
         f"ga-constraint: max |y1+y2| = {report.max_abs_sum:.3g} over "
-        f"[0, {report.t_final:g}]; equilibrium sum width would be "
+        f"[0, {config.t_final:g}]; equilibrium sum width would be "
         f"{report.sum_width_equilibrium:.4g}"
     )
 
 
-def _run_sweep(config: RunConfig, out: str) -> str:
+def _run_sweep(config: RunConfig):
     result = regularization_sweep(
         config.state(),
         config.sweep_widths,
@@ -267,19 +257,15 @@ def _run_sweep(config: RunConfig, out: str) -> str:
         (row.delta_y_i, row.delta_y_f, row.delta_y_f_empirical, row.r, row.ks)
         for row in result.rows
     ]
-    write_csv(
-        out,
-        ("delta_y_i", "delta_y_f_analytic", "delta_y_f_empirical", "R", "ks"),
-        rows,
-    )
+    header = ("delta_y_i", "delta_y_f_analytic", "delta_y_f_empirical", "R", "ks")
     worst = max(row.ks for row in result.rows)
-    return (
+    return header, rows, (
         f"sweep: {len(result.rows)} widths down to {result.rows[-1].delta_y_i:g}, "
         f"R up to {result.rows[-1].r:.4g}, max KS = {worst:.4g}"
     )
 
 
-def _run_continuity(config: RunConfig, out: str) -> str:
+def _run_continuity(config: RunConfig):
     state = config.state()
     t = config.t_final
     coarse = grid_for_state(state, t, h=config.grid_h, tau=config.grid_tau)
@@ -290,15 +276,14 @@ def _run_continuity(config: RunConfig, out: str) -> str:
         ("coarse", coarse.h, coarse.tau, res_coarse.max_norm, res_coarse.l2_norm),
         ("fine", fine.h, fine.tau, res_fine.max_norm, res_fine.l2_norm),
     ]
-    write_csv(out, ("level", "h", "tau", "max_norm", "l2_norm"), rows)
     ratio = res_coarse.max_norm / res_fine.max_norm if res_fine.max_norm else math.inf
-    return (
+    return ("level", "h", "tau", "max_norm", "l2_norm"), rows, (
         f"continuity: max-norm {res_coarse.max_norm:.4g} -> {res_fine.max_norm:.4g} "
         f"under grid halving (ratio {ratio:.3g}, expect ~4)"
     )
 
 
-def _run_trajectory(config: RunConfig, out: str) -> str:
+def _run_trajectory(config: RunConfig):
     state = config.state()
     if config.start_y1 is not None:
         start = (config.start_y1, config.start_y2)
@@ -312,14 +297,14 @@ def _run_trajectory(config: RunConfig, out: str) -> str:
         (t, position[0], position[1])
         for t, position in zip(trajectory.times, trajectory.positions)
     ]
-    write_csv(out, ("t", "y1", "y2"), rows)
     final = trajectory.positions[-1]
-    return (
+    return ("t", "y1", "y2"), rows, (
         f"trajectory: {len(rows)} samples from ({start[0]:.6g}, {start[1]:.6g}) "
         f"to ({final[0]:.6g}, {final[1]:.6g})"
     )
 
 
+# each runner takes the resolved config and returns (header, rows, summary)
 _SUBCOMMANDS = {
     "equivariance": (
         _run_equivariance,
@@ -382,9 +367,11 @@ def main(argv=None) -> int:
     del overrides["subcommand"], overrides["config"]
     try:
         config = load_config(args.config, overrides)
-        runner = _SUBCOMMANDS[args.subcommand][0]
         out = config.out if config.out is not None else f"{args.subcommand}.csv"
-        summary = runner(config, out)
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"cannot write {out}: its directory does not exist")
+        header, rows, summary = _SUBCOMMANDS[args.subcommand][0](config)
+        write_csv(out, header, rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,6 +220,17 @@ def test_unwritable_out_exits_2_without_meta(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_missing_out_directory_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(cli, "constraint_surface_experiment", never)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["ga-constraint", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 NON_FINITE_SETTINGS = {
     "cm_center": "cm_center = nan",
     "rel_center": "rel_center = inf",
