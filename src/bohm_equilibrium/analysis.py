@@ -16,9 +16,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dynamics import (
-    EnsembleFailureError,
     IntegratorConfig,
-    _step_grid,
+    _check_rk4_step,
     propagate_ensemble,
     sample_constraint_surface,
     sample_equilibrium,
@@ -28,7 +27,6 @@ from .model import (
     Correlation,
     TwoParticleState,
     _require_positive,
-    _spread_rate,
     constraint_width,
     evolve_mode,
     observable_normal,
@@ -52,7 +50,11 @@ def _check_times(times, t_final: float) -> list[float]:
     return times
 
 
-def _check_widths(widths) -> list[float]:
+def _sweep_states(state: TwoParticleState, widths) -> list[tuple[float, TwoParticleState]]:
+    """(width, state) per sweep row; a width is the narrow combination's initial std.
+
+    For a sum-narrow state y1+y2 = 2Y, so the cm mode gets half the width.
+    """
     widths = [float(w) for w in widths]
     if not widths:
         raise ValueError("widths must be non-empty")
@@ -60,7 +62,14 @@ def _check_widths(widths) -> list[float]:
         _require_positive("widths", width)
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly decreasing")
-    return widths
+    scale = 0.5 if state.correlation is Correlation.SUM_NARROW else 1.0
+    rows = []
+    for width in widths:
+        try:
+            rows.append((width, state.with_narrow_sigma(scale * width)))
+        except ValueError as exc:
+            raise ValueError(f"widths entry {width!r}: {exc}") from exc
+    return rows
 
 
 def ks_statistic(samples, cdf) -> float:
@@ -150,9 +159,11 @@ def equivariance_check(
     at the sampling-noise level no matter how far the ensemble is pushed.
     Trajectories that fail to integrate (at most 0.1%, see
     propagate_ensemble) are dropped, so ObservableStats.n counts survivors.
+    An rk4 step too long for the state raises EnsembleFailureError first.
     """
     _require_samples(n)
     times = _check_times(times, config.t_final)
+    _check_rk4_step(state, config)
 
     positions = sample_equilibrium(state, n, seed)
     reports = []
@@ -279,29 +290,20 @@ def regularization_sweep(
     R = sigma_narrow(t_final) / sigma_narrow(0): R grows as the width
     shrinks, keeping the final width R * delta_y_i finite, while the KS
     column certifies the ensemble stayed in equilibrium. The same seed is
-    reused across rows (common random numbers). With rk4, every width is
-    checked against the stiffness guard before the first row runs, and a
+    reused across rows (common random numbers). With rk4, every row state
+    is checked against _check_rk4_step before the first row runs, and a
     width too narrow for dt raises EnsembleFailureError.
     """
-    widths = _check_widths(widths)
-    narrow_is_sum = state.correlation is Correlation.SUM_NARROW
-    row_states = [state.with_narrow_sigma(0.5 * w if narrow_is_sum else w) for w in widths]
-    step = _step_grid(config)[1]
-    for width, row_state in zip(widths, row_states):
-        # stiffness guard at the step taken: the rate peaks at beta/2 at t = 1/beta
-        beta = _spread_rate(row_state.narrow_mode, row_state.params)
-        if config.method == "rk4" and 0.5 * beta * step > 0.5:
-            raise EnsembleFailureError(
-                f"width {width:g} makes the guidance field stiff for rk4 with "
-                f"step {step:g}; use method = rk45"
-            )
+    row_states = _sweep_states(state, widths)
+    for _, row_state in row_states:
+        _check_rk4_step(row_state, config)
+    narrow_name = "y1+y2" if state.correlation is Correlation.SUM_NARROW else "y1-y2"
     rows = []
-    for width, row_state in zip(widths, row_states):
+    for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
         report = equivariance_check(
             row_state, n, seed, config, [config.t_final]
         )[0]
-        narrow_name = "y1+y2" if narrow_is_sum else "y1-y2"
         r = narrow_t.sigma / narrow_t.mode.sigma0
         rows.append(
             SweepRow(

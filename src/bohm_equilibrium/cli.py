@@ -90,13 +90,13 @@ class RunConfig:
                 _require_positive(key, getattr(self, key))
             if self.grid_h is not None:
                 _require_positive("grid_h", self.grid_h)
-            self.state()
+            state = self.state()
             self.integrator()
             analysis._require_samples(self.samples)
             dynamics._check_seed(self.seed)
             dynamics._check_parallel_width(self.parallel)
             analysis._check_times(self.resolved_times(), self.t_final)
-            analysis._check_widths(self.sweep_widths)
+            analysis._sweep_states(state, self.sweep_widths)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if (self.start_y1 is None) != (self.start_y2 is None):
@@ -285,11 +285,12 @@ def _run_continuity(config: RunConfig):
 
 def _run_trajectory(config: RunConfig):
     state = config.state()
+    integrator = config.integrator()
+    dynamics._check_rk4_step(state, integrator)
     if config.start_y1 is not None:
         start = (config.start_y1, config.start_y2)
     else:
         start = tuple(sample_equilibrium(state, 1, config.seed)[0])
-    integrator = config.integrator()
     if integrator.record_stride == 0:
         integrator = dataclasses.replace(integrator, record_stride=1)
     trajectory = integrate_trajectory(state, start, integrator)

@@ -30,6 +30,9 @@ from .model import (
 
 AMPLITUDE_FLOOR = 1e-150
 
+# marginal stds of the density that grid_for_state covers and continuity_residual requires
+_COVER_STDS = 5.0
+
 # grid points per row block of the continuity residual; a block's stage
 # arrays are about 1 MB each instead of 8 B per point of the whole grid
 _BLOCK_POINTS = 1 << 17
@@ -164,9 +167,9 @@ def grid_for_state(
     t: float,
     h: float | None = None,
     tau: float = 1e-3,
-    half_widths: float = 5.0,
 ) -> ResidualGrid:
-    """Grid centered on the density covering ±half_widths marginal stds.
+    """Grid centered on the density covering the ±_COVER_STDS marginal stds
+    that continuity_residual requires.
 
     Default spacing resolves the narrowest feature with 8 points.
     """
@@ -176,7 +179,7 @@ def grid_for_state(
         _require_positive("h", h)
     mean1, std = observable_normal(state, t, "y1")
     mean2 = observable_normal(state, t, "y2")[0]
-    half = math.ceil(half_widths * std / h) * h
+    half = math.ceil(_COVER_STDS * std / h) * h
     n = 2 * int(round(half / h)) + 1
     return ResidualGrid(
         y1_min=mean1 - half, y2_min=mean2 - half, n1=n, n2=n, h=h, tau=tau
@@ -210,7 +213,7 @@ def continuity_residual(
     Both rho and v are evaluated from the analytic state, so a nonzero
     residual measures pure discretization error; it must shrink as
     O(h^2 + tau^2) if the closed forms actually satisfy the continuity
-    equation. The grid must cover ±5 marginal stds of the density.
+    equation. The grid must cover ±_COVER_STDS marginal stds of the density.
 
     The stages (rho, velocities, fluxes, rho at t ± tau) are evaluated in
     blocks of whole rows, about 2^17 grid points each, on the block's rows
@@ -224,13 +227,16 @@ def continuity_residual(
     mean2 = observable_normal(state, t, "y2")[0]
     y1_axis = grid.y1_axis
     y2_axis = grid.y2_axis
+    reach = _COVER_STDS * std
     if (
-        y1_axis[0] > mean1 - 5.0 * std
-        or y1_axis[-1] < mean1 + 5.0 * std
-        or y2_axis[0] > mean2 - 5.0 * std
-        or y2_axis[-1] < mean2 + 5.0 * std
+        y1_axis[0] > mean1 - reach
+        or y1_axis[-1] < mean1 + reach
+        or y2_axis[0] > mean2 - reach
+        or y2_axis[-1] < mean2 + reach
     ):
-        raise ValueError("grid must cover at least ±5 marginal stds of the density")
+        raise ValueError(
+            f"grid must cover at least ±{_COVER_STDS:g} marginal stds of the density"
+        )
 
     too_coarse = grid.h > _feature_scale(state, t) / 4.0
     if too_coarse:

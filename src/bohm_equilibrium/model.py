@@ -144,9 +144,22 @@ class ModeField(NamedTuple):
         return self.drift + self.rate * (u - self.center)
 
 
-def _spread_rate(mode: GaussianMode, params: PhysicalParams) -> float:
-    """beta = hbar / (2 m_c sigma0^2), the inverse spreading time."""
-    return params.hbar / (2.0 * mode.coord_mass * mode.sigma0**2)
+def _spread_rate(mode: GaussianMode, params: PhysicalParams, name: str = "sigma0") -> float:
+    """beta = hbar / (2 m_c sigma0^2), the inverse spreading time.
+
+    The one home of the rule that beta is positive and finite: a width too
+    small or too large for double precision raises ValueError naming it.
+    """
+    try:
+        beta = params.hbar / (2.0 * mode.coord_mass * mode.sigma0**2)
+    except (ZeroDivisionError, OverflowError):
+        beta = math.nan
+    if not 0.0 < beta < math.inf:
+        raise ValueError(
+            f"{name} = {mode.sigma0!r} gives a spreading rate hbar/(2 m_c sigma0^2) "
+            "that is not positive and finite"
+        )
+    return beta
 
 
 def mode_field(mode: GaussianMode, params: PhysicalParams, t) -> ModeField:
@@ -235,6 +248,8 @@ class TwoParticleState:
                 f"rel_mode.coord_mass must equal mass/2 = {expected_rel!r}, "
                 f"got {self.rel_mode.coord_mass!r}"
             )
+        _spread_rate(self.narrow_mode, self.params, "narrow mode sigma0")
+        _spread_rate(self.wide_mode, self.params, "wide mode sigma0")
 
     @classmethod
     def from_widths(

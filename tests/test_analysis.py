@@ -156,6 +156,17 @@ def test_experiments_reject_single_sample_before_work(monkeypatch):
         constraint_surface_experiment(default_state(), 1, 42, default_config())
 
 
+def test_equivariance_check_refuses_stiff_rk4_before_sampling(monkeypatch):
+    # sigma_narrow = 0.005: beta = 1e4, so rate * step peaks at 5 for dt = 1e-3
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the rk4 step was checked")
+
+    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
+    state = TwoParticleState.from_widths(0.005, 1.0)
+    with pytest.raises(EnsembleFailureError, match="step 0.001; use method = rk45"):
+        equivariance_check(state, 100, 42, default_config(), [1.0])
+
+
 def test_equivariance_parallel_width_invariance():
     state = default_state()
     config = IntegratorConfig(dt=5e-3, t_final=1.0)

@@ -171,7 +171,7 @@ def _rule_owners(monkeypatch):
     """The library calls that own each setting's rule, stopped before any work."""
     monkeypatch.setattr(analysis, "sample_equilibrium", _stop)
     monkeypatch.setattr(analysis, "sample_constraint_surface", _stop)
-    monkeypatch.setattr(TwoParticleState, "with_narrow_sigma", _stop)
+    monkeypatch.setattr(analysis, "_check_rk4_step", _stop)
     state, config = TwoParticleState.from_widths(), IntegratorConfig()
     return {
         "times": [lambda v: equivariance_check(state, 2, 42, config, v)],
@@ -197,7 +197,9 @@ def _rule_owners(monkeypatch):
         ("times", (), False),
         ("sweep_widths", (0.4, 0.4), False),
         ("sweep_widths", (), False),
-        ("sweep_widths", (0.4, 5e-324), True),
+        ("sweep_widths", (0.4, 5e-324), False),
+        ("sweep_widths", (0.4, 1e-200), False),
+        ("sweep_widths", (0.4, 1e-150), True),
         ("seed", 0, True),
         ("seed", 2**64 - 1, True),
         ("seed", 2**64, False),
@@ -366,6 +368,45 @@ def test_sweep_stiff_rk4_exits_3_before_any_row(tmp_path, capsys):
     assert "method = rk45" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "sw.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["equivariance", "trajectory"])
+def test_stiff_rk4_exits_3_without_output(tmp_path, capsys, subcommand):
+    # rk4 at dt = 1e-3 moved this equivariance run to KS 0.227 (noise 0.0138)
+    # and this trajectory to (32.6, 34.6) instead of the exact (90.6, 92.6)
+    out = tmp_path / "x.csv"
+    args = [subcommand, "--sigma-narrow", "0.005", "--samples", "20000", "--out", str(out)]
+    assert main(args) == 3
+    assert "use method = rk45" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("method = rk45\nsigma_narrow = 0.005\nsamples = 20000\n")
+    out = tmp_path / "eq.csv"
+    assert main(["equivariance", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert max(float(row[4]) for row in rows) < 1.95 / np.sqrt(20000)
+
+
+@pytest.mark.parametrize(
+    "subcommand, settings",
+    [
+        ("equivariance", "sigma_narrow = 1e-200"),  # was a ZeroDivisionError traceback
+        ("equivariance", "sigma_narrow = 1e-160"),  # beta = inf: every trajectory failed
+        ("continuity", "sigma_narrow = 1e-160"),  # cannot convert float NaN to integer
+        ("sweep", "sweep_widths = 0.4, 1e-200"),
+        ("sweep", "sweep_widths = 0.4, 5e-324"),  # sum-narrow: cm sigma0 rounds to 0
+    ],
+)
+def test_width_without_finite_spreading_rate_exits_2(tmp_path, capsys, subcommand, settings):
+    config = tmp_path / "run.cfg"
+    config.write_text(settings + "\n")
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 2
+    assert "sigma0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_continuity_csv(tmp_path):

@@ -195,6 +195,16 @@ def test_mode_center_is_fixed_point():
     assert traj.positions[-1][1] == 0.0
 
 
+def test_rk4_step_guard_checks_both_modes():
+    config = IntegratorConfig(dt=1e-3)
+    dynamics._check_rk4_step(default_state(), config)
+    # rel mode: beta = hbar / (2 (m/2) 0.02^2) = 2500, rate * step peaks at 1.25
+    wide_too_narrow = TwoParticleState.from_widths(0.05, 0.02)
+    with pytest.raises(EnsembleFailureError, match="^wide mode .* use method = rk45$"):
+        dynamics._check_rk4_step(wide_too_narrow, config)
+    dynamics._check_rk4_step(wide_too_narrow, dataclasses.replace(config, method="rk45"))
+
+
 def test_record_stride_times():
     state = default_state()
     config = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=2)

@@ -233,6 +233,21 @@ def test_coordinate_masses_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "widths, mode",
+    [((1e-200, 1.0), "narrow"), ((1e-160, 1.0), "narrow"), ((0.05, 1e200), "wide")],
+)
+def test_spreading_rate_must_be_finite(widths, mode):
+    # 1e-200 squares to 0, 1e-160 gives beta = inf, 1e200 squares to overflow
+    with pytest.raises(ValueError, match=f"{mode} mode sigma0 .* not positive and finite"):
+        TwoParticleState.from_widths(*widths)
+
+
+def test_with_narrow_sigma_checks_the_spreading_rate():
+    with pytest.raises(ValueError, match="narrow mode sigma0 = 1e-200"):
+        default_state().with_narrow_sigma(1e-200)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="sigma0"):
         GaussianMode(sigma0=0.0)
