@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .dynamics import (
     IntegratorConfig,
     _check_rk4_step,

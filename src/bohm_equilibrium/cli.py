@@ -187,12 +187,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header, rows):
+def _create(path: str, **options):
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        return open(path, "w", encoding="utf-8", **options)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
+
+
+def write_csv(path: str, header, rows):
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -206,7 +209,7 @@ def write_meta(path: str, subcommand: str, config: RunConfig):
         "subcommand": subcommand,
         "config": dataclasses.asdict(config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -369,16 +372,20 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
         out = config.out if config.out is not None else f"{args.subcommand}.csv"
+        meta = out + ".meta.json"
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"cannot write {out}: its directory does not exist")
+        for path in (out, meta):
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write {path}: it is a directory")
         header, rows, summary = _SUBCOMMANDS[args.subcommand][0](config)
         write_csv(out, header, rows)
+        write_meta(meta, args.subcommand, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StepUnderflowError, EnsembleFailureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    write_meta(out + ".meta.json", args.subcommand, config)
     print(summary)
     return 0

@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .model import (
     Correlation,
     TwoParticleState,
@@ -67,26 +67,29 @@ def _check_parallel_width(parallel_width: int):
         raise ValueError(f"parallel_width must be a positive integer, got {parallel_width!r}")
 
 
-def substream_uniforms(seed: int, first_sample: int, n: int) -> np.ndarray:
+def substream_uniforms(
+    seed: int, first_sample: int, n: int, columns: int = _WORDS_PER_BLOCK
+) -> np.ndarray:
     """Open-interval uniforms for samples [first_sample, first_sample + n).
 
-    Row i holds the 4 uniforms of counter block first_sample + i, so any
-    contiguous chunking of an ensemble reads identical bits.
+    Row i holds the first `columns` of the 4 uniforms of counter block
+    first_sample + i, so any contiguous chunking of an ensemble reads
+    identical bits.
     """
     seed = _check_seed(seed)
     if n < 1 or first_sample < 0:
         raise ValueError(f"need n >= 1 and first_sample >= 0, got {n} and {first_sample}")
+    if not 1 <= columns <= _WORDS_PER_BLOCK:
+        raise ValueError(f"columns must be in [1, {_WORDS_PER_BLOCK}]")
     bitgen = Philox(key=seed)
     bitgen.advance(first_sample)
-    raw = bitgen.random_raw(_WORDS_PER_BLOCK * n).reshape(n, _WORDS_PER_BLOCK)
+    raw = bitgen.random_raw(_WORDS_PER_BLOCK * n).reshape(n, _WORDS_PER_BLOCK)[:, :columns]
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def substream_normals(seed: int, first_sample: int, n: int, columns: int = 2):
     """Standard normals via the inverse CDF, one substream row per sample."""
-    if not 1 <= columns <= _WORDS_PER_BLOCK:
-        raise ValueError(f"columns must be in [1, {_WORDS_PER_BLOCK}]")
-    return ndtri(substream_uniforms(seed, first_sample, n)[:, :columns])
+    return ndtri(substream_uniforms(seed, first_sample, n, columns))
 
 
 def sample_equilibrium(
@@ -275,7 +278,7 @@ def _rk4_maps(
     shape (len(times), 2) and hold the step maps folded up to each of them.
     """
     n_steps, dt = _step_grid(config)
-    steps = np.union1d(np.arange(0, n_steps, config.record_stride or n_steps), n_steps)
+    steps = np.append(np.arange(0, n_steps, config.record_stride or n_steps), n_steps)
     t = t0 + np.arange(n_steps) * dt
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))

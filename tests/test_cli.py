@@ -222,15 +222,33 @@ def test_unwritable_out_exits_2_without_meta(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def test_missing_out_directory_refused_before_the_run(tmp_path, monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("the experiment ran before --out was checked")
+def _never(*args, **kwargs):
+    raise AssertionError("the experiment ran before --out was checked")
 
-    monkeypatch.setattr(cli, "constraint_surface_experiment", never)
+
+def test_missing_out_directory_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "constraint_surface_experiment", _never)
     out = tmp_path / "missing" / "x.csv"
     assert main(["ga-constraint", "--out", str(out)]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("directory", ["x.csv", "x.csv.meta.json"])
+def test_directory_in_the_way_refused_before_the_run(tmp_path, monkeypatch, capsys, directory):
+    monkeypatch.setattr(cli, "constraint_surface_experiment", _never)
+    (tmp_path / directory).mkdir()
+    assert main(["ga-constraint", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {tmp_path / directory}: it is a directory" in err
+    assert [path.name for path in tmp_path.iterdir()] == [directory]
+    assert list((tmp_path / directory).iterdir()) == []
+
+
+def test_unwritable_meta_is_a_config_error(tmp_path):
+    path = tmp_path / "missing" / "x.csv.meta.json"
+    with pytest.raises(ConfigError, match=f"^cannot write {path}: "):
+        cli.write_meta(str(path), "equivariance", RunConfig())
 
 
 NON_FINITE_SETTINGS = {
@@ -419,12 +437,34 @@ def test_continuity_csv(tmp_path):
     assert 3.5 < ratio < 4.5
 
 
+# ru_maxrss would carry the parent's peak over through fork and exec, so the
+# child reports its own high-water mark, VmHWM
 _PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from bohm_equilibrium.cli import main
-code = main(["continuity", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    hwm_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, hwm_kb)
 """
+
+
+def run_child(script: str, *args: str) -> str:
+    """Run script in a fresh interpreter that imports this package; return its stdout."""
+    src = str(Path(bohm_equilibrium.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return child.stdout
+
+
+def run_peak_rss_mb(argv) -> float:
+    """Run main(argv) in a fresh interpreter; assert exit 0, return its peak RSS in MB."""
+    code, hwm_kb = run_child(_PEAK_RSS_CHILD, *argv).split()[-2:]
+    assert code == "0"
+    return int(hwm_kb) / 1024
 
 
 def test_continuity_fine_grid_peak_memory(tmp_path):
@@ -432,46 +472,36 @@ def test_continuity_fine_grid_peak_memory(tmp_path):
     # took 877 MB, row blocks about 230 MB
     config = tmp_path / "run.cfg"
     config.write_text("grid_h = 0.07\n")
-    src = str(Path(bohm_equilibrium.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, str(config), str(tmp_path / "c.csv")],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kb = child.stdout.split()[-2:]
-    assert code == "0"
-    assert int(maxrss_kb) / 1024 < 400
-
-
-_CLI_PEAK_RSS_CHILD = """
-import resource, sys
-from bohm_equilibrium.cli import main
-code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    assert run_peak_rss_mb(argv) < 400
 
 
 def test_ga_constraint_default_size_peak_memory(tmp_path):
     # n = 1e5 with all 2001 frames; a stacked recording would take 3.2 GB,
     # frames rebuilt one at a time from the rk4 maps about 67 MB
-    src = str(Path(bohm_equilibrium.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", _CLI_PEAK_RSS_CHILD, "ga-constraint"]
-        + ["--out", str(tmp_path / "g.csv")],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kb = child.stdout.split()[-2:]
+    assert run_peak_rss_mb(["ga-constraint", "--out", str(tmp_path / "g.csv")]) < 200
+
+
+_NO_SCIPY_CHILD = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import numpy
+ma_with_numpy = "numpy.ma" in sys.modules
+from bohm_equilibrium.cli import main
+code = main(["equivariance", "--samples", "2000", "--out", sys.argv[1]])
+ma_after_run = "numpy.ma" in sys.modules
+code += main(["ga-constraint", "--samples", "2000", "--out", sys.argv[2]])
+print(code, ma_with_numpy, ma_after_run)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only; numpy.ma, which a scipy import used to
+    # load, is not imported lazily inside a run either
+    out = run_child(_NO_SCIPY_CHILD, str(tmp_path / "eq.csv"), str(tmp_path / "ga.csv"))
+    code, ma_with_numpy, ma_after_run = out.split()[-3:]
     assert code == "0"
-    assert int(maxrss_kb) / 1024 < 200
+    assert ma_after_run == ma_with_numpy
 
 
 def test_trajectory_csv(tmp_path):

@@ -1,0 +1,102 @@
+"""The numpy ports of ndtri and ndtr against scipy.special as the oracle."""
+
+import math
+
+import numpy as np
+import scipy.special
+
+from bohm_equilibrium._normal import ndtr, ndtri
+from bohm_equilibrium.analysis import normal_cdf
+from bohm_equilibrium.dynamics import substream_uniforms
+
+# numpy's exp and log differ from the C library's in the last bits, so the
+# ports agree with scipy to a few ulps (at most 4 seen), not always to the bit
+ULPS = 8
+TINY = 1e-300  # below it the bound is absolute: ULPS spacings of 1e-300
+
+
+def assert_within_ulps(ours, reference):
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert ours.shape == reference.shape
+    finite = np.isfinite(reference)
+    assert np.array_equal(ours[~finite], reference[~finite], equal_nan=True)
+    tolerance = ULPS * np.spacing(np.maximum(np.abs(reference[finite]), TINY))
+    assert np.all(np.abs(ours[finite] - reference[finite]) <= tolerance)
+
+
+def test_ndtri_matches_scipy_on_philox_uniforms():
+    u = substream_uniforms(4101, 0, 250_000)
+    assert_within_ulps(ndtri(u), scipy.special.ndtri(u))
+    # the zero word converts to 2**-54; the largest ones to 1 - 2**-54,
+    # which rounds to 1.0 in double precision
+    edges = np.array([2.0**-54, 1.0 - 2.0**-53, 1.0 - 2.0**-54, 0.5, math.exp(-2.0)])
+    edges = np.concatenate([edges, 1.0 - edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    assert_within_ulps(ndtri(edges), scipy.special.ndtri(edges))
+
+
+def test_ndtri_matches_scipy_in_the_far_tails():
+    # p below exp(-32) takes the third rational form
+    p = np.exp(-np.random.default_rng(7).uniform(0.0, 745.0, 100_000))
+    p = np.concatenate([p, 1.0 - p[:50_000], [5e-324, 1e-300, 1.2664165549e-14]])
+    assert_within_ulps(ndtri(p), scipy.special.ndtri(p))
+
+
+def test_ndtri_special_values():
+    assert ndtri(0.0) == -np.inf
+    assert ndtri(1.0) == np.inf
+    assert ndtri(0.5) == 0.0
+    assert np.all(np.isnan(ndtri(np.array([np.nan, -0.1, 1.1, -np.inf, np.inf]))))
+
+
+def _branch_edges():
+    """Arguments a within 3 ulps of each edge |a| / sqrt(2) = 1/sqrt(2), 1, 8, sqrt(MAXLOG)."""
+    centers = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2)]
+    values = []
+    for center in centers:
+        below = above = center
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+        values.append(center)
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_ndtr_matches_scipy():
+    rng = np.random.default_rng(11)
+    x = np.concatenate(
+        [
+            rng.standard_normal(500_000),
+            rng.uniform(-40.0, 40.0, 500_000),
+            np.linspace(-40.0, 40.0, 160_001),
+            _branch_edges(),
+            [0.0, -0.0, 5e-324, -5e-324],
+        ]
+    )
+    assert_within_ulps(ndtr(x), scipy.special.ndtr(x))
+    x.sort()
+    assert_within_ulps(ndtr(x), scipy.special.ndtr(x))
+
+
+def test_ndtr_special_values():
+    assert ndtr(np.inf) == 1.0
+    assert ndtr(-np.inf) == 0.0
+    assert ndtr(0.0) == 0.5
+    assert np.isnan(ndtr(np.nan))
+    x = np.array([np.nan, 1.0, -np.inf, np.nan, np.inf, -2.0])
+    assert np.array_equal(ndtr(x), scipy.special.ndtr(x), equal_nan=True)
+
+
+def test_normal_cdf_unsorted_and_2d_input():
+    rng = np.random.default_rng(3)
+    x = 3.0 * rng.standard_normal((300, 400))
+    x[17, 23] = np.nan
+    cdf = normal_cdf(0.5, 2.0)
+    f = cdf(x)
+    assert f.shape == x.shape
+    assert_within_ulps(f, scipy.special.ndtr((x - 0.5) / 2.0))
+    # one kernel: the permuted values are the sorted values' to the bit
+    flat = x.reshape(-1)
+    order = np.argsort(flat)
+    assert np.array_equal(f.reshape(-1)[order], cdf(flat[order]), equal_nan=True)
+    assert np.array_equal(cdf(x.T), f.T, equal_nan=True)
