@@ -35,6 +35,7 @@ from .model import (
 _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
 _MIN_ADAPTIVE_DT = 1e-12
 _MAX_FAILED_FRACTION = 1e-3
+_FRAME_CHUNK = 16384  # starts per chunk in _frame_abs_sum_maxima
 
 
 class SurfaceMismatchError(ValueError):
@@ -84,7 +85,21 @@ def substream_uniforms(
     bitgen = Philox(key=seed)
     bitgen.advance(first_sample)
     raw = bitgen.random_raw(_WORDS_PER_BLOCK * n).reshape(n, _WORDS_PER_BLOCK)[:, :columns]
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms_from_words(raw)
+
+
+def _uniforms_from_words(raw: np.ndarray) -> np.ndarray:
+    """Map 64-bit words to uniforms in (0, 1) through their top 53 bits k.
+
+    The uniform is (k + 0.5) * 2^-53, the midpoint of bin k. For k >= 2^52
+    the + 0.5 rounds to even, and the last bin's midpoint rounds to 1.0, so
+    that one value is clamped to 1 - 2^-53, where ndtri is still finite. The
+    normal draws are thus bounded unevenly: the smallest is ndtri(2^-54)
+    = -8.29, the largest ndtri(1 - 2^-53) = +8.21 (the clamped word; the
+    next-largest is +8.13).
+    """
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def substream_normals(seed: int, first_sample: int, n: int, columns: int = 2):
@@ -298,6 +313,37 @@ def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """Particle coordinates (..., 2) of the mode map (a, b) applied to u0 = (Y, y)."""
     p1, p2 = particle_coordinates(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
     return np.stack([p1, p2], axis=-1)
+
+
+def _frame_abs_sum_maxima(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """max |y1 + y2| over the starts u0 = (Y, y) at each recorded map (a[j], b[j]).
+
+    Equal, bit for bit, to np.max(np.abs(f[:, 0] + f[:, 1])) of each frame f
+    of _mode_positions: the same elementwise operations run in the same
+    order, in place on three chunk buffers of _FRAME_CHUNK starts, and the
+    chunk maxima are combined with np.maximum, so a NaN anywhere stays NaN.
+    """
+    n = u0.shape[1]
+    maxima = np.zeros(len(a))
+    chunk_max = np.empty(len(a))
+    coeffs = list(zip(*a.T.tolist(), *b.T.tolist()))
+    buffers = np.empty((3, min(n, _FRAME_CHUNK)))
+    for i0 in range(0, n, _FRAME_CHUNK):
+        big_y, small_y = u0[:, i0 : i0 + _FRAME_CHUNK]
+        cm, half, diff = buffers[:, : big_y.size]
+        for j, (a0, a1, b0, b1) in enumerate(coeffs):
+            np.multiply(big_y, a0, out=cm)
+            cm += b0
+            np.multiply(small_y, a1, out=half)
+            half += b1
+            half *= 0.5
+            np.subtract(cm, half, out=diff)  # y2
+            cm += half  # y1
+            cm += diff
+            np.abs(cm, out=cm)
+            chunk_max[j] = np.maximum.reduce(cm)
+        np.maximum(maxima, chunk_max, out=maxima)
+    return maxima
 
 
 # Dormand-Prince 5(4) tableau

@@ -268,6 +268,23 @@ def test_constraint_surface_experiment():
     assert report.diff_width_analytic == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+def test_constraint_surface_nan_map_poisons_max(monkeypatch, column):
+    # a NaN in one recorded map (not the final one) must not be skipped
+    rk4_maps = dynamics._rk4_maps
+
+    def planted(*args):
+        times, a, b = rk4_maps(*args)
+        b[3, column] = np.nan
+        return times, a, b
+
+    monkeypatch.setattr(dynamics, "_rk4_maps", planted)
+    config = IntegratorConfig(dt=1e-2, t_final=0.1)
+    report = constraint_surface_experiment(default_state(), 40000, 42, config)
+    assert math.isnan(report.max_abs_sum)
+    assert math.isfinite(report.sum_width_empirical)
+
+
 def test_constraint_surface_requires_centered_sum_narrow():
     config = default_config()
     diff_state = TwoParticleState.from_widths(0.05, 1.0, correlation="difference")

@@ -478,7 +478,7 @@ def test_continuity_fine_grid_peak_memory(tmp_path):
 
 def test_ga_constraint_default_size_peak_memory(tmp_path):
     # n = 1e5 with all 2001 frames; a stacked recording would take 3.2 GB,
-    # frames rebuilt one at a time from the rk4 maps about 67 MB
+    # the rk4 maps applied in 16384-start chunks peak about 45 MB (VmHWM)
     assert run_peak_rss_mb(["ga-constraint", "--out", str(tmp_path / "g.csv")]) < 200
 
 

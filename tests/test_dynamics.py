@@ -25,7 +25,14 @@ from bohm_equilibrium import (
     substream_normals,
     substream_uniforms,
 )
-from bohm_equilibrium.dynamics import _mode_rhs, _rk45_lanes
+from bohm_equilibrium._normal import ndtri
+from bohm_equilibrium.dynamics import (
+    _FRAME_CHUNK,
+    _frame_abs_sum_maxima,
+    _mode_rhs,
+    _rk45_lanes,
+    _uniforms_from_words,
+)
 
 from _oracles import ReferenceUnderflow, rk4_reference, rk45_reference
 
@@ -51,6 +58,16 @@ def test_uniforms_open_interval_and_deterministic():
     again = substream_uniforms(42, 0, 10_000)
     assert np.array_equal(u, again)
     assert not np.array_equal(u, substream_uniforms(43, 0, 10_000))
+
+
+def test_top_words_map_below_one():
+    # the top 53-bit word's midpoint rounds to 1.0, where ndtri is +inf
+    words = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**12, 0], dtype=np.uint64)
+    u = _uniforms_from_words(words)
+    assert u.tolist() == [1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 2.0**-54]
+    z = ndtri(u)
+    assert np.all(np.isfinite(z))
+    assert z.round(2).tolist() == [8.21, 8.21, 8.13, -8.29]
 
 
 def test_substreams_are_random_access():
@@ -344,6 +361,29 @@ def test_ensemble_frames_rebuild_recording_from_maps():
     assert np.array_equal(unrecorded.final_positions, ensemble.final_positions)
 
 
+@pytest.mark.parametrize("surface", ["on", "off-first", "off-last"])
+@pytest.mark.parametrize(
+    "n", [1, 2, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 3 * _FRAME_CHUNK + 5]
+)
+def test_frame_abs_sum_maxima_match_frames(n, surface):
+    state = default_state()
+    if surface == "on":
+        starts = sample_constraint_surface(state, n, seed=5)
+    else:
+        # nonzero Y, with the largest |y1 + y2| planted in the first or last chunk
+        starts = sample_equilibrium(state, n, seed=5)
+        starts[0 if surface == "off-first" else -1] *= 50.0
+    config = IntegratorConfig(dt=1e-2, t_final=0.05, record_stride=1)
+    ensemble = propagate_ensemble(state, starts, config)
+    u0 = np.vstack(mode_coordinates(*starts.T))
+    maxima = _frame_abs_sum_maxima(*ensemble.maps, u0)
+    expected = np.array([np.max(np.abs(f[:, 0] + f[:, 1])) for f in ensemble.frames()])
+    assert maxima.shape == (6,)
+    assert maxima.tobytes() == expected.tobytes()
+    if surface == "on":
+        assert maxima.tolist() == [0.0] * 6
+
+
 def test_ensemble_input_validation():
     state = default_state()
     config = IntegratorConfig()
@@ -510,3 +550,23 @@ def test_rk45_lanes_match_scalar_reference(
         traj = integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
         assert np.array_equal(traj.times, recorded[0])
         assert np.array_equal(traj.positions, recorded[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    correlation=st.sampled_from(["sum", "difference"]),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 300),
+    data=st.data(),
+)
+def test_sampling_chunk_invariance(correlation, seed, n, data):
+    # sample i reads counter block i, so any split of the draw gives the same bits
+    split = data.draw(st.integers(0, n - 1), label="split")
+    state = TwoParticleState.from_widths(0.05, 1.0, correlation=correlation)
+    whole = sample_equilibrium(state, n, seed)
+    tail = sample_equilibrium(state, n - split, seed, first_sample=split)
+    assert tail.tobytes() == whole[split:].tobytes()
+    for columns in range(1, 5):
+        whole = substream_uniforms(seed, 0, n, columns)
+        tail = substream_uniforms(seed, split, n - split, columns)
+        assert tail.tobytes() == whole[split:].tobytes()
