@@ -37,15 +37,11 @@ def main():
         f"{'t':>6} {'surface max|y1+y2|':>20} {'equil std(y1+y2)':>18} "
         f"{'analytic 2*sigma_cm':>20}"
     )
-    for j, t in enumerate(surface.times):
-        sums_surface = np.abs(
-            surface.recorded_positions[j, :, 0] + surface.recorded_positions[j, :, 1]
-        ).max()
-        sums_equil = np.std(
-            equilibrium.recorded_positions[j, :, 0]
-            + equilibrium.recorded_positions[j, :, 1],
-            ddof=1,
-        )
+    for t, on_surface, in_equilibrium in zip(
+        surface.times, surface.frames(), equilibrium.frames()
+    ):
+        sums_surface = np.abs(on_surface[:, 0] + on_surface[:, 1]).max()
+        sums_equil = np.std(in_equilibrium[:, 0] + in_equilibrium[:, 1], ddof=1)
         print(
             f"{t:6.2f} {sums_surface:20.3e} {sums_equil:18.4f} "
             f"{constraint_width(state, float(t), 'sum'):20.4f}"

@@ -222,6 +222,8 @@ def constraint_surface_experiment(
     The violation is measured on every trajectory at every recorded time:
     each recorded map is applied to the starts in chunks of
     dynamics._FRAME_CHUNK in preallocated buffers, never as whole frames.
+    An rk4 step too long for the wide mode raises EnsembleFailureError before
+    sampling; the narrow mode stays exactly at 0 for any step.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -230,6 +232,7 @@ def constraint_surface_experiment(
         raise ValueError(
             "constraint experiment requires a centered, zero-wavenumber cm mode"
         )
+    _check_rk4_step(state, config, _surface=True)
     config = replace(config, record_stride=config.record_stride or 1)
     starts = sample_constraint_surface(state, n, seed)
     ensemble = propagate_ensemble(state, starts, config, seed=seed)

@@ -13,7 +13,6 @@ agrees to the bit as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -261,22 +260,29 @@ def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
     return n_steps, config.t_final / n_steps
 
 
-def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig):
+def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=False):
     """Refuse an rk4 step too long for either mode of the state.
 
     A mode's stretch rate peaks at beta/2 at t = 1/beta. Past rate * h = 0.5,
     with h the step actually taken, rk4 moves the ensemble visibly off |psi|^2
     (KS 0.227 against a noise level of 0.0138 at sigma_narrow = 0.005,
     n = 2e4), so the run raises EnsembleFailureError instead. rk45 passes.
+    With _surface (a run started on the narrow surface, whose narrow mode
+    stays exactly at 0 for any step) only the wide mode is checked, and the
+    message asks for a smaller dt, since recording every step needs rk4.
     """
     if config.method != "rk4":
         return
     step = _step_grid(config)[1]
-    for label, mode in (("narrow", state.narrow_mode), ("wide", state.wide_mode)):
+    modes = (("narrow", state.narrow_mode), ("wide", state.wide_mode))
+    if _surface:
+        modes = modes[1:]
+    remedy = "lower dt, since recording needs rk4" if _surface else "use method = rk45"
+    for label, mode in modes:
         if 0.5 * _spread_rate(mode, state.params) * step > 0.5:
             raise EnsembleFailureError(
                 f"{label} mode sigma0 = {mode.sigma0:g} makes the guidance field "
-                f"stiff for rk4 with step {step:g}; use method = rk45"
+                f"stiff for rk4 with step {step:g}; {remedy}"
             )
 
 
@@ -322,12 +328,17 @@ def _frame_abs_sum_maxima(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.nd
     of _mode_positions: the same elementwise operations run in the same
     order, in place on three chunk buffers of _FRAME_CHUNK starts, and the
     chunk maxima are combined with np.maximum, so a NaN anywhere stays NaN.
+    The buffers start on 64-byte cache lines: malloc's 16-byte placement
+    made the whole kernel up to 30% slower depending on where it fell.
     """
     n = u0.shape[1]
     maxima = np.zeros(len(a))
     chunk_max = np.empty(len(a))
     coeffs = list(zip(*a.T.tolist(), *b.T.tolist()))
-    buffers = np.empty((3, min(n, _FRAME_CHUNK)))
+    width = -(-min(n, _FRAME_CHUNK) // 8) * 8  # rows of whole 64-byte cache lines
+    raw = np.empty(3 * width + 7)
+    skip = -raw.ctypes.data // 8 % 8  # the first row starting on one
+    buffers = raw[skip : skip + 3 * width].reshape(3, width)
     for i0 in range(0, n, _FRAME_CHUNK):
         big_y, small_y = u0[:, i0 : i0 + _FRAME_CHUNK]
         cm, half, diff = buffers[:, : big_y.size]
@@ -413,11 +424,10 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
         y = np.where(accept, y5, y)
         if record and accept.any():
             steps.append((t[accept], y[:, accept]))
-        # err_norm**-0.2 by libm pow, as a Python float takes it: np.power's
-        # SIMD kernel differs in the last bit. A zero error grows the step
-        # 5x, and fmax shrinks it 5x on a NaN error, like any rejection.
-        growth = np.frompyfunc(lambda e: e**-0.2 if e else math.inf, 1, 1)(err_norm)
-        dt = h * np.minimum(np.fmax(0.9 * growth.astype(float), 0.2), 5.0)
+        # a zero error gives inf and grows the step 5x; a NaN error shrinks it 5x via fmax
+        with np.errstate(divide="ignore"):
+            growth = np.power(err_norm, -0.2)
+        dt = h * np.minimum(np.fmax(0.9 * growth, 0.2), 5.0)
         live = t < t1
         final[:, lanes[~live]] = y[:, ~live]
         lanes, y, t, dt = lanes[live], y[:, live], t[live], dt[live]

@@ -6,8 +6,10 @@ it shares no code (and no closed-form width law) with the package. The RK4
 reference integrates the mode guidance fields stage by stage on arrays,
 written out from the textbook method rather than the package's step maps.
 The adaptive reference is the scalar Dormand-Prince step loop, one
-trajectory at a time, with its own copy of the tableau; the package's lane
-loop must match it bit for bit. The continuity reference evaluates every
+trajectory at a time, with its own copy of the tableau; it takes each step
+factor through np.power on a one-element array, and the package's lane loop,
+which takes all lanes' factors in one np.power call, must match it bit for
+bit. The continuity reference evaluates every
 stage of the residual over the whole grid at once, with no blocking of rows.
 """
 
@@ -151,9 +153,9 @@ def rk45_reference(rhs, y, t0, t1, tolerance, monitor=None):
             y = y5
             if monitor is not None:
                 monitor(t, y)
-            factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm**-0.2
+            factor = 5.0 if err_norm == 0.0 else 0.9 * np.power([err_norm], -0.2)[0]
         else:
-            factor = max(0.2, 0.9 * err_norm**-0.2)
+            factor = max(0.2, 0.9 * np.power([err_norm], -0.2)[0])
         dt = h * min(5.0, factor)
     return y
 

@@ -285,6 +285,28 @@ def test_constraint_surface_nan_map_poisons_max(monkeypatch, column):
     assert math.isfinite(report.sum_width_empirical)
 
 
+def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
+    # sigma_wide = 0.02: rk4 at dt = 1e-3 read diff_width_empirical 92.16
+    # against the analytic 100.0 at n = 1e5, 35 standard errors off
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the rk4 step was checked")
+
+    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    state = TwoParticleState.from_widths(0.05, 0.02)
+    with pytest.raises(EnsembleFailureError, match="wide mode sigma0 = 0.02 .*; lower dt"):
+        constraint_surface_experiment(state, 100, 42, default_config())
+
+
+def test_constraint_surface_runs_with_stiff_narrow_rk4():
+    # the narrow mode starts at exactly 0 and stays there for any step
+    state = TwoParticleState.from_widths(0.005, 1.0)
+    report = constraint_surface_experiment(state, 500, 42, default_config())
+    assert report.max_abs_sum == 0.0
+    assert report.diff_width_empirical == pytest.approx(
+        report.diff_width_analytic, rel=0.1
+    )
+
+
 def test_constraint_surface_requires_centered_sum_narrow():
     config = default_config()
     diff_state = TwoParticleState.from_widths(0.05, 1.0, correlation="difference")

@@ -399,6 +399,15 @@ def test_stiff_rk4_exits_3_without_output(tmp_path, capsys, subcommand):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ga_constraint_stiff_wide_mode_exits_3_without_output(tmp_path, capsys):
+    # recording needs rk4, so the remedy is a smaller dt, not rk45
+    out = tmp_path / "ga.csv"
+    assert main(["ga-constraint", "--sigma-wide", "0.02", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "wide mode sigma0 = 0.02" in err and "lower dt" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("method = rk45\nsigma_narrow = 0.005\nsamples = 20000\n")

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bohm_equilibrium.dynamics as dynamics
@@ -550,6 +553,83 @@ def test_rk45_lanes_match_scalar_reference(
         traj = integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
         assert np.array_equal(traj.times, recorded[0])
         assert np.array_equal(traj.positions, recorded[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    narrow=st.floats(1e-3, 2.0),
+    correlation=st.sampled_from(["sum", "difference"]),
+    centers=st.tuples(CENTER, CENTER),
+    wavenumbers=st.tuples(CENTER, CENTER),
+    t0=st.floats(0.0, 2.0),
+    n_steps=st.integers(1, 600),
+    stride=st.sampled_from([1, 7, 50]),
+    seed=st.integers(0, 2**32),
+)
+def test_composed_rk4_frames_match_stage_by_stage_reference(
+    narrow, correlation, centers, wavenumbers, t0, n_steps, stride, seed
+):
+    state = TwoParticleState.from_widths(
+        narrow,
+        1.0,
+        correlation=correlation,
+        cm_center=centers[0],
+        rel_center=centers[1],
+        cm_wavenumber=wavenumbers[0],
+        rel_wavenumber=wavenumbers[1],
+    )
+    config = IntegratorConfig(dt=1e-3, t_final=n_steps * 1e-3, record_stride=stride)
+    try:
+        dynamics._check_rk4_step(state, config)
+    except EnsembleFailureError:
+        assume(False)
+    starts = sample_equilibrium(state, 5, seed=seed)
+    ensemble = propagate_ensemble(state, starts, config, t0=t0)
+    modes = [
+        (mode.sigma0, mode.coord_mass, mode.center0, mode.wavenumber)
+        for mode in (state.cm_mode, state.rel_mode)
+    ]
+    u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
+    steps, dt = dynamics._step_grid(config)
+    frames = rk4_reference(modes, state.params.hbar, u0, dt, steps, stride, t0)
+    assert len(frames) == len(ensemble.times)
+    for positions, reference in zip(ensemble.frames(), frames, strict=True):
+        composed = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
+        assert np.all(np.abs(composed - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+
+
+# 2e5 values from 1e-14 to 1e4, zeros and NaNs planted: a one-element call
+# must give the bits of the same value in a slice at any offset
+_POWER_LANES = """
+import numpy as np
+
+x = 10.0 ** np.random.default_rng(7).uniform(-14.0, 4.0, 200_000)
+x[::997] = 0.0
+x[1::997] = np.nan
+with np.errstate(divide="ignore"):
+    single = np.concatenate([np.power(x[i : i + 1], -0.2) for i in range(x.size)])
+    for offset in (0, 1, 3, 7, 13):
+        assert np.power(x[offset:], -0.2).tobytes() == single[offset:].tobytes(), offset
+"""
+
+
+def test_power_bits_independent_of_length_and_offset():
+    # _rk45_lanes takes every lane's step factor in one np.power call and
+    # rk45_reference one lane at a time, so lanes match only if this holds
+    exec(_POWER_LANES, {})
+
+
+def test_power_bits_independent_of_length_and_offset_without_avx512():
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    child = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", _POWER_LANES],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if "NPY_DISABLE_CPU_FEATURES" in child.stderr:
+        pytest.skip("this numpy build cannot disable its AVX-512 dispatch")
+    assert child.returncode == 0, child.stderr
 
 
 @settings(max_examples=100, deadline=None)
