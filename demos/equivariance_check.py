@@ -13,7 +13,6 @@ from bohm_equilibrium import (
     IntegratorConfig,
     TwoParticleState,
     equivariance_check,
-    normal_cdf,
     observable_normal,
     propagate_ensemble,
     sample_equilibrium,

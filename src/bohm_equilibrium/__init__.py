@@ -26,7 +26,6 @@ from .dynamics import (
     EnsembleFailureError,
     IntegratorConfig,
     StepUnderflowError,
-    SurfaceMismatchError,
     Trajectory,
     integrate_trajectory,
     propagate_ensemble,

@@ -30,7 +30,6 @@ from .model import (
     _require_positive,
     constraint_width,
     evolve_mode,
-    mode_coordinates,
     observable_normal,
 )
 
@@ -216,14 +215,14 @@ def constraint_surface_experiment(
     """Propagate an ensemble started exactly on y1 + y2 = 0.
 
     Requires a sum-narrow state whose cm mode is centered with zero
-    wavenumber, so the surface is invariant under the guidance flow. Records
-    every step (or config.record_stride if set) and reports the worst
-    constraint violation together with the width comparison at t_final.
-    The violation is measured on every trajectory at every recorded time:
-    each recorded map is applied to the starts in chunks of
-    dynamics._FRAME_CHUNK in preallocated buffers, never as whole frames.
-    An rk4 step too long for the wide mode raises EnsembleFailureError before
-    sampling; the narrow mode stays exactly at 0 for any step.
+    wavenumber, so the surface is invariant under the guidance flow, and
+    method 'rk4', since only fixed steps are recorded. Records every step
+    (or config.record_stride if set) and reports the worst constraint
+    violation together with the width comparison at t_final. The violation
+    is measured on every trajectory at every recorded time by
+    dynamics._frame_abs_sum_maxima, never on whole frames. An rk4 step too
+    long for the wide mode raises EnsembleFailureError before sampling; the
+    narrow mode stays exactly at 0 for any step.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -232,12 +231,13 @@ def constraint_surface_experiment(
         raise ValueError(
             "constraint experiment requires a centered, zero-wavenumber cm mode"
         )
+    if config.method != "rk4":
+        raise ValueError(f"method must be 'rk4' to record every step, got {config.method!r}")
     _check_rk4_step(state, config, _surface=True)
     config = replace(config, record_stride=config.record_stride or 1)
     starts = sample_constraint_surface(state, n, seed)
     ensemble = propagate_ensemble(state, starts, config, seed=seed)
-    u0 = np.vstack(mode_coordinates(*ensemble.initial_positions.T))
-    max_abs_sum = float(np.max(_frame_abs_sum_maxima(*ensemble.maps, u0)))
+    max_abs_sum = float(np.max(_frame_abs_sum_maxima(ensemble)))
     final = ensemble.final_positions
     sum_final = final[:, 0] + final[:, 1]
     diff_final = final[:, 0] - final[:, 1]

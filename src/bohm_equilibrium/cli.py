@@ -371,7 +371,9 @@ def main(argv=None) -> int:
     del overrides["subcommand"], overrides["config"]
     try:
         config = load_config(args.config, overrides)
-        out = config.out if config.out is not None else f"{args.subcommand}.csv"
+        if config.out is None:
+            config.out = f"{args.subcommand}.csv"
+        out = config.out
         meta = out + ".meta.json"
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"cannot write {out}: its directory does not exist")

@@ -37,10 +37,6 @@ _MAX_FAILED_FRACTION = 1e-3
 _FRAME_CHUNK = 16384  # starts per chunk in _frame_abs_sum_maxima
 
 
-class SurfaceMismatchError(ValueError):
-    """Raised when the requested start surface is not the narrow combination."""
-
-
 class StepUnderflowError(RuntimeError):
     """Raised when the adaptive controller drives dt below 1e-12."""
 
@@ -121,24 +117,14 @@ def sample_equilibrium(
     return np.column_stack([y1, y2])
 
 
-def sample_constraint_surface(
-    state: TwoParticleState, n: int, seed: int, surface: str | None = None
-) -> np.ndarray:
+def sample_constraint_surface(state: TwoParticleState, n: int, seed: int) -> np.ndarray:
     """Draw n configurations lying exactly on the narrow-combination surface.
 
     For a sum-narrow state the surface is y1 + y2 = 0: the cm coordinate is
     set to exactly 0.0 and only the relative coordinate is sampled (from its
     marginal), so the constraint holds to the last bit. Difference-narrow
-    states use y1 - y2 = 0 analogously. Requesting the surface of the wide
-    combination raises SurfaceMismatchError.
+    states use y1 - y2 = 0 analogously.
     """
-    narrow = state.correlation.combination
-    surface = narrow if surface is None else Correlation.from_label(surface).combination
-    if surface != narrow:
-        raise SurfaceMismatchError(
-            f"state is {narrow}-narrow; starting on the {surface} surface would "
-            "pin the wide combination instead"
-        )
     z = substream_normals(seed, 0, n, columns=1)[:, 0]
     if state.correlation is Correlation.SUM_NARROW:
         small_y = state.rel_mode.center0 + state.rel_mode.sigma0 * z
@@ -204,7 +190,8 @@ class Trajectory:
 class Ensemble:
     """Propagated ensemble with enough metadata to reproduce it.
 
-    A recorded rk4 run keeps its composed maps, not its frames.
+    A recorded rk4 run keeps its composed maps, not its frames; frames()
+    applies them to the starts one frame at a time.
     """
 
     state: TwoParticleState
@@ -217,20 +204,11 @@ class Ensemble:
     times: np.ndarray | None = None
     maps: tuple[np.ndarray, np.ndarray] | None = None  # (a, b), each (len(times), 2)
 
-    @property
-    def n(self) -> int:
-        return self.initial_positions.shape[0]
-
     def frames(self):
         """Yield the (n, 2) positions at each recorded time, one frame at a time."""
-        u0 = np.vstack(mode_coordinates(*self.initial_positions.T))
+        u0 = _mode_starts(self.initial_positions)
         for a_j, b_j in zip(*(self.maps or ())):
             yield _mode_positions(a_j, b_j, u0)
-
-    @property
-    def recorded_positions(self) -> np.ndarray | None:
-        """All frames stacked, (len(times), n, 2); None if nothing was recorded."""
-        return None if self.maps is None else np.stack(list(self.frames()))
 
 
 def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
@@ -315,26 +293,32 @@ def _rk4_maps(
     return t0 + steps * dt, a, b
 
 
+def _mode_starts(positions: np.ndarray) -> np.ndarray:
+    """Mode coordinates (2, n), rows Y and y, of the (n, 2) positions."""
+    return np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
+
+
 def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """Particle coordinates (..., 2) of the mode map (a, b) applied to u0 = (Y, y)."""
     p1, p2 = particle_coordinates(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
     return np.stack([p1, p2], axis=-1)
 
 
-def _frame_abs_sum_maxima(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """max |y1 + y2| over the starts u0 = (Y, y) at each recorded map (a[j], b[j]).
+def _frame_abs_sum_maxima(ensemble: Ensemble) -> np.ndarray:
+    """max |y1 + y2| over all trajectories at each time of a recorded rk4 run.
 
     Equal, bit for bit, to np.max(np.abs(f[:, 0] + f[:, 1])) of each frame f
-    of _mode_positions: the same elementwise operations run in the same
+    of ensemble.frames(): the same elementwise operations run in the same
     order, in place on three chunk buffers of _FRAME_CHUNK starts, and the
     chunk maxima are combined with np.maximum, so a NaN anywhere stays NaN.
     The buffers start on 64-byte cache lines: malloc's 16-byte placement
     made the whole kernel up to 30% slower depending on where it fell.
     """
+    coeffs = np.hstack(ensemble.maps).tolist()  # rows (a0, a1, b0, b1)
+    u0 = _mode_starts(ensemble.initial_positions)
     n = u0.shape[1]
-    maxima = np.zeros(len(a))
-    chunk_max = np.empty(len(a))
-    coeffs = list(zip(*a.T.tolist(), *b.T.tolist()))
+    maxima = np.zeros(len(coeffs))
+    chunk_max = np.empty(len(coeffs))
     width = -(-min(n, _FRAME_CHUNK) // 8) * 8  # rows of whole 64-byte cache lines
     raw = np.empty(3 * width + 7)
     skip = -raw.ctypes.data // 8 % 8  # the first row starting on one
@@ -496,7 +480,7 @@ def propagate_ensemble(
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
 
     n = positions.shape[0]
-    u0 = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
+    u0 = _mode_starts(positions)
     times = maps = None
     if config.method == "rk4":
         recorded_times, a, b = _rk4_maps(state, config, t0)

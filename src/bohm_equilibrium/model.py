@@ -101,11 +101,6 @@ class Correlation(enum.Enum):
         valid = ", ".join(repr(m.value) for m in cls)
         raise ValueError(f"unknown correlation {label!r}; expected one of {valid}")
 
-    @property
-    def combination(self) -> str:
-        """Label of the narrow combination: 'sum' or 'difference'."""
-        return self.value
-
 
 @dataclass(frozen=True)
 class EvolvedMode:

@@ -297,6 +297,17 @@ def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
         constraint_surface_experiment(state, 100, 42, default_config())
 
 
+def test_constraint_surface_refuses_rk45_before_sampling(monkeypatch):
+    # recording needs fixed steps, so rk45 is refused before any start is drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the method was checked")
+
+    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    config = IntegratorConfig(method="rk45", t_final=2.0)
+    with pytest.raises(ValueError, match="method must be 'rk4'.*got 'rk45'"):
+        constraint_surface_experiment(default_state(), 100, 42, config)
+
+
 def test_constraint_surface_runs_with_stiff_narrow_rk4():
     # the narrow mode starts at exactly 0 and stays there for any step
     state = TwoParticleState.from_widths(0.005, 1.0)

@@ -408,6 +408,15 @@ def test_ga_constraint_stiff_wide_mode_exits_3_without_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ga_constraint_rk45_exits_2_without_output(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("method = rk45\n")
+    out = tmp_path / "ga.csv"
+    assert main(["ga-constraint", "--config", str(config), "--out", str(out)]) == 2
+    assert "method must be 'rk4'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("method = rk45\nsigma_narrow = 0.005\nsamples = 20000\n")
@@ -497,17 +506,21 @@ sys.modules["scipy"] = None  # any import of scipy now fails
 import numpy
 ma_with_numpy = "numpy.ma" in sys.modules
 from bohm_equilibrium.cli import main
-code = main(["equivariance", "--samples", "2000", "--out", sys.argv[1]])
+out = sys.argv[1]
+code = main(["equivariance", "--samples", "2000", "--out", out + "/eq.csv"])
+code += main(["ga-constraint", "--samples", "2000", "--out", out + "/ga.csv"])
+code += main(["sweep", "--samples", "2000", "--out", out + "/sw.csv"])
+code += main(["continuity", "--t-final", "0.5", "--out", out + "/co.csv"])
+code += main(["trajectory", "--t-final", "0.5", "--out", out + "/tr.csv"])
 ma_after_run = "numpy.ma" in sys.modules
-code += main(["ga-constraint", "--samples", "2000", "--out", sys.argv[2]])
 print(code, ma_with_numpy, ma_after_run)
 """
 
 
 def test_runs_without_scipy(tmp_path):
     # scipy is a test dependency only; numpy.ma, which a scipy import used to
-    # load, is not imported lazily inside a run either
-    out = run_child(_NO_SCIPY_CHILD, str(tmp_path / "eq.csv"), str(tmp_path / "ga.csv"))
+    # load, is not imported lazily inside any subcommand's run either
+    out = run_child(_NO_SCIPY_CHILD, str(tmp_path))
     code, ma_with_numpy, ma_after_run = out.split()[-3:]
     assert code == "0"
     assert ma_after_run == ma_with_numpy
@@ -550,6 +563,15 @@ def test_csv_bytes_identical_across_reruns_and_parallel(tmp_path):
     assert main(["equivariance", "--config", str(cfg8), "--out", str(out_c)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_bytes() == out_c.read_bytes()
+
+
+def test_meta_records_the_default_out(tmp_path, monkeypatch):
+    # without --out the table goes to <subcommand>.csv, and the meta file says so
+    monkeypatch.chdir(tmp_path)
+    assert main(["trajectory", "--t-final", "0.1"]) == 0
+    meta = json.loads((tmp_path / "trajectory.csv.meta.json").read_text())
+    assert meta["config"]["out"] == "trajectory.csv"
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_meta_sidecar_deterministic(tmp_path):

@@ -197,7 +197,6 @@ def test_correlation_labels():
     assert Correlation.from_label("sum") is Correlation.SUM_NARROW
     assert Correlation.from_label("difference") is Correlation.DIFFERENCE_NARROW
     assert Correlation.from_label(Correlation.SUM_NARROW) is Correlation.SUM_NARROW
-    assert Correlation.SUM_NARROW.combination == "sum"
     with pytest.raises(ValueError):
         Correlation.from_label("both")
 
