@@ -374,6 +374,8 @@ def main(argv=None) -> int:
         if config.out is None:
             config.out = f"{args.subcommand}.csv"
         out = config.out
+        if not out:
+            raise ConfigError("out must be a non-empty path")
         meta = out + ".meta.json"
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"cannot write {out}: its directory does not exist")

@@ -188,18 +188,13 @@ def grid_for_state(
 
 @dataclass(frozen=True)
 class ContinuityResidual:
-    """Discretized continuity-equation defect on a grid.
+    """Norms of the discretized continuity-equation defect on a grid.
 
-    residual[i, j] = d_t rho + d_1(rho v1) + d_2(rho v2) at
-    (y1_axis[i], y2_axis[j]); max_norm is its sup, l2_norm the
-    area-weighted L2 norm. too_coarse flags h above a quarter of the
-    narrowest density feature. residual is the only grid-sized array kept:
-    8 B per grid point.
+    The defect d_t rho + d_1(rho v1) + d_2(rho v2) is taken at every grid
+    point; max_norm is its sup, l2_norm its area-weighted L2 norm.
+    too_coarse flags h above a quarter of the narrowest density feature.
     """
 
-    grid: ResidualGrid
-    t: float
-    residual: np.ndarray
     max_norm: float
     l2_norm: float
     too_coarse: bool
@@ -218,10 +213,10 @@ def continuity_residual(
     The stages (rho, velocities, fluxes, rho at t ± tau) are evaluated in
     blocks of whole rows, about 2^17 grid points each, on the block's rows
     plus one ghost row per side, and written into the one residual array;
-    max_norm is combined from the blocks' maxima. Peak memory is about
-    2 x 8 B per grid point (the residual and the square taken for l2_norm)
-    plus one block's stages; every element and both norms are bit-identical
-    to evaluating the whole grid at once.
+    max_norm is combined from the blocks' maxima, and l2_norm is summed
+    after squaring that array in place. Peak memory is about 8 B per grid
+    point plus one block's stages; both norms are bit-identical to
+    evaluating the whole grid at once.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -270,13 +265,6 @@ def continuity_residual(
         residual[i0:i1] = dt_rho + div1 + div2
         max_norm = np.maximum(max_norm, np.max(np.abs(residual[i0:i1])))
 
-    max_norm = float(max_norm)
-    l2_norm = float(math.sqrt(np.sum(residual * residual) * grid.h * grid.h))
-    return ContinuityResidual(
-        grid=grid,
-        t=t,
-        residual=residual,
-        max_norm=max_norm,
-        l2_norm=l2_norm,
-        too_coarse=too_coarse,
-    )
+    residual *= residual
+    l2_norm = math.sqrt(np.sum(residual) * grid.h * grid.h)
+    return ContinuityResidual(float(max_norm), l2_norm, too_coarse)

@@ -234,6 +234,20 @@ def test_missing_out_directory_refused_before_the_run(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_empty_out_refused_before_the_run(tmp_path, monkeypatch, capsys, form):
+    monkeypatch.setattr(cli, "constraint_surface_experiment", _never)
+    config = tmp_path / "run.cfg"
+    config.write_text("out = \n")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    options = ["--out", ""] if form == "flag" else ["--config", str(config)]
+    assert main(["ga-constraint", *options]) == 2
+    assert "error: out must be a non-empty path" in capsys.readouterr().err
+    assert list(run_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("directory", ["x.csv", "x.csv.meta.json"])
 def test_directory_in_the_way_refused_before_the_run(tmp_path, monkeypatch, capsys, directory):
     monkeypatch.setattr(cli, "constraint_surface_experiment", _never)
@@ -487,11 +501,12 @@ def run_peak_rss_mb(argv) -> float:
 
 def test_continuity_fine_grid_peak_memory(tmp_path):
     # grid_h = 0.07 gives 1439^2 and 2877^2 grids; whole-grid stage arrays
-    # took 877 MB, row blocks about 230 MB
+    # took 877 MB (VmHWM), row blocks 199 MB with a second grid for the
+    # square in l2_norm, and 120 MB with the square taken in place
     config = tmp_path / "run.cfg"
     config.write_text("grid_h = 0.07\n")
     argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
-    assert run_peak_rss_mb(argv) < 400
+    assert run_peak_rss_mb(argv) < 160
 
 
 def test_ga_constraint_default_size_peak_memory(tmp_path):
@@ -574,10 +589,12 @@ def test_meta_records_the_default_out(tmp_path, monkeypatch):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-def test_meta_sidecar_deterministic(tmp_path):
-    out = tmp_path / "eq.csv"
-    args = ["equivariance", "--samples", "500", "--t-final", "0.5", "--out", str(out)]
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+def test_meta_sidecar_deterministic(tmp_path, subcommand):
+    out = tmp_path / "run.csv"
+    meta = tmp_path / "run.csv.meta.json"
+    args = [subcommand, "--samples", "500", "--t-final", "0.5", "--out", str(out)]
     assert main(args) == 0
-    first = (tmp_path / "eq.csv.meta.json").read_bytes()
+    first = (out.read_bytes(), meta.read_bytes())
     assert main(args) == 0
-    assert (tmp_path / "eq.csv.meta.json").read_bytes() == first
+    assert (out.read_bytes(), meta.read_bytes()) == first
