@@ -278,10 +278,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One row per width, in the order given; the settings stay the caller's."""
+
     rows: tuple[SweepRow, ...]
-    t_final: float
-    n: int
-    seed: int
 
 
 def regularization_sweep(
@@ -322,4 +321,4 @@ def regularization_sweep(
                 ks=report.max_ks,
             )
         )
-    return SweepResult(rows=tuple(rows), t_final=config.t_final, n=n, seed=seed)
+    return SweepResult(rows=tuple(rows))

@@ -42,10 +42,11 @@ class StepUnderflowError(RuntimeError):
 
 
 class EnsembleFailureError(RuntimeError):
-    """Raised when an ensemble cannot be integrated faithfully.
+    """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
-    Either more than 0.1% of its trajectories failed, or the fixed rk4 step
-    is too long for the state (see _check_rk4_step).
+    Either more than 0.1% of an ensemble's trajectories failed, or the fixed
+    rk4 step is too long for the state (see _check_rk4_step), or an rk4
+    trajectory's position is not finite at some recorded time.
     """
 
 
@@ -188,16 +189,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Propagated ensemble with enough metadata to reproduce it.
+    """Starts and end points of a propagated ensemble.
 
-    A recorded rk4 run keeps its composed maps, not its frames; frames()
-    applies them to the starts one frame at a time.
+    A recorded rk4 run keeps its composed step maps; frames() applies them.
     """
 
-    state: TwoParticleState
-    config: IntegratorConfig
     seed: int | None
-    t0: float
     initial_positions: np.ndarray
     final_positions: np.ndarray
     failed_indices: tuple[int, ...] = ()
@@ -427,14 +424,21 @@ def integrate_trajectory(
     """Integrate one trajectory from configuration `start` at time t0.
 
     The ODE is solved in mode coordinates where the two components decouple;
-    recorded positions are mapped back to (y1, y2).
+    recorded positions are mapped back to (y1, y2). An rk4 position that is
+    not finite raises EnsembleFailureError.
     """
     _require_finite("start", start)
     u0 = mode_coordinates(float(start[0]), float(start[1]))
 
     if config.method == "rk4":
         times, a, b = _rk4_maps(state, config, t0)
-        return Trajectory(times=times, positions=_mode_positions(a.T, b.T, u0))
+        positions = _mode_positions(a.T, b.T, u0)
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            raise EnsembleFailureError(
+                f"trajectory position is not finite at t = {times[finite.argmin()]:.6g}"
+            )
+        return Trajectory(times=times, positions=positions)
 
     t1 = t0 + config.t_final
     final, steps = _rk45_lanes(
@@ -499,10 +503,7 @@ def propagate_ensemble(
             f"{len(failed)} of {n} trajectories failed to integrate"
         )
     return Ensemble(
-        state=state,
-        config=config,
         seed=seed,
-        t0=t0,
         initial_positions=positions,
         final_positions=final,
         failed_indices=tuple(failed.tolist()),

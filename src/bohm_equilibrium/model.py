@@ -104,7 +104,7 @@ class Correlation(enum.Enum):
 
 @dataclass(frozen=True)
 class EvolvedMode:
-    """Snapshot of a Gaussian mode at time t.
+    """Snapshot of a Gaussian mode at the time t given to evolve_mode.
 
     sigma and center describe |psi|^2 = N(center, sigma^2). complex_width is
     A(t) = sigma0^2 + i*hbar*t/(2*coord_mass), the squared width appearing in
@@ -114,10 +114,8 @@ class EvolvedMode:
     """
 
     mode: GaussianMode
-    t: float
     sigma: float
     center: float
-    drift: float
     stretch_rate: float
     complex_width: complex
     phase: float
@@ -184,10 +182,8 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
     field = mode_field(mode, params, t)
     return EvolvedMode(
         mode=mode,
-        t=t,
         sigma=mode.sigma0 * math.hypot(1.0, sf),
         center=field.center,
-        drift=field.drift,
         stretch_rate=field.rate,
         complex_width=mode.sigma0**2 * complex(1.0, sf),
         phase=-0.5 * mode.wavenumber * field.drift * t,

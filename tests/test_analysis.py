@@ -331,7 +331,6 @@ def test_constraint_surface_requires_centered_sum_narrow():
 def test_regularization_sweep_rows():
     state = default_state()
     result = regularization_sweep(state, (0.4, 0.2), 5000, 42, default_config())
-    assert result.n == 5000
     assert len(result.rows) == 2
     noise = 1.95 / math.sqrt(5000)
     previous_r = 0.0

@@ -509,10 +509,37 @@ def test_continuity_fine_grid_peak_memory(tmp_path):
     assert run_peak_rss_mb(argv) < 160
 
 
-def test_ga_constraint_default_size_peak_memory(tmp_path):
-    # n = 1e5 with all 2001 frames; a stacked recording would take 3.2 GB,
-    # the rk4 maps applied in 16384-start chunks peak about 45 MB (VmHWM)
-    assert run_peak_rss_mb(["ga-constraint", "--out", str(tmp_path / "g.csv")]) < 200
+@pytest.mark.parametrize(
+    "subcommand", ["equivariance", "ga-constraint", "sweep", "continuity", "trajectory"]
+)
+def test_default_size_peak_memory(tmp_path, subcommand):
+    # each peaked at 37-60 MB (VmHWM); for ga-constraint's n = 1e5 with all
+    # 2001 frames a stacked recording would take 3.2 GB, so its rk4 maps are
+    # applied in 16384-start chunks
+    assert run_peak_rss_mb([subcommand, "--out", str(tmp_path / "x.csv")]) < 100
+
+
+# RLIMIT_AS is set before numpy is imported, so only the run's arrays meet it
+_LOW_MEMORY_CHILD = """
+import resource
+import sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.stderr = sys.stdout
+from bohm_equilibrium.cli import main
+print(main(sys.argv[1:]))
+"""
+
+
+def test_impossible_allocation_exits_2_without_output(tmp_path, tmp_path_factory):
+    # grid_h = 0.005 needs a 20127^2 coarse residual (3.0 GiB) and a 40253^2
+    # fine one (12.1 GiB)
+    config = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    config.write_text("grid_h = 0.005\n")
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    out = run_child(_LOW_MEMORY_CHILD, *argv)
+    assert out.startswith("error: not enough memory: Unable to allocate")
+    assert out.split()[-1] == "2"
+    assert list(tmp_path.iterdir()) == []
 
 
 _NO_SCIPY_CHILD = """
@@ -555,6 +582,20 @@ def test_trajectory_csv(tmp_path):
     # 17g output round-trips through float exactly
     y1_final = float(rows[-1][1])
     assert format(y1_final, ".17g") == rows[-1][1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("y1, y2", [("1e307", "1e307"), ("1e308", "-1e308")])
+def test_trajectory_that_overflows_exits_3_without_output(
+    tmp_path, tmp_path_factory, capsys, y1, y2
+):
+    # the same start exits 3 under rk45, through StepUnderflowError
+    config = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    config.write_text(f"start_y1 = {y1}\nstart_y2 = {y2}\n")
+    out = tmp_path / "tr.csv"
+    assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 3
+    assert "position is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trajectory_defaults_to_equilibrium_draw(tmp_path):

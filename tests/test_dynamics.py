@@ -273,6 +273,21 @@ def test_trajectory_rejects_bad_start():
         integrate_trajectory(state, (float("inf"), 0.0), IntegratorConfig())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "start, t_fail",
+    [
+        ((1e307, 1e307), "0.18"),  # the cm coordinate overflows on the way
+        ((1e308, -1e308), "0"),  # y1 - y2 overflows at the start
+    ],
+    ids=["cm-on-the-way", "rel-at-start"],
+)
+def test_rk4_trajectory_that_overflows_raises(start, t_fail):
+    config = IntegratorConfig(t_final=2.0, record_stride=1)
+    with pytest.raises(EnsembleFailureError, match=f"not finite at t = {t_fail}$"):
+        integrate_trajectory(default_state(), start, config)
+
+
 def test_ensemble_parallel_widths_bit_identical():
     state = default_state()
     starts = sample_equilibrium(state, 300, seed=42)
