@@ -36,14 +36,11 @@ from .dynamics import (
 )
 from .guidance import (
     ContinuityResidual,
-    DegenerateAmplitudeError,
     ResidualGrid,
     VelocityPair,
     continuity_residual,
     grid_for_state,
-    mode_velocity,
     velocity,
-    velocity_fd,
 )
 from .model import (
     Correlation,
@@ -53,9 +50,7 @@ from .model import (
     TwoParticleState,
     constraint_width,
     eval_density,
-    eval_psi,
     evolve_mode,
-    mode_amplitude,
     mode_coordinates,
     mode_density,
     observable_normal,

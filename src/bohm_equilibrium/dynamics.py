@@ -45,8 +45,9 @@ class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
     Either more than 0.1% of an ensemble's trajectories failed, or the fixed
-    rk4 step is too long for the state (see _check_rk4_step), or an rk4
-    trajectory's position is not finite at some recorded time.
+    rk4 step is too long for the state (see _check_rk4_step), or a
+    trajectory's state is not finite: an rk4 position at some recorded time,
+    or an rk45 step that shrank to the floor on a non-finite error estimate.
     """
 
 
@@ -367,7 +368,9 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
     arithmetic of a one-lane call, bit for bit; rhs(t, u) gets the lanes'
     times and states. Error is measured against tolerance*(1 + |u|) per
     component; steps shrink by at most 5x and grow by at most 5x per
-    attempt. A lane whose step falls below 1e-12 stops and ends as NaN.
+    attempt; a non-finite error norm shrinks the step 5x. A lane whose step
+    falls below 1e-12 stops: it ends as inf if the error norm of its last
+    attempt was not finite (its state overflows), and as NaN otherwise.
     Returns the final states and, with record, each iteration's accepted
     steps as (t, u) of the lanes that took them.
     """
@@ -376,6 +379,7 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
     lanes = np.arange(y.shape[1])
     t = np.full(lanes.size, float(t0))
     dt = np.full(lanes.size, min((t1 - t0) / 100.0, 0.1))
+    overflowed = np.zeros(lanes.size, dtype=bool)
     steps = []
     while lanes.size:
         remaining = t1 - t
@@ -383,8 +387,9 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
         h = np.where(last, remaining, dt)
         ok = h >= _MIN_ADAPTIVE_DT
         if not ok.all():
-            final[:, lanes[~ok]] = np.nan
+            final[:, lanes[~ok]] = np.where(overflowed[~ok], np.inf, np.nan)
             lanes, y, t, h, last = lanes[ok], y[:, ok], t[ok], h[ok], last[ok]
+            overflowed = overflowed[ok]
         k = [rhs(t, y)]
         for stage in range(1, 6):
             yk = y
@@ -400,6 +405,7 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
             err = err + (h * coeff) * ki
         scale = tolerance * (1.0 + np.abs(y))
         err_norm = np.max(np.abs(err) / scale, axis=0)
+        overflowed = ~np.isfinite(err_norm)
         accept = err_norm <= 1.0
         t = np.where(accept, np.where(last, t1, t + h), t)
         y = np.where(accept, y5, y)
@@ -412,6 +418,7 @@ def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, reco
         live = t < t1
         final[:, lanes[~live]] = y[:, ~live]
         lanes, y, t, dt = lanes[live], y[:, live], t[live], dt[live]
+        overflowed = overflowed[live]
     return final, steps
 
 
@@ -424,8 +431,9 @@ def integrate_trajectory(
     """Integrate one trajectory from configuration `start` at time t0.
 
     The ODE is solved in mode coordinates where the two components decouple;
-    recorded positions are mapped back to (y1, y2). An rk4 position that is
-    not finite raises EnsembleFailureError.
+    recorded positions are mapped back to (y1, y2). A state that is not
+    finite raises EnsembleFailureError; an rk45 step below 1e-12 raises
+    StepUnderflowError.
     """
     _require_finite("start", start)
     u0 = mode_coordinates(float(start[0]), float(start[1]))
@@ -444,8 +452,12 @@ def integrate_trajectory(
     final, steps = _rk45_lanes(
         partial(_mode_rhs, state), np.vstack(u0), t0, t1, config.tolerance, record=True
     )
+    t_fail = steps[-1][0][0] if steps else t0
+    if np.isinf(final).any():
+        raise EnsembleFailureError(
+            f"trajectory state is not finite after t = {t_fail:.6g}"
+        )
     if np.isnan(final).any():
-        t_fail = steps[-1][0][0] if steps else t0
         raise StepUnderflowError(
             f"adaptive step fell below {_MIN_ADAPTIVE_DT:g} at t = {t_fail:.6g}"
         )

@@ -2,8 +2,8 @@
 
 The configuration-space velocity is v_k = (hbar/m) * Im(d_k psi / psi).
 For the factorized Gaussian state this reduces to independent affine fields
-in the mode coordinates; the finite-difference evaluator and the continuity
-residual below check the closed forms against psi itself.
+in the mode coordinates; the continuity residual below checks the closed
+forms against the density they transport.
 """
 
 from __future__ import annotations
@@ -16,19 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    GaussianMode,
-    PhysicalParams,
     TwoParticleState,
     _require_finite,
     _require_positive,
     eval_density,
-    eval_psi,
     mode_coordinates,
     mode_field,
     observable_normal,
 )
-
-AMPLITUDE_FLOOR = 1e-150
 
 # marginal stds of the density that grid_for_state covers and continuity_residual requires
 _COVER_STDS = 5.0
@@ -38,24 +33,9 @@ _COVER_STDS = 5.0
 _BLOCK_POINTS = 1 << 17
 
 
-class DegenerateAmplitudeError(ValueError):
-    """Raised when |psi| at a stencil point is too small to divide by."""
-
-
 class VelocityPair(NamedTuple):
     v1: np.ndarray
     v2: np.ndarray
-
-
-def mode_velocity(mode: GaussianMode, params: PhysicalParams, u, t: float):
-    """Velocity field of a single Gaussian mode: drift plus radial stretch.
-
-    v(u, t) = hbar*k/m_c + (u - center(t)) * sigma'(t)/sigma(t); trajectories
-    of this field scale affinely with the spreading width.
-    """
-    _require_finite("u", u)
-    _require_finite("t", t)
-    return mode_field(mode, params, t).velocity(np.asarray(u, dtype=float))
 
 
 def _pair_velocity(state: TwoParticleState, t: float, y1, y2) -> VelocityPair:
@@ -75,41 +55,6 @@ def velocity(state: TwoParticleState, y1, y2, t: float) -> VelocityPair:
     _require_finite("y2", y2)
     _require_finite("t", t)
     return _pair_velocity(state, t, y1, y2)
-
-
-def velocity_fd(
-    state: TwoParticleState, y1, y2, t: float, h: float | None = None
-) -> VelocityPair:
-    """Velocity from central differences of psi itself.
-
-    Independent of the closed-form field: v_k = (hbar/m) * Im(d_k psi / psi)
-    with d_k psi approximated by a second-order central stencil of spacing h
-    (default 1e-4 times the smaller evolved mode width).
-    """
-    if h is None:
-        cm, rel = state.evolved(t)
-        h = 1e-4 * min(cm.sigma, rel.sigma)
-    _require_positive("h", h)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    psi0 = eval_psi(state, y1, y2, t)
-    stencil = [
-        eval_psi(state, y1 + h, y2, t),
-        eval_psi(state, y1 - h, y2, t),
-        eval_psi(state, y1, y2 + h, t),
-        eval_psi(state, y1, y2 - h, t),
-    ]
-    magnitudes = np.abs(psi0)
-    for psi in stencil:
-        magnitudes = np.minimum(magnitudes, np.abs(psi))
-    if np.any(magnitudes < AMPLITUDE_FLOOR):
-        raise DegenerateAmplitudeError(
-            f"|psi| below {AMPLITUDE_FLOOR:g} on the stencil; velocity undefined"
-        )
-    scale = state.params.hbar / state.params.mass
-    v1 = scale * np.imag((stencil[0] - stencil[1]) / (2.0 * h * psi0))
-    v2 = scale * np.imag((stencil[2] - stencil[3]) / (2.0 * h * psi0))
-    return VelocityPair(v1, v2)
 
 
 @dataclass(frozen=True)

@@ -106,19 +106,15 @@ class Correlation(enum.Enum):
 class EvolvedMode:
     """Snapshot of a Gaussian mode at the time t given to evolve_mode.
 
-    sigma and center describe |psi|^2 = N(center, sigma^2). complex_width is
-    A(t) = sigma0^2 + i*hbar*t/(2*coord_mass), the squared width appearing in
-    the exponent; phase is the global dynamical phase -hbar*k^2*t/(2*coord_mass);
-    stretch_rate is sigma'(t)/sigma(t), the logarithmic spreading rate that
-    drives the pilot-wave velocity field.
+    sigma and center describe |psi|^2 = N(center, sigma^2); stretch_rate is
+    sigma'(t)/sigma(t), the logarithmic spreading rate that drives the
+    pilot-wave velocity field.
     """
 
     mode: GaussianMode
     sigma: float
     center: float
     stretch_rate: float
-    complex_width: complex
-    phase: float
 
 
 class ModeField(NamedTuple):
@@ -185,24 +181,7 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
         sigma=mode.sigma0 * math.hypot(1.0, sf),
         center=field.center,
         stretch_rate=field.rate,
-        complex_width=mode.sigma0**2 * complex(1.0, sf),
-        phase=-0.5 * mode.wavenumber * field.drift * t,
     )
-
-
-def mode_amplitude(evolved: EvolvedMode, u):
-    """Complex amplitude of an evolved mode at coordinate u.
-
-    Normalized so that |amplitude|^2 integrates to one; phase convention is
-    real-positive at the center at t = 0.
-    """
-    mode = evolved.mode
-    a = evolved.complex_width
-    prefactor = (2.0 * mode.sigma0**2 / math.pi) ** 0.25 / np.sqrt(2.0 * a)
-    xi = np.asarray(u, dtype=float) - mode.center0
-    exponent = 1j * (mode.wavenumber * xi + evolved.phase)
-    exponent = exponent - (np.asarray(u, dtype=float) - evolved.center) ** 2 / (4.0 * a)
-    return prefactor * np.exp(exponent)
 
 
 def mode_density(evolved: EvolvedMode, u):
@@ -320,24 +299,11 @@ def particle_coordinates(cm, rel):
     return cm + 0.5 * rel, cm - 0.5 * rel
 
 
-def eval_psi(state: TwoParticleState, y1, y2, t: float):
-    """Full two-particle amplitude psi(y1, y2, t).
-
-    The (y1, y2) -> (Y, y) change of variables has unit Jacobian, so the
-    factorized amplitude is already normalized over (y1, y2).
-    """
-    _require_finite("y1", y1)
-    _require_finite("y2", y2)
-    cm, rel = state.evolved(t)
-    big_y, small_y = mode_coordinates(y1, y2)
-    return mode_amplitude(cm, big_y) * mode_amplitude(rel, small_y)
-
-
 def eval_density(state: TwoParticleState, y1, y2, t: float):
     """|psi|^2 evaluated directly as a product of normal pdfs.
 
-    Avoids complex arithmetic entirely, which makes it an independent check
-    on eval_psi.
+    The (y1, y2) -> (Y, y) change of variables has unit Jacobian, so the
+    product of the two mode densities is already normalized over (y1, y2).
     """
     _require_finite("y1", y1)
     _require_finite("y2", y2)

@@ -10,7 +10,11 @@ trajectory at a time, with its own copy of the tableau; it takes each step
 factor through np.power on a one-element array, and the package's lane loop,
 which takes all lanes' factors in one np.power call, must match it bit for
 bit. The continuity reference evaluates every
-stage of the residual over the whole grid at once, with no blocking of rows.
+stage of the residual over the whole grid at once, with no blocking of rows,
+from the package's own density and velocity: it checks the blocking, not
+the physics. The free Gaussian amplitude is the textbook packet, boosted
+and spread, written from its formula and using nothing of the package; the
+finite-difference velocity differences it.
 """
 
 import math
@@ -51,6 +55,57 @@ def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.
     mean = float(np.trapezoid(x * rho, x) / norm)
     var = float(np.trapezoid((x - mean) ** 2 * rho, x) / norm)
     return mean, math.sqrt(var), norm
+
+
+def state_modes(state):
+    """The (cm, rel) (sigma0, coord_mass, center0, wavenumber) tuples of a package state."""
+    return tuple(
+        (mode.sigma0, mode.coord_mass, mode.center0, mode.wavenumber)
+        for mode in (state.cm_mode, state.rel_mode)
+    )
+
+
+def free_gaussian_amplitude(mode, hbar, u, t):
+    """Amplitude psi(u, t) of a freely spreading Gaussian packet.
+
+    mode is a (sigma0, coord_mass, center0, wavenumber) tuple. With
+    s = hbar*t/(2 m sigma0^2) and v = hbar*k/m, psi is
+    (2 pi sigma0^2)^(-1/4) (1 + i s)^(-1/2)
+    * exp(i k (u - c0) - i hbar k^2 t/(2m) - (u - c0 - v t)^2 / (4 sigma0^2 (1 + i s))),
+    the spreading packet at rest boosted by momentum hbar*k.
+    """
+    sigma0, mass, center0, wavenumber = mode
+    spread = complex(1.0, hbar * t / (2.0 * mass * sigma0**2))
+    drift = hbar * wavenumber / mass
+    xi = np.asarray(u, dtype=float) - center0
+    exponent = 1j * wavenumber * (xi - 0.5 * drift * t) - (xi - drift * t) ** 2 / (
+        4.0 * sigma0**2 * spread
+    )
+    return (2.0 * math.pi * sigma0**2) ** -0.25 / np.sqrt(spread) * np.exp(exponent)
+
+
+def pair_amplitude(modes, hbar, y1, y2, t):
+    """psi(y1, y2, t) = psi_cm((y1 + y2)/2) * psi_rel(y1 - y2) for modes = (cm, rel)."""
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    cm, rel = modes
+    return free_gaussian_amplitude(cm, hbar, 0.5 * (y1 + y2), t) * free_gaussian_amplitude(
+        rel, hbar, y1 - y2, t
+    )
+
+
+def velocity_fd(modes, hbar, mass, y1, y2, t, h):
+    """(v1, v2) = (hbar/m) * Im(d_k psi / psi) from central differences of spacing h.
+
+    The stencil is second order, so the error falls as h^2.
+    """
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    psi = pair_amplitude(modes, hbar, y1, y2, t)
+    d1 = pair_amplitude(modes, hbar, y1 + h, y2, t) - pair_amplitude(modes, hbar, y1 - h, y2, t)
+    d2 = pair_amplitude(modes, hbar, y1, y2 + h, t) - pair_amplitude(modes, hbar, y1, y2 - h, t)
+    scale = hbar / mass
+    return scale * np.imag(d1 / (2.0 * h * psi)), scale * np.imag(d2 / (2.0 * h * psi))
 
 
 def cdf_sup_distance(cdf_a, cdf_b, lo, hi, n=2_000_001):
@@ -117,21 +172,30 @@ class ReferenceUnderflow(RuntimeError):
     """The reference controller drove its step below 1e-12."""
 
 
+class ReferenceOverflow(RuntimeError):
+    """The step fell below 1e-12 after an attempt whose error was not finite."""
+
+
 def rk45_reference(rhs, y, t0, t1, tolerance, monitor=None):
     """Adaptive Dormand-Prince step loop for one trajectory, t0 to t1.
 
     Scalar time and step size (Hairer, Norsett & Wanner, Solving ODEs I,
     II.4): error against tolerance*(1 + |y|) per component, steps shrink by
-    at most 5x and grow by at most 5x per attempt, and a step below 1e-12
-    raises ReferenceUnderflow. monitor(t, y) sees every accepted step.
+    at most 5x and grow by at most 5x per attempt (5x down on a non-finite
+    error), and a step below 1e-12 raises ReferenceOverflow if the last
+    attempt's error was not finite and ReferenceUnderflow otherwise.
+    monitor(t, y) sees every accepted step.
     """
     t = t0
     dt = min((t1 - t0) / 100.0, 0.1)
+    overflowed = False
     while t < t1:
         remaining = t1 - t
         last = dt >= remaining
         h = remaining if last else dt
         if h < 1e-12:
+            if overflowed:
+                raise ReferenceOverflow(f"state not finite after t = {t:.6g}")
             raise ReferenceUnderflow(f"step fell below 1e-12 at t = {t:.6g}")
         k = [rhs(t, y)]
         for stage in range(1, 6):
@@ -148,6 +212,7 @@ def rk45_reference(rhs, y, t0, t1, tolerance, monitor=None):
             err = err + (h * coeff) * ki
         scale = tolerance * (1.0 + np.abs(y))
         err_norm = float(np.max(np.abs(err) / scale))
+        overflowed = not math.isfinite(err_norm)
         if err_norm <= 1.0:
             t = t1 if last else t + h
             y = y5

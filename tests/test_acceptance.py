@@ -24,9 +24,10 @@ from bohm_equilibrium import (
     regularization_sweep,
     substream_normals,
     velocity,
-    velocity_fd,
 )
 from bohm_equilibrium.cli import main as cli_main
+
+from _oracles import state_modes, velocity_fd
 
 
 def default_state():
@@ -227,9 +228,11 @@ def test_criterion_6_velocity_oracle_cross_check(verdict):
     v = velocity(state, y1, y2, t)
     speed = np.hypot(v.v1, v.v2)
 
+    modes, params = state_modes(state), state.params
+
     def errors(h):
-        fd = velocity_fd(state, y1, y2, t, h=h)
-        return np.hypot(fd.v1 - v.v1, fd.v2 - v.v2)
+        fd1, fd2 = velocity_fd(modes, params.hbar, params.mass, y1, y2, t, h)
+        return np.hypot(fd1 - v.v1, fd2 - v.v2)
 
     rel_err = float((errors(1e-4) / speed).max())
     ratio = float(errors(1e-4).max() / errors(5e-5).max())

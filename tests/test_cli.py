@@ -589,12 +589,25 @@ def test_trajectory_csv(tmp_path):
 def test_trajectory_that_overflows_exits_3_without_output(
     tmp_path, tmp_path_factory, capsys, y1, y2
 ):
-    # the same start exits 3 under rk45, through StepUnderflowError
     config = tmp_path_factory.mktemp("cfg") / "run.cfg"
     config.write_text(f"start_y1 = {y1}\nstart_y2 = {y2}\n")
     out = tmp_path / "tr.csv"
     assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 3
     assert "position is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rk45_trajectory_that_overflows_exits_3_without_output(
+    tmp_path, tmp_path_factory, capsys
+):
+    config = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    config.write_text("method = rk45\nstart_y1 = 1e307\nstart_y2 = 1e307\n")
+    out = tmp_path / "tr.csv"
+    assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "state is not finite" in err and "fell below" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -36,7 +36,13 @@ from bohm_equilibrium.dynamics import (
     _uniforms_from_words,
 )
 
-from _oracles import ReferenceUnderflow, rk4_reference, rk45_reference
+from _oracles import (
+    ReferenceOverflow,
+    ReferenceUnderflow,
+    rk4_reference,
+    rk45_reference,
+    state_modes,
+)
 
 
 def default_state():
@@ -288,6 +294,35 @@ def test_rk4_trajectory_that_overflows_raises(start, t_fail):
         integrate_trajectory(default_state(), start, config)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rk45_trajectory_that_overflows_raises():
+    # the cm velocity overflows after t = 0.00182746, so every step from
+    # there has a non-finite error; that is an overflow, not a stiff field
+    config = IntegratorConfig(method="rk45", t_final=2.0)
+    with pytest.raises(EnsembleFailureError, match="state is not finite after t = 0.00182746$"):
+        integrate_trajectory(default_state(), (1e307, 1e307), config)
+    u0 = np.vstack(mode_coordinates(1e307, 1e307))
+    lanes, _ = _rk45_lanes(partial(_mode_rhs, default_state()), u0, 0.0, 2.0, 1e-9)
+    assert np.all(np.isinf(lanes))
+    with pytest.raises(ReferenceOverflow):
+        rk45_reference(partial(_mode_rhs, default_state()), u0, 0.0, 2.0, 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rk45_trial_step_that_overflows_only_shrinks_the_step():
+    # the first trial steps overflow, but the flow itself stays below the
+    # largest double; shorter steps carry it to the exact answer
+    state = default_state()
+    start = (3e306, 0.0)
+    traj = integrate_trajectory(state, start, IntegratorConfig(method="rk45", t_final=1.0))
+    big_e, small_e = scaling_solution(state, start, 1.0)
+    y1_e, y2_e = particle_coordinates(big_e, small_e)
+    assert traj.positions[-1, 0] == pytest.approx(y1_e, rel=1e-6)
+    assert traj.positions[-1, 1] == pytest.approx(y2_e, rel=1e-6)
+
+
 def test_ensemble_parallel_widths_bit_identical():
     state = default_state()
     starts = sample_equilibrium(state, 300, seed=42)
@@ -457,12 +492,8 @@ def test_ensemble_start_time_offset():
 
 
 def reference_mode_coordinates(state, starts, dt, n_steps, record_stride=0):
-    modes = [
-        (mode.sigma0, mode.coord_mass, mode.center0, mode.wavenumber)
-        for mode in (state.cm_mode, state.rel_mode)
-    ]
     u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
-    return rk4_reference(modes, state.params.hbar, u0, dt, n_steps, record_stride)
+    return rk4_reference(state_modes(state), state.params.hbar, u0, dt, n_steps, record_stride)
 
 
 @pytest.mark.parametrize("sigma_narrow", [0.05, 0.03])
@@ -512,6 +543,8 @@ def reference_lane(state, u0, t0, t1, tolerance, stride=0):
         final = rk45_reference(partial(_mode_rhs, state), u0, t0, t1, tolerance, monitor)
     except ReferenceUnderflow:
         return np.full_like(u0, np.nan), None
+    except ReferenceOverflow:
+        return np.full_like(u0, np.inf), None
     kept = frames[stride - 1 :: stride] if stride else []
     kept = [(t, u) for t, u in kept if t < t1]
     times = np.array([t0, *(t for t, _ in kept), t1])
@@ -556,9 +589,10 @@ def test_rk45_lanes_match_scalar_reference(
     config = IntegratorConfig(
         method="rk45", tolerance=tolerance, t_final=1.0, record_stride=stride
     )
-    _, recorded = reference_lane(state, u0[:, :1], t0, t0 + 1.0, tolerance, stride)
+    final, recorded = reference_lane(state, u0[:, :1], t0, t0 + 1.0, tolerance, stride)
     if recorded is None:
-        with pytest.raises(StepUnderflowError):
+        failure = EnsembleFailureError if np.isinf(final).any() else StepUnderflowError
+        with pytest.raises(failure):
             integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
     else:
         traj = integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
@@ -596,13 +630,9 @@ def test_composed_rk4_frames_match_stage_by_stage_reference(
         assume(False)
     starts = sample_equilibrium(state, 5, seed=seed)
     ensemble = propagate_ensemble(state, starts, config, t0=t0)
-    modes = [
-        (mode.sigma0, mode.coord_mass, mode.center0, mode.wavenumber)
-        for mode in (state.cm_mode, state.rel_mode)
-    ]
     u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
     steps, dt = dynamics._step_grid(config)
-    frames = rk4_reference(modes, state.params.hbar, u0, dt, steps, stride, t0)
+    frames = rk4_reference(state_modes(state), state.params.hbar, u0, dt, steps, stride, t0)
     assert len(frames) == len(ensemble.times)
     for positions, reference in zip(ensemble.frames(), frames, strict=True):
         composed = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))

@@ -12,9 +12,7 @@ from bohm_equilibrium import (
     TwoParticleState,
     constraint_width,
     eval_density,
-    eval_psi,
     evolve_mode,
-    mode_amplitude,
     mode_coordinates,
     observable_normal,
     particle_coordinates,
@@ -22,7 +20,7 @@ from bohm_equilibrium import (
 )
 from bohm_equilibrium.model import _require_finite
 
-from _oracles import spectral_free_packet
+from _oracles import free_gaussian_amplitude, pair_amplitude, spectral_free_packet, state_modes
 
 PARAMS = PhysicalParams()
 
@@ -37,8 +35,6 @@ def test_evolve_mode_identity_at_t0():
     assert ev.sigma == 1.0
     assert ev.center == 0.3
     assert ev.stretch_rate == 0.0
-    assert ev.phase == 0.0
-    assert ev.complex_width == complex(1.0, 0.0)
 
 
 def test_spread_law_spot_values():
@@ -82,23 +78,17 @@ def test_negative_t_is_allowed_and_symmetric():
 
 
 def test_mode_amplitude_norm_and_density_agree():
+    # the textbook amplitude's |psi|^2 is the normal pdf evolve_mode describes
     mode = GaussianMode(sigma0=0.7, center0=0.2, wavenumber=1.3, coord_mass=1.0)
     for t in (0.0, 0.5, 3.0):
         ev = evolve_mode(mode, PARAMS, t)
         u = np.linspace(ev.center - 10 * ev.sigma, ev.center + 10 * ev.sigma, 20001)
-        rho = np.abs(mode_amplitude(ev, u)) ** 2
+        rho = np.abs(free_gaussian_amplitude((0.7, 1.0, 0.2, 1.3), PARAMS.hbar, u, t)) ** 2
         assert np.trapezoid(rho, u) == pytest.approx(1.0, abs=1e-10)
         direct = np.exp(-0.5 * ((u - ev.center) / ev.sigma) ** 2) / (
             ev.sigma * math.sqrt(2 * math.pi)
         )
         np.testing.assert_allclose(rho, direct, rtol=1e-9, atol=1e-300)
-
-
-def test_amplitude_real_positive_at_center_at_t0():
-    state = default_state()
-    val = eval_psi(state, 0.4, -0.4, 0.0)  # Y=0, y=0.8: both modes real here
-    assert abs(val.imag) == 0.0
-    assert val.real > 0.0
 
 
 def test_two_particle_normalization():
@@ -109,22 +99,34 @@ def test_two_particle_normalization():
         axis = np.linspace(-8 * std, 8 * std, 1201)
         y1 = axis[:, None]
         y2 = axis[None, :]
-        rho = np.abs(eval_psi(state, y1, y2, t)) ** 2
+        rho = eval_density(state, y1, y2, t)
         total = np.trapezoid(np.trapezoid(rho, axis, axis=1), axis)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_density_matches_amplitude_squared():
-    state = default_state()
+    # eval_density against |psi|^2 of the textbook amplitude, which shares no
+    # code with it; the second state is difference-narrow, off-center and moving
+    drifting = TwoParticleState.from_widths(
+        0.3,
+        1.1,
+        correlation="difference",
+        cm_center=0.2,
+        rel_center=-0.4,
+        cm_wavenumber=1.5,
+        rel_wavenumber=-0.7,
+    )
     rng = np.random.default_rng(7)
-    for t in (0.0, 0.7, 2.0):
-        cm, rel = state.evolved(t)
-        big_y = cm.sigma * rng.uniform(-3, 3, size=200)
-        small_y = rel.center + rel.sigma * rng.uniform(-3, 3, size=200)
-        y1, y2 = particle_coordinates(big_y, small_y)
-        rho = eval_density(state, y1, y2, t)
-        assert np.all(rho >= 0.0)
-        np.testing.assert_allclose(rho, np.abs(eval_psi(state, y1, y2, t)) ** 2, rtol=1e-10)
+    for state in (default_state(), drifting):
+        for t in (0.0, 0.7, 2.0):
+            cm, rel = state.evolved(t)
+            big_y = cm.center + cm.sigma * rng.uniform(-3, 3, size=200)
+            small_y = rel.center + rel.sigma * rng.uniform(-3, 3, size=200)
+            y1, y2 = particle_coordinates(big_y, small_y)
+            rho = eval_density(state, y1, y2, t)
+            assert np.all(rho >= 0.0)
+            psi = pair_amplitude(state_modes(state), state.params.hbar, y1, y2, t)
+            np.testing.assert_allclose(rho, np.abs(psi) ** 2, rtol=1e-13)
 
 
 def test_density_antidiagonal_symmetry():
@@ -264,7 +266,7 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="finite"):
         evolve_mode(mode, PARAMS, float("inf"))
     with pytest.raises(ValueError, match="finite"):
-        eval_psi(default_state(), float("nan"), 0.0, 1.0)
+        eval_density(default_state(), float("nan"), 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
