@@ -436,11 +436,21 @@ def integrate_trajectory(
     StepUnderflowError.
     """
     _require_finite("start", start)
-    u0 = mode_coordinates(float(start[0]), float(start[1]))
+    t1 = t0 + config.t_final
+    # a state that overflows is refused by the checks below; numpy's overflow
+    # and invalid-value warnings on the way would only repeat that, or stop
+    # the run with a traceback where warnings are errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = mode_coordinates(float(start[0]), float(start[1]))
+        if config.method == "rk4":
+            times, a, b = _rk4_maps(state, config, t0)
+            positions = _mode_positions(a.T, b.T, u0)
+        else:
+            final, steps = _rk45_lanes(
+                partial(_mode_rhs, state), np.vstack(u0), t0, t1, config.tolerance, record=True
+            )
 
     if config.method == "rk4":
-        times, a, b = _rk4_maps(state, config, t0)
-        positions = _mode_positions(a.T, b.T, u0)
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
             raise EnsembleFailureError(
@@ -448,10 +458,6 @@ def integrate_trajectory(
             )
         return Trajectory(times=times, positions=positions)
 
-    t1 = t0 + config.t_final
-    final, steps = _rk45_lanes(
-        partial(_mode_rhs, state), np.vstack(u0), t0, t1, config.tolerance, record=True
-    )
     t_fail = steps[-1][0][0] if steps else t0
     if np.isinf(final).any():
         raise EnsembleFailureError(

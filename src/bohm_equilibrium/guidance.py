@@ -19,8 +19,8 @@ from .model import (
     TwoParticleState,
     _require_finite,
     _require_positive,
-    eval_density,
     mode_coordinates,
+    mode_density,
     mode_field,
     observable_normal,
 )
@@ -28,9 +28,13 @@ from .model import (
 # marginal stds of the density that grid_for_state covers and continuity_residual requires
 _COVER_STDS = 5.0
 
-# grid points per row block of the continuity residual; a block's stage
-# arrays are about 1 MB each instead of 8 B per point of the whole grid
+# most grid points per leaf of the continuity residual's sum tree; a leaf's
+# stage buffers are about 1 MB each instead of 8 B per point of the grid
 _BLOCK_POINTS = 1 << 17
+
+# numpy's pairwise sum adds runs of at most this many values in one loop
+# (PW_BLOCKSIZE in its loops_utils.h), so no leaf may be split below it
+_PAIRWISE_RUN = 128
 
 
 class VelocityPair(NamedTuple):
@@ -73,6 +77,8 @@ class ResidualGrid:
     tau: float
 
     def __post_init__(self):
+        _require_finite("y1_min", self.y1_min)
+        _require_finite("y2_min", self.y2_min)
         _require_positive("h", self.h)
         _require_positive("tau", self.tau)
         if self.n1 < 3 or self.n2 < 3:
@@ -145,6 +151,26 @@ class ContinuityResidual:
     too_coarse: bool
 
 
+def _pairwise_reduce(start: int, stop: int, leaf):
+    """Combine leaf(a, b) -> (max, sum) over numpy's pairwise-sum tree.
+
+    np.sum over n contiguous float64 values splits them into the first
+    n//2 - (n//2) % 8 and the rest, recursively, and adds runs of at most
+    _PAIRWISE_RUN values in one loop. Splitting [start, stop) the same way
+    down to leaves of at most max(_BLOCK_POINTS, _PAIRWISE_RUN) points, and
+    adding the leaves' np.sum up the tree, gives the bits of one np.sum
+    over the whole range.
+    """
+    n = stop - start
+    if n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
+        return leaf(start, stop)
+    half = n // 2
+    half -= half % 8
+    max_a, sum_a = _pairwise_reduce(start, start + half, leaf)
+    max_b, sum_b = _pairwise_reduce(start + half, stop, leaf)
+    return np.maximum(max_a, max_b), sum_a + sum_b
+
+
 def continuity_residual(
     state: TwoParticleState, grid: ResidualGrid, t: float
 ) -> ContinuityResidual:
@@ -155,13 +181,16 @@ def continuity_residual(
     O(h^2 + tau^2) if the closed forms actually satisfy the continuity
     equation. The grid must cover ±_COVER_STDS marginal stds of the density.
 
-    The stages (rho, velocities, fluxes, rho at t ± tau) are evaluated in
-    blocks of whole rows, about 2^17 grid points each, on the block's rows
-    plus one ghost row per side, and written into the one residual array;
-    max_norm is combined from the blocks' maxima, and l2_norm is summed
-    after squaring that array in place. Peak memory is about 8 B per grid
-    point plus one block's stages; both norms are bit-identical to
-    evaluating the whole grid at once.
+    No array spans the grid. The n1*n2 grid points, taken row by row, are
+    split into the leaves of the tree by which np.sum adds them pairwise,
+    each of at most _BLOCK_POINTS points. A leaf's stages (rho, velocities,
+    fluxes, rho at t ± tau) are evaluated on the rows that cover it, plus
+    one ghost row per side, into buffers allocated once per call; max_norm
+    is the largest of the leaves' maxima, and the leaves' sums of squares
+    are added up the same tree. Following numpy's tree, rather than any
+    other blocking, is what keeps l2_norm bit-identical to squaring and
+    summing the whole residual array; max_norm is exact in any order.
+    Peak memory is a few leaves' stages, whatever the grid size.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -191,25 +220,63 @@ def continuity_residual(
     # extended axes add one ghost point per side for the flux derivative
     ext1 = (grid.y1_min - grid.h) + grid.h * np.arange(grid.n1 + 2)
     ext2 = (grid.y2_min - grid.h) + grid.h * np.arange(grid.n2 + 2)
-    yy2 = ext2[None, :]
-    residual = np.empty((grid.n1, grid.n2))
-    max_norm = 0.0
-    rows = max(1, _BLOCK_POINTS // grid.n2)
-    for i0 in range(0, grid.n1, rows):
-        i1 = min(i0 + rows, grid.n1)
-        yy1 = ext1[i0 : i1 + 2, None]
-        rho = eval_density(state, yy1, yy2, t)
-        v1, v2 = _pair_velocity(state, t, yy1, yy2)
-        flux1 = rho * v1
-        flux2 = rho * v2
-        rho_plus = eval_density(state, yy1[1:-1], yy2[:, 1:-1], t + grid.tau)
-        rho_minus = eval_density(state, yy1[1:-1], yy2[:, 1:-1], t - grid.tau)
-        dt_rho = (rho_plus - rho_minus) / (2.0 * grid.tau)
-        div1 = (flux1[2:, 1:-1] - flux1[:-2, 1:-1]) / (2.0 * grid.h)
-        div2 = (flux2[1:-1, 2:] - flux2[1:-1, :-2]) / (2.0 * grid.h)
-        residual[i0:i1] = dt_rho + div1 + div2
-        max_norm = np.maximum(max_norm, np.max(np.abs(residual[i0:i1])))
+    _require_finite("y1", ext1)
+    _require_finite("y2", ext2)
+    now = state.evolved(t)
+    later = state.evolved(t + grid.tau)
+    earlier = state.evolved(t - grid.tau)
+    fields = [mode_field(mode, state.params, t) for mode in (state.cm_mode, state.rel_mode)]
 
-    residual *= residual
-    l2_norm = math.sqrt(np.sum(residual) * grid.h * grid.h)
+    n2 = grid.n2
+    points = grid.n1 * n2
+    # a leaf of m points spans at most (m + 2*n2 - 2) // n2 rows
+    leaf_points = min(max(_BLOCK_POINTS, _PAIRWISE_RUN), points)
+    rows = min(grid.n1, (leaf_points + 2 * n2 - 2) // n2)
+    ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(6)]
+    inner_rows = [np.empty((rows, n2)) for _ in range(3)]
+    inner = (slice(1, -1), slice(1, -1))
+
+    def residual_rows(i0, i1):
+        """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
+        big_y, small_y, rho, flux1, flux2, work = (a[: i1 - i0 + 2] for a in ghosted)
+        out, term, scratch = (a[: i1 - i0] for a in inner_rows)
+        mode_coordinates(ext1[i0 : i1 + 2, None], ext2[None, :], out=(big_y, small_y))
+
+        # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
+        mode_density(later[0], big_y[inner], out=out)
+        out *= mode_density(later[1], small_y[inner], out=term)
+        mode_density(earlier[0], big_y[inner], out=term)
+        term *= mode_density(earlier[1], small_y[inner], out=scratch)
+        out -= term
+        out /= 2.0 * grid.tau
+
+        # rho * v1 and rho * v2 with one ghost point per side
+        mode_density(now[0], big_y, out=rho)
+        rho *= mode_density(now[1], small_y, out=work)
+        v_cm = fields[0].velocity(big_y, out=flux2)
+        half_v_rel = fields[1].velocity(small_y, out=work)
+        half_v_rel *= 0.5
+        np.add(v_cm, half_v_rel, out=flux1)
+        np.subtract(v_cm, half_v_rel, out=flux2)
+        flux1 *= rho
+        flux2 *= rho
+
+        np.subtract(flux1[2:, 1:-1], flux1[:-2, 1:-1], out=term)
+        term /= 2.0 * grid.h
+        out += term
+        np.subtract(flux2[1:-1, 2:], flux2[1:-1, :-2], out=term)
+        term /= 2.0 * grid.h
+        out += term
+        return out
+
+    def leaf(a, b):
+        i0 = a // n2
+        flat = residual_rows(i0, (b - 1) // n2 + 1).reshape(-1)
+        segment = flat[a - i0 * n2 : b - i0 * n2]
+        peak = np.max(np.abs(segment, out=inner_rows[1].reshape(-1)[: segment.size]))
+        segment *= segment
+        return peak, np.sum(segment)
+
+    max_norm, sum_sq = _pairwise_reduce(0, points, leaf)
+    l2_norm = math.sqrt(sum_sq * grid.h * grid.h)
     return ContinuityResidual(float(max_norm), l2_norm, too_coarse)

@@ -129,8 +129,12 @@ class ModeField(NamedTuple):
     center: float | np.ndarray
     drift: float
 
-    def velocity(self, u):
-        return self.drift + self.rate * (u - self.center)
+    def velocity(self, u, out=None):
+        """drift + rate * (u - center), written into out if it is given."""
+        v = np.subtract(u, self.center, out=out)
+        v *= self.rate
+        v += self.drift
+        return v
 
 
 def _spread_rate(mode: GaussianMode, params: PhysicalParams, name: str = "sigma0") -> float:
@@ -184,10 +188,21 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
     )
 
 
-def mode_density(evolved: EvolvedMode, u):
-    """|amplitude|^2 of an evolved mode: a normal pdf in u."""
-    z = (np.asarray(u, dtype=float) - evolved.center) / evolved.sigma
-    return np.exp(-0.5 * z * z) / (evolved.sigma * _SQRT_2PI)
+def mode_density(evolved: EvolvedMode, u, out=None):
+    """|amplitude|^2 of an evolved mode: a normal pdf in u, written into out if given.
+
+    The exponent is taken as (z*z) * -0.5 so that one buffer holds every
+    stage. Halving is exact, so it has the bits of (-0.5*z) * z wherever
+    the square is a normal float; where the square is subnormal both
+    exponents give exp = 1, and where it overflows both give exp = 0.
+    """
+    z = np.subtract(u, evolved.center, out=out, dtype=float)
+    z /= evolved.sigma
+    z *= z
+    z *= -0.5
+    density = np.exp(z, out=out)
+    density /= evolved.sigma * _SQRT_2PI
+    return density
 
 
 @dataclass(frozen=True)
@@ -285,11 +300,13 @@ class TwoParticleState:
         )
 
 
-def mode_coordinates(y1, y2):
-    """Map particle positions to (Y, y) = ((y1+y2)/2, y1-y2)."""
+def mode_coordinates(y1, y2, out=(None, None)):
+    """Map particle positions to (Y, y) = ((y1+y2)/2, y1-y2), into out if given."""
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    return 0.5 * (y1 + y2), y1 - y2
+    big_y = np.add(y1, y2, out=out[0])
+    big_y *= 0.5
+    return big_y, np.subtract(y1, y2, out=out[1])
 
 
 def particle_coordinates(cm, rel):

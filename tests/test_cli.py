@@ -499,14 +499,25 @@ def run_peak_rss_mb(argv) -> float:
     return int(hwm_kb) / 1024
 
 
+def continuity_peak_rss_mb(tmp_path, grid_h: str) -> float:
+    config = tmp_path / "run.cfg"
+    config.write_text(f"grid_h = {grid_h}\n")
+    return run_peak_rss_mb(
+        ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    )
+
+
 def test_continuity_fine_grid_peak_memory(tmp_path):
     # grid_h = 0.07 gives 1439^2 and 2877^2 grids; whole-grid stage arrays
-    # took 877 MB (VmHWM), row blocks 199 MB with a second grid for the
-    # square in l2_norm, and 120 MB with the square taken in place
-    config = tmp_path / "run.cfg"
-    config.write_text("grid_h = 0.07\n")
-    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
-    assert run_peak_rss_mb(argv) < 160
+    # took 877 MB (VmHWM), row blocks 199 MB, and one residual array squared
+    # in place 120 MB; with no array the size of the grid it takes 45 MB
+    assert continuity_peak_rss_mb(tmp_path, "0.07") < 80
+
+
+def test_continuity_finer_grid_peak_memory(tmp_path):
+    # grid_h = 0.05 gives 2015^2 and 4029^2 grids: 181 MB with one residual
+    # array, 45 MB with none, the same as at 0.07
+    assert continuity_peak_rss_mb(tmp_path, "0.05") < 80
 
 
 @pytest.mark.parametrize(
@@ -530,12 +541,9 @@ print(main(sys.argv[1:]))
 """
 
 
-def test_impossible_allocation_exits_2_without_output(tmp_path, tmp_path_factory):
-    # grid_h = 0.005 needs a 20127^2 coarse residual (3.0 GiB) and a 40253^2
-    # fine one (12.1 GiB)
-    config = tmp_path_factory.mktemp("cfg") / "run.cfg"
-    config.write_text("grid_h = 0.005\n")
-    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+def test_impossible_allocation_exits_2_without_output(tmp_path):
+    # 3e8 samples need 8.94 GiB of Philox words at once
+    argv = ["equivariance", "--samples", "300000000", "--out", str(tmp_path / "e.csv")]
     out = run_child(_LOW_MEMORY_CHILD, *argv)
     assert out.startswith("error: not enough memory: Unable to allocate")
     assert out.split()[-1] == "2"
@@ -584,7 +592,6 @@ def test_trajectory_csv(tmp_path):
     assert format(y1_final, ".17g") == rows[-1][1]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("y1, y2", [("1e307", "1e307"), ("1e308", "-1e308")])
 def test_trajectory_that_overflows_exits_3_without_output(
     tmp_path, tmp_path_factory, capsys, y1, y2
@@ -597,8 +604,6 @@ def test_trajectory_that_overflows_exits_3_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_rk45_trajectory_that_overflows_exits_3_without_output(
     tmp_path, tmp_path_factory, capsys
 ):
@@ -609,6 +614,25 @@ def test_rk45_trajectory_that_overflows_exits_3_without_output(
     err = capsys.readouterr().err
     assert "state is not finite" in err and "fell below" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_trajectory_that_overflows_prints_only_the_refusal(tmp_path, method):
+    # numpy's overflow warnings used to precede the refusal, and to replace
+    # it with a traceback and exit 1 under -W error::RuntimeWarning
+    config = tmp_path / "run.cfg"
+    config.write_text(f"method = {method}\nstart_y1 = 1e307\nstart_y2 = 1e307\n")
+    argv = ["trajectory", "--config", str(config), "--out", str(tmp_path / "t.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 3
+        assert child.stderr.startswith("numerical failure: trajectory ")
+        assert child.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_trajectory_defaults_to_equilibrium_draw(tmp_path):

@@ -279,7 +279,6 @@ def test_trajectory_rejects_bad_start():
         integrate_trajectory(state, (float("inf"), 0.0), IntegratorConfig())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "start, t_fail",
     [
@@ -309,8 +308,6 @@ def test_rk45_trajectory_that_overflows_raises():
         rk45_reference(partial(_mode_rhs, default_state()), u0, 0.0, 2.0, 1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_rk45_trial_step_that_overflows_only_shrinks_the_step():
     # the first trial steps overflow, but the flow itself stays below the
     # largest double; shorter steps carry it to the exact answer

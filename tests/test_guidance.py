@@ -230,6 +230,37 @@ def test_blocked_residual_matches_whole_grid(
     assert res.l2_norm == l2_norm
 
 
+def moving_state():
+    return TwoParticleState.from_widths(
+        0.3, 1.1, cm_center=0.2, rel_center=-0.4, cm_wavenumber=1.5, rel_wavenumber=-0.7
+    )
+
+
+@pytest.mark.parametrize(
+    "block_points, half_points",
+    [(1, 200), (128, 200), (200, 200), (377, 200), (None, 1), (None, 50)],
+)
+def test_leaf_sums_match_whole_grid(block_points, half_points):
+    # leaves of at most 128..377 points start and end inside rows of 401 (a
+    # limit below numpy's 128-value run still stops at 128); 3^2 and 101^2
+    # points fit in one default leaf
+    state, t = moving_state(), 1.3
+    std = observable_normal(state, t, "y1")[1]
+    grid = grid_for_state(state, t, h=5.0 * std / (half_points - 0.5))
+    assert grid.n1 == grid.n2 == 2 * half_points + 1
+    with pytest.MonkeyPatch.context() as mp:
+        if block_points is not None:
+            mp.setattr(guidance, "_BLOCK_POINTS", block_points)
+        within_rows = grid.n2 > guidance._BLOCK_POINTS
+        assert within_rows or grid.n1 * grid.n2 <= guidance._BLOCK_POINTS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # too_coarse at 3^2
+            res = continuity_residual(state, grid, t)
+    _, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
+    assert res.max_norm == max_norm
+    assert res.l2_norm == l2_norm
+
+
 def test_continuity_grid_coverage_enforced():
     state = default_state()
     grid = ResidualGrid(y1_min=-1.0, y2_min=-1.0, n1=21, n2=21, h=0.1, tau=1e-3)
@@ -250,6 +281,14 @@ def test_continuity_too_coarse_warns():
 def test_grid_for_state_rejects_bad_spacing(h):
     with pytest.raises(ValueError, match="h must be positive"):
         grid_for_state(default_state(), 1.0, h=h)
+
+
+@pytest.mark.parametrize("axis", ["y1_min", "y2_min"])
+@pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+def test_residual_grid_origin_must_be_finite(axis, origin):
+    corner = {"y1_min": -1.0, "y2_min": -1.0, axis: origin}
+    with pytest.raises(ValueError, match=f"{axis} must be finite"):
+        ResidualGrid(**corner, n1=21, n2=21, h=0.1, tau=1e-3)
 
 
 def test_residual_grid_validation():
