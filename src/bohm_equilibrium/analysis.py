@@ -158,9 +158,9 @@ def equivariance_check(
     each requested time the four linear observables are tested against
     their exact normal laws. Equivariance predicts every KS statistic stays
     at the sampling-noise level no matter how far the ensemble is pushed.
-    Trajectories that fail to integrate (at most 0.1%, see
-    propagate_ensemble) are dropped, so ObservableStats.n counts survivors.
-    An rk4 step too long for the state raises EnsembleFailureError first.
+    Every statistic covers all n samples: a trajectory that fails to
+    integrate raises EnsembleFailureError from propagate_ensemble, and an
+    rk4 step too long for the state raises it before sampling.
     """
     _require_samples(n)
     times = _check_times(times, config.t_final)
@@ -172,18 +172,14 @@ def equivariance_check(
     for t in times:
         if t > t_now:
             segment = replace(config, t_final=t - t_now, record_stride=0)
-            ensemble = propagate_ensemble(
+            positions = propagate_ensemble(
                 state,
                 positions,
                 segment,
                 parallel_width=parallel_width,
                 t0=t_now,
                 seed=seed,
-            )
-            positions = ensemble.final_positions
-            if ensemble.failed_indices:
-                # NaN rows would poison the statistics and the next segment
-                positions = np.delete(positions, ensemble.failed_indices, axis=0)
+            ).final_positions
             t_now = t
         reports.append(_snapshot(state, positions, t))
     return reports
@@ -311,7 +307,7 @@ def regularization_sweep(
         report = equivariance_check(
             row_state, n, seed, config, [config.t_final]
         )[0]
-        r = narrow_t.sigma / narrow_t.mode.sigma0
+        r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(
             SweepRow(
                 delta_y_i=width,

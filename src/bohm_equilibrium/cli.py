@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import __version__, analysis, dynamics
+from . import __version__, analysis, dynamics, guidance
 from .analysis import (
     constraint_surface_experiment,
     equivariance_check,
@@ -88,8 +88,6 @@ class RunConfig:
             # checked here, not left to GaussianMode, so a bad width names its key
             for key in ("sigma_narrow", "sigma_wide", "grid_tau"):
                 _require_positive(key, getattr(self, key))
-            if self.grid_h is not None:
-                _require_positive("grid_h", self.grid_h)
             state = self.state()
             self.integrator()
             analysis._require_samples(self.samples)
@@ -97,6 +95,14 @@ class RunConfig:
             dynamics._check_parallel_width(self.parallel)
             analysis._check_times(self.resolved_times(), self.t_final)
             analysis._sweep_states(state, self.sweep_widths)
+            if self.grid_h is not None:
+                _require_positive("grid_h", self.grid_h)
+                limit = guidance._max_grid_spacing(state, self.t_final)
+                if self.grid_h > limit:
+                    raise ValueError(
+                        f"grid_h = {self.grid_h:g} exceeds {limit:.4g}, a quarter of the "
+                        "narrowest density feature at t_final"
+                    )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if (self.start_y1 is None) != (self.start_y2 is None):

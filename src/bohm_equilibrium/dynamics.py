@@ -33,7 +33,6 @@ from .model import (
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
 _MIN_ADAPTIVE_DT = 1e-12
-_MAX_FAILED_FRACTION = 1e-3
 _FRAME_CHUNK = 16384  # starts per chunk in _frame_abs_sum_maxima
 
 
@@ -44,8 +43,8 @@ class StepUnderflowError(RuntimeError):
 class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
-    Either more than 0.1% of an ensemble's trajectories failed, or the fixed
-    rk4 step is too long for the state (see _check_rk4_step), or a
+    Either a trajectory of an ensemble ended in a non-finite state, or the
+    fixed rk4 step is too long for the state (see _check_rk4_step), or a
     trajectory's state is not finite: an rk4 position at some recorded time,
     or an rk45 step that shrank to the floor on a non-finite error estimate.
     """
@@ -198,7 +197,6 @@ class Ensemble:
     seed: int | None
     initial_positions: np.ndarray
     final_positions: np.ndarray
-    failed_indices: tuple[int, ...] = ()
     times: np.ndarray | None = None
     maps: tuple[np.ndarray, np.ndarray] | None = None  # (a, b), each (len(times), 2)
 
@@ -489,8 +487,9 @@ def propagate_ensemble(
     the recorded times, for Ensemble.frames() to apply. rk45 steps every
     trajectory as one lane of a single adaptive loop, each with its own step
     size. parallel_width is validated and kept for compatibility; it does
-    not change the arithmetic. Trajectories whose state turns non-finite are
-    marked failed; more than 0.1% failures raise EnsembleFailureError.
+    not change the arithmetic. An ensemble is all or nothing: if any
+    trajectory's final state is not finite, EnsembleFailureError names how
+    many of the n failed.
     """
     positions = np.asarray(initial_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -501,7 +500,6 @@ def propagate_ensemble(
     if config.record_stride > 0 and config.method != "rk4":
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
 
-    n = positions.shape[0]
     u0 = _mode_starts(positions)
     times = maps = None
     if config.method == "rk4":
@@ -515,16 +513,15 @@ def propagate_ensemble(
         )
         final = np.column_stack(particle_coordinates(*final_u))
 
-    failed = np.nonzero(~np.all(np.isfinite(final), axis=1))[0]
-    if len(failed) > _MAX_FAILED_FRACTION * n:
+    failed = np.count_nonzero(~np.isfinite(final).all(axis=1))
+    if failed:
         raise EnsembleFailureError(
-            f"{len(failed)} of {n} trajectories failed to integrate"
+            f"{failed} of {len(final)} trajectories failed to integrate"
         )
     return Ensemble(
         seed=seed,
         initial_positions=positions,
         final_positions=final,
-        failed_indices=tuple(failed.tolist()),
         times=times,
         maps=maps,
     )

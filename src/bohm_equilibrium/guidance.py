@@ -113,6 +113,15 @@ def _feature_scale(state: TwoParticleState, t: float) -> float:
     return min(observable_normal(state, t, name)[1] for name in ("y1+y2", "y1-y2"))
 
 
+def _max_grid_spacing(state: TwoParticleState, t: float) -> float:
+    """Coarsest grid spacing whose residual norms are reliable at time t.
+
+    A quarter of the narrowest density feature: continuity_residual warns
+    above it, and the CLI refuses a grid_h above it.
+    """
+    return _feature_scale(state, t) / 4.0
+
+
 def grid_for_state(
     state: TwoParticleState,
     t: float,
@@ -208,7 +217,7 @@ def continuity_residual(
             f"grid must cover at least ±{_COVER_STDS:g} marginal stds of the density"
         )
 
-    too_coarse = grid.h > _feature_scale(state, t) / 4.0
+    too_coarse = grid.h > _max_grid_spacing(state, t)
     if too_coarse:
         warnings.warn(
             "grid spacing exceeds a quarter of the narrowest density feature; "

@@ -111,7 +111,6 @@ class EvolvedMode:
     pilot-wave velocity field.
     """
 
-    mode: GaussianMode
     sigma: float
     center: float
     stretch_rate: float
@@ -181,7 +180,6 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> Evolved
     sf = _spread_rate(mode, params) * t
     field = mode_field(mode, params, t)
     return EvolvedMode(
-        mode=mode,
         sigma=mode.sigma0 * math.hypot(1.0, sf),
         center=field.center,
         stretch_rate=field.rate,

@@ -177,10 +177,10 @@ def test_equivariance_parallel_width_invariance():
         assert sa.ks == sb.ks
 
 
-def test_equivariance_drops_failed_trajectories(monkeypatch):
-    # lane 6 of 2000 underflows in the first call, inside the 0.1% failure
-    # allowance; the other lanes follow the exact scaling flow, which keeps
-    # the test fast
+def test_equivariance_refuses_a_failed_trajectory(monkeypatch):
+    # lane 6 of 2000 underflows in the first call; the other lanes follow the
+    # exact scaling flow, which keeps the test fast. No row may be dropped:
+    # the failed draws are the outermost ones, so dropping them cuts the tails
     state = default_state()
     calls = []
 
@@ -199,15 +199,9 @@ def test_equivariance_drops_failed_trajectories(monkeypatch):
     config = IntegratorConfig(method="rk45", t_final=1.0)
     for times in ([1.0], [0.5, 1.0]):
         calls.clear()
-        reports = equivariance_check(state, 2000, 42, config, times)
-        assert [report.t for report in reports] == times
-        assert len(calls) == len(times)
-        for report in reports:
-            for stats in report.observables:
-                assert stats.n == 1999
-                assert math.isfinite(stats.ks)
-                assert math.isfinite(stats.empirical_std)
-            assert report.max_ks < 1.95 / math.sqrt(1999)
+        with pytest.raises(EnsembleFailureError, match="1 of 2000 trajectories failed"):
+            equivariance_check(state, 2000, 42, config, times)
+        assert calls == [0.0]
 
 
 FINITE = st.floats(-50.0, 50.0)

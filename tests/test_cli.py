@@ -440,6 +440,17 @@ def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
     assert max(float(row[4]) for row in rows) < 1.95 / np.sqrt(20000)
 
 
+def test_rk45_failed_trajectories_exit_3_without_output(tmp_path, capsys):
+    # the 3 lanes that fail at tolerance 1e-9 are among the outermost draws,
+    # so statistics over the other 19997 would cut the tails off the sample
+    config = tmp_path / "run.cfg"
+    config.write_text("method = rk45\nsigma_narrow = 4.3e-7\nsamples = 20000\n")
+    out = tmp_path / "eq.csv"
+    assert main(["equivariance", "--config", str(config), "--out", str(out)]) == 3
+    assert "3 of 20000 trajectories failed to integrate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize(
     "subcommand, settings",
     [
@@ -467,6 +478,26 @@ def test_continuity_csv(tmp_path):
     assert [row[0] for row in rows] == ["coarse", "fine"]
     ratio = float(rows[0][3]) / float(rows[1][3])
     assert 3.5 < ratio < 4.5
+
+
+def test_too_coarse_grid_exits_2_without_output(tmp_path):
+    # the limit is a quarter of the narrowest feature, the y1-y2 width
+    # sqrt(5) at t = 2; the refusal must not depend on how warnings are set
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_h = 1.0\n")
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 2
+        assert child.stderr == (
+            "error: grid_h = 1 exceeds 0.559, a quarter of the narrowest density "
+            "feature at t_final\n"
+        )
+    assert list(tmp_path.iterdir()) == [config]
 
 
 # ru_maxrss would carry the parent's peak over through fork and exec, so the
