@@ -8,7 +8,10 @@ forms against the density they transport.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,8 +32,13 @@ from .model import (
 _COVER_STDS = 5.0
 
 # most grid points per leaf of the continuity residual's sum tree; a leaf's
-# stage buffers are about 1 MB each instead of 8 B per point of the grid
-_BLOCK_POINTS = 1 << 17
+# stage buffers are about 0.5 MB each instead of 8 B per point of the grid
+_BLOCK_POINTS = 1 << 16
+
+# most threads that reduce the continuity residual's sum tree: each holds its
+# own leaf's stage buffers (about 5 MB at 2877 columns), so this bounds peak
+# memory whatever the CPU count; the speed-up was measured on 2 CPUs only
+_MAX_WORKERS = 4
 
 # numpy's pairwise sum adds runs of at most this many values in one loop
 # (PW_BLOCKSIZE in its loops_utils.h), so no leaf may be split below it
@@ -83,6 +91,13 @@ class ResidualGrid:
         _require_positive("tau", self.tau)
         if self.n1 < 3 or self.n2 < 3:
             raise ValueError("grid needs at least 3 points per axis")
+        # continuity_residual indexes the grid's points, row by row, as one range
+        limit = np.iinfo(np.intp).max
+        if self.n1 * self.n2 > limit:
+            raise ValueError(
+                f"grid of {self.n1:.6g} x {self.n2:.6g} points exceeds the {limit:.6g} "
+                "points an array can index"
+            )
 
     @property
     def y1_axis(self) -> np.ndarray:
@@ -160,24 +175,103 @@ class ContinuityResidual:
     too_coarse: bool
 
 
-def _pairwise_reduce(start: int, stop: int, leaf):
+def _pairwise_half(n: int) -> int:
+    """Size of the first part when np.sum splits a run of n values pairwise."""
+    half = n // 2
+    return half - half % 8
+
+
+def _pairwise_reduce(start: int, stop: int, leaf, levels: float = math.inf):
     """Combine leaf(a, b) -> (max, sum) over numpy's pairwise-sum tree.
 
     np.sum over n contiguous float64 values splits them into the first
-    n//2 - (n//2) % 8 and the rest, recursively, and adds runs of at most
+    _pairwise_half(n) and the rest, recursively, and adds runs of at most
     _PAIRWISE_RUN values in one loop. Splitting [start, stop) the same way
     down to leaves of at most max(_BLOCK_POINTS, _PAIRWISE_RUN) points, and
     adding the leaves' np.sum up the tree, gives the bits of one np.sum
-    over the whole range.
+    over the whole range. With levels given, the walk stops that many levels
+    below the root and calls leaf on the subtrees there.
     """
     n = stop - start
-    if n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
+    if levels == 0 or n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
         return leaf(start, stop)
-    half = n // 2
-    half -= half % 8
-    max_a, sum_a = _pairwise_reduce(start, start + half, leaf)
-    max_b, sum_b = _pairwise_reduce(start + half, stop, leaf)
+    mid = start + _pairwise_half(n)
+    max_a, sum_a = _pairwise_reduce(start, mid, leaf, levels - 1)
+    max_b, sum_b = _pairwise_reduce(mid, stop, leaf, levels - 1)
     return np.maximum(max_a, max_b), sum_a + sum_b
+
+
+def _pairwise_subtrees(start: int, stop: int, levels: int):
+    """The (a, b) spans on which _pairwise_reduce(start, stop, leaf, levels)
+    calls leaf, left to right."""
+    n = stop - start
+    if levels == 0 or n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
+        yield start, stop
+        return
+    mid = start + _pairwise_half(n)
+    yield from _pairwise_subtrees(start, mid, levels - 1)
+    yield from _pairwise_subtrees(mid, stop, levels - 1)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threaded_pairwise_reduce(points: int, new_leaf):
+    """_pairwise_reduce(0, points, leaf) with its top levels split over threads.
+
+    W is the largest power of two at most min(usable CPUs, _MAX_WORKERS).
+    The top log2 W levels of the tree are cut into at most W subtrees;
+    worker j reduces subtree j with its own leaf from new_leaf(), worker 0
+    on the calling thread, and the subtrees' results are combined up the
+    top levels as _pairwise_reduce does, so the bits do not depend on W; a
+    single subtree starts no thread. A failing worker makes the others skip
+    their remaining leaves; every worker is joined before this returns or
+    raises, and the first failure, in worker order, is re-raised.
+    """
+    levels = min(_usable_cpus(), _MAX_WORKERS).bit_length() - 1
+    spans = list(_pairwise_subtrees(0, points, levels))
+    results = {}
+    errors = [None] * len(spans)
+    failed = threading.Event()
+
+    def work(j):
+        try:
+            leaf = new_leaf()
+            start, stop = spans[j]
+            # after a failure the result is discarded, so the leaves left are skipped
+            results[start] = _pairwise_reduce(
+                start, stop, lambda a, b: (0.0, 0.0) if failed.is_set() else leaf(a, b)
+            )
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[j] = exc
+            failed.set()
+
+    # a worker sees the caller's context: numpy's errstate lives there
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, j))
+        for j in range(1, len(spans))
+    ]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        work(0)
+        for thread in started:
+            thread.join()
+    except BaseException:  # a thread that did not start, or Ctrl-C in a join
+        failed.set()
+        for thread in started:
+            thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return _pairwise_reduce(0, points, lambda a, b: results[a], levels)
 
 
 def continuity_residual(
@@ -194,12 +288,17 @@ def continuity_residual(
     split into the leaves of the tree by which np.sum adds them pairwise,
     each of at most _BLOCK_POINTS points. A leaf's stages (rho, velocities,
     fluxes, rho at t ± tau) are evaluated on the rows that cover it, plus
-    one ghost row per side, into buffers allocated once per call; max_norm
-    is the largest of the leaves' maxima, and the leaves' sums of squares
-    are added up the same tree. Following numpy's tree, rather than any
-    other blocking, is what keeps l2_norm bit-identical to squaring and
-    summing the whole residual array; max_norm is exact in any order.
-    Peak memory is a few leaves' stages, whatever the grid size.
+    one ghost row per side, into buffers allocated once per call and
+    worker; max_norm is the largest of the leaves' maxima, and the leaves'
+    sums of squares are added up the same tree. Following numpy's tree,
+    rather than any other blocking, is what keeps l2_norm bit-identical to
+    squaring and summing the whole residual array; max_norm is exact in any
+    order. The subtrees below the top log2 W levels run on W threads, W the
+    largest power of two at most the CPUs this process may use and at most
+    _MAX_WORKERS, and are combined up the same tree, so both norms keep
+    their bits whatever W is; a grid of one leaf runs on the calling thread
+    alone. Peak memory is a few leaves' stages per worker, whatever the
+    grid size.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -241,11 +340,9 @@ def continuity_residual(
     # a leaf of m points spans at most (m + 2*n2 - 2) // n2 rows
     leaf_points = min(max(_BLOCK_POINTS, _PAIRWISE_RUN), points)
     rows = min(grid.n1, (leaf_points + 2 * n2 - 2) // n2)
-    ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(6)]
-    inner_rows = [np.empty((rows, n2)) for _ in range(3)]
     inner = (slice(1, -1), slice(1, -1))
 
-    def residual_rows(i0, i1):
+    def residual_rows(i0, i1, ghosted, inner_rows):
         """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
         big_y, small_y, rho, flux1, flux2, work = (a[: i1 - i0 + 2] for a in ghosted)
         out, term, scratch = (a[: i1 - i0] for a in inner_rows)
@@ -278,14 +375,22 @@ def continuity_residual(
         out += term
         return out
 
-    def leaf(a, b):
-        i0 = a // n2
-        flat = residual_rows(i0, (b - 1) // n2 + 1).reshape(-1)
-        segment = flat[a - i0 * n2 : b - i0 * n2]
-        peak = np.max(np.abs(segment, out=inner_rows[1].reshape(-1)[: segment.size]))
-        segment *= segment
-        return peak, np.sum(segment)
+    def new_leaf():
+        """leaf(a, b) -> (max |r|, sum of r^2) over points [a, b), with its
+        own stage buffers: six ghost-extended and three inner."""
+        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(6)]
+        inner_rows = [np.empty((rows, n2)) for _ in range(3)]
 
-    max_norm, sum_sq = _pairwise_reduce(0, points, leaf)
+        def leaf(a, b):
+            i0 = a // n2
+            flat = residual_rows(i0, (b - 1) // n2 + 1, ghosted, inner_rows).reshape(-1)
+            segment = flat[a - i0 * n2 : b - i0 * n2]
+            peak = np.max(np.abs(segment, out=inner_rows[1].reshape(-1)[: segment.size]))
+            segment *= segment
+            return peak, np.sum(segment)
+
+        return leaf
+
+    max_norm, sum_sq = _threaded_pairwise_reduce(points, new_leaf)
     l2_norm = math.sqrt(sum_sq * grid.h * grid.h)
     return ContinuityResidual(float(max_norm), l2_norm, too_coarse)

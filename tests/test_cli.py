@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import bohm_equilibrium
 import bohm_equilibrium.analysis as analysis
 import bohm_equilibrium.cli as cli
+import bohm_equilibrium.guidance as guidance
 from bohm_equilibrium import (
     IntegratorConfig,
     StepUnderflowError,
@@ -24,6 +26,7 @@ from bohm_equilibrium import (
     sample_equilibrium,
 )
 from bohm_equilibrium.cli import ConfigError, RunConfig, load_config, main, parse_config_file
+from bohm_equilibrium.model import mode_density
 
 
 def read_csv(path):
@@ -500,6 +503,36 @@ def test_too_coarse_grid_exits_2_without_output(tmp_path):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize(
+    "width, points",
+    [(["--sigma-wide", "1e150"], "1.99998e+150"), (["--sigma-narrow", "1e-150"], "1.78885e+151")],
+)
+def test_oversized_continuity_grid_exits_2_without_output(tmp_path, capsys, width, points):
+    limit = f"{np.iinfo(np.intp).max:.6g}"
+    assert main(["continuity", *width, "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: grid of {points} x {points} points exceeds the {limit} points "
+        "an array can index\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsys):
+    # the default grids make 4 and 16 leaves; the second worker's first leaf fails
+    def density(evolved, u, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("stub")
+        return mode_density(evolved, u, out=out)
+
+    monkeypatch.setattr(guidance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(guidance, "mode_density", density)
+    before = threading.active_count()
+    assert main(["continuity", "--out", str(tmp_path / "c.csv")]) == 2
+    assert threading.active_count() == before
+    assert capsys.readouterr().err == "error: not enough memory: stub\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ru_maxrss would carry the parent's peak over through fork and exec, so the
 # child reports its own high-water mark, VmHWM
 _PEAK_RSS_CHILD = """
@@ -549,6 +582,19 @@ def test_continuity_finer_grid_peak_memory(tmp_path):
     # grid_h = 0.05 gives 2015^2 and 4029^2 grids: 181 MB with one residual
     # array, 45 MB with none, the same as at 0.07
     assert continuity_peak_rss_mb(tmp_path, "0.05") < 80
+
+
+def test_continuity_fine_grid_peak_memory_on_many_cpus(tmp_path):
+    # each worker holds about 5 MB of stage buffers at 2877 columns; with
+    # one worker per CPU, 16 CPUs took 123 MB (VmHWM), and _MAX_WORKERS = 4
+    # keeps it to 56 MB
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_h = 0.07\n")
+    many_cpus = "import bohm_equilibrium.guidance as g\ng._usable_cpus = lambda: 16\n"
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    code, hwm_kb = run_child(many_cpus + _PEAK_RSS_CHILD, *argv).split()[-2:]
+    assert code == "0"
+    assert int(hwm_kb) / 1024 < 80
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Velocity field: closed form vs finite differences, continuity residual."""
 
 import math
+import re
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -20,7 +24,7 @@ from bohm_equilibrium import (
     substream_normals,
     velocity,
 )
-from bohm_equilibrium.model import mode_field, observable_normal
+from bohm_equilibrium.model import mode_density, mode_field, observable_normal
 
 from _oracles import continuity_residual_reference, state_modes, velocity_fd
 
@@ -261,6 +265,114 @@ def test_leaf_sums_match_whole_grid(block_points, half_points):
     assert res.l2_norm == l2_norm
 
 
+def moving_grid(half_points):
+    state, t = moving_state(), 1.3
+    std = observable_normal(state, t, "y1")[1]
+    return state, grid_for_state(state, t, h=5.0 * std / (half_points - 0.5)), t
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond, so that a lost update between workers shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_thread_switching")
+@pytest.mark.parametrize(
+    "cpus, max_workers",
+    [(1, None), (2, None), (3, None), ("more than the leaves", None), ("more than the leaves", 64)],
+)
+@pytest.mark.parametrize(
+    "block_points, half_points, leaves", [(None, 200, 4), (377, 31, 16), (None, 50, 1)]
+)
+def test_residual_bits_do_not_depend_on_worker_count(
+    cpus, max_workers, block_points, half_points, leaves
+):
+    # 401^2 points make 4 default leaves and 63^2 points 16 leaves of at
+    # most 377; both start and end inside rows. On 63^2 points, adding the
+    # 16 leaf sums left to right instead of up the tree changes l2_norm.
+    # 101^2 points are one leaf, run on the calling thread alone. The
+    # workers are the largest power of two at most the CPUs and
+    # _MAX_WORKERS (4, or 64 here), and at most the leaves
+    state, grid, t = moving_grid(half_points)
+    threads = set()
+
+    def density(evolved, u, out=None):
+        threads.add(threading.current_thread())
+        return mode_density(evolved, u, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if block_points is not None:
+            mp.setattr(guidance, "_BLOCK_POINTS", block_points)
+        points = grid.n1 * grid.n2
+        assert sum(1 for _ in guidance._pairwise_subtrees(0, points, math.inf)) == leaves
+        if cpus == "more than the leaves":
+            cpus = leaves + 1
+        workers = min({1: 1, 2: 2, 3: 2}.get(cpus, max_workers or 4), leaves)
+        if max_workers is not None:
+            mp.setattr(guidance, "_MAX_WORKERS", max_workers)
+        mp.setattr(guidance, "_usable_cpus", lambda: cpus)
+        mp.setattr(guidance, "mode_density", density)
+        res = continuity_residual(state, grid, t)
+    _, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
+    assert threading.main_thread() in threads
+    assert len(threads) == workers
+    assert res.max_norm == max_norm
+    assert res.l2_norm == l2_norm
+
+
+@pytest.mark.parametrize("failing", ["first", "other"])
+@pytest.mark.parametrize("error", [MemoryError, RuntimeWarning])
+def test_worker_failure_reaches_caller_after_every_join(error, failing):
+    # two workers on 4 leaves; the first worker runs on the calling thread
+    state, grid, t = moving_grid(200)
+
+    def density(evolved, u, out=None):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "first"):
+            if error is MemoryError:
+                raise MemoryError("stub")
+            np.divide(1.0, np.zeros(1))  # an error under pyproject's error::RuntimeWarning
+        return mode_density(evolved, u, out=out)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_usable_cpus", lambda: 2)
+        mp.setattr(guidance, "mode_density", density)
+        with pytest.raises(error, match="stub" if error is MemoryError else "divide by zero"):
+            continuity_residual(state, grid, t)
+        assert threading.active_count() == before
+
+
+def test_worker_failure_stops_the_other_workers():
+    # two workers on 16 leaves; the calling thread fails in its first leaf,
+    # while the other worker is still in its first; that worker evaluates
+    # one leaf, 6 mode_density calls, instead of all 8 of its own
+    state, grid, t = moving_grid(31)
+    raised = threading.Event()
+    other_calls = []
+
+    def density(evolved, u, out=None):
+        if threading.current_thread() is threading.main_thread():
+            raised.set()
+            raise MemoryError("stub")
+        if not other_calls:
+            raised.wait(timeout=10.0)
+            time.sleep(0.05)  # time for the failure to reach the other worker
+        other_calls.append(u.size)
+        return mode_density(evolved, u, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_BLOCK_POINTS", 377)
+        mp.setattr(guidance, "_usable_cpus", lambda: 2)
+        mp.setattr(guidance, "mode_density", density)
+        with pytest.raises(MemoryError, match="stub"):
+            continuity_residual(state, grid, t)
+    assert len(other_calls) == 6
+
+
 def test_continuity_grid_coverage_enforced():
     state = default_state()
     grid = ResidualGrid(y1_min=-1.0, y2_min=-1.0, n1=21, n2=21, h=0.1, tau=1e-3)
@@ -281,6 +393,13 @@ def test_continuity_too_coarse_warns():
 def test_grid_for_state_rejects_bad_spacing(h):
     with pytest.raises(ValueError, match="h must be positive"):
         grid_for_state(default_state(), 1.0, h=h)
+
+
+def test_residual_grid_points_must_fit_an_index():
+    n2 = np.iinfo(np.intp).max // 3
+    ResidualGrid(y1_min=0.0, y2_min=0.0, n1=3, n2=n2, h=0.1, tau=1e-3)
+    with pytest.raises(ValueError, match=re.escape(f"grid of 3 x {n2 + 1:.6g} points exceeds")):
+        ResidualGrid(y1_min=0.0, y2_min=0.0, n1=3, n2=n2 + 1, h=0.1, tau=1e-3)
 
 
 @pytest.mark.parametrize("axis", ["y1_min", "y2_min"])
