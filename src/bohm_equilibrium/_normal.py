@@ -73,9 +73,9 @@ def _polevl(x, coef, out=None):
     return ans
 
 
-def _p1evl(x, coef):
+def _p1evl(x, coef, out=None):
     """_polevl with an implicit leading coefficient 1."""
-    ans = x + coef[0]
+    ans = np.add(x, coef[0], out=out)
     for c in coef[1:]:
         ans *= x
         ans += c
@@ -117,22 +117,30 @@ def ndtri(p):
     return out.reshape(shape)
 
 
-def _half_erfc_by_erf(z):
-    """erfc(z) / 2 as (1 - erf(z)) / 2, for 1/sqrt(2) <= z < 1."""
-    z2 = z * z
-    h = _polevl(z2, _T)
+def _half_erfc_by_erf(z, out, scratch):
+    """erfc(z) / 2 as (1 - erf(z)) / 2, for 1/sqrt(2) <= z < 1, into out.
+
+    z is overwritten; scratch is a buffer of z's size.
+    """
+    z2 = np.multiply(z, z, out=scratch)
+    h = _polevl(z2, _T, out=out)
     h *= z
-    h /= _p1evl(z2, _U)
+    h /= _p1evl(z2, _U, out=z)
     np.subtract(1.0, h, out=h)
     h *= 0.5
     return h
 
 
-def _half_erfc(z, p, q):
-    """erfc(z) / 2 by its exp(-z^2) rational form, for 1 <= z < _UNDERFLOW."""
-    h = np.exp(-z * z)
-    h *= _polevl(z, p)
-    h /= _p1evl(z, q)
+def _half_erfc(z, out, scratch, p, q):
+    """erfc(z) / 2 by its exp(-z^2) rational form, for 1 <= z < _UNDERFLOW, into out.
+
+    scratch is a buffer of z's size.
+    """
+    h = np.negative(z, out=out)
+    h *= z
+    np.exp(h, out=h)
+    h *= _polevl(z, p, out=scratch)
+    h /= _p1evl(z, q, out=scratch)
     h *= 0.5
     return h
 
@@ -146,23 +154,34 @@ def ndtr(a):
     """Standard normal CDF, elementwise on an array of any shape.
 
     The branches are slices of the values in sorted order, so sorted input
-    (as ks_statistic passes) goes to the kernel as it is and other input is
-    permuted into order and back.
+    goes to the kernel as it is and other input is permuted into order and
+    back. ks_statistic's sorted samples skip the order check: normal_cdf
+    hands them to _ndtr_sorted directly.
     """
     a = np.asarray(a, dtype=float)
-    flat = a.reshape(-1)
+    return _ndtr_scaled(a * _SQRT1_2)
+
+
+def _ndtr_scaled(x):
+    """ndtr of sqrt(2) * x, for x of any shape and order; x is overwritten."""
+    flat = x.reshape(-1)
     if np.all(flat[:-1] <= flat[1:]):
-        return _ndtr_sorted(flat).reshape(a.shape)
+        return _ndtr_sorted(flat).reshape(x.shape)
     order = np.argsort(flat)
     out = np.empty_like(flat)
     out[order] = _ndtr_sorted(flat[order])
-    return out.reshape(a.shape)
+    return out.reshape(x.shape)
 
 
-def _ndtr_sorted(a):
-    """ndtr of a 1-D array in ascending order, NaN last; each branch runs on one slice."""
-    x = a * _SQRT1_2
+def _ndtr_sorted(x):
+    """ndtr of sqrt(2) * x for a 1-D x in ascending order, NaN last.
+
+    Each branch runs on one slice, with the operations of Cephes' erf and
+    erfc in their order. x is overwritten: it, the result and one scratch
+    array hold every stage, so no other array of x's size is made.
+    """
     out = np.empty_like(x)
+    scratch = np.empty_like(x)
     # band k holds _EDGES[k] <= |x| < _EDGES[k + 1]; NaN sorts last
     neg = np.searchsorted(x, -_EDGES, "right")
     pos = np.searchsorted(x, _EDGES, "left")
@@ -172,15 +191,17 @@ def _ndtr_sorted(a):
     out[end:] = np.nan
     lo, hi = neg[0], pos[0]
     central = x[lo:hi]
-    x2 = central * central
+    x2 = np.multiply(central, central, out=scratch[: hi - lo])
     erf = _polevl(x2, _T, out=out[lo:hi])
     erf *= central
-    erf /= _p1evl(x2, _U)
+    erf /= _p1evl(x2, _U, out=central)  # central is not read again
     erf *= 0.5
     erf += 0.5
     for k, half_erfc in enumerate(_HALF_ERFC):
         lo, hi = neg[k + 1], neg[k]
-        out[lo:hi] = half_erfc(-x[lo:hi])
+        z = np.negative(x[lo:hi], out=x[lo:hi])
+        half_erfc(z, out[lo:hi], scratch[: hi - lo])
         lo, hi = pos[k], pos[k + 1]
-        np.subtract(1.0, half_erfc(x[lo:hi]), out=out[lo:hi])
+        h = half_erfc(x[lo:hi], out[lo:hi], scratch[: hi - lo])
+        np.subtract(1.0, h, out=h)
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._normal import ndtr
+from ._normal import _SQRT1_2, _ndtr_scaled, _ndtr_sorted
 from .dynamics import (
     IntegratorConfig,
     _check_rk4_step,
@@ -79,22 +79,46 @@ def ks_statistic(samples, cdf) -> float:
     Uses the sorted-sample form D = max_i max(i/n - F(x_i), F(x_i) - (i-1)/n).
     Returns the statistic only; with n around 1e5, D < 1.95/sqrt(n) holds with
     >= 99.9% probability when the samples follow the reference law.
+
+    cdf is called once, on the samples in ascending order (NaN last): as
+    cdf.ascending(x) if it has that method (normal_cdf's does, and skips
+    ndtr's order check), else as cdf(x). The two ramps are one array of k/n,
+    k = 0..n, read from its second and its first entry, and both differences
+    go into the sorted copy once the CDF no longer reads it.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     _require_samples(n)
-    f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+    f = np.asarray(getattr(cdf, "ascending", cdf)(x), dtype=float)
+    ramp = np.arange(n + 1, dtype=float)
+    ramp /= n
+    gap = np.empty_like(x) if np.may_share_memory(f, x) else x
+    above = np.max(np.subtract(ramp[1:], f, out=gap))
+    below = np.max(np.subtract(f, ramp[:-1], out=gap))
+    return float(max(above, below))
 
 
 def normal_cdf(mean: float, std: float):
-    """CDF of N(mean, std^2) as a callable, for ks_statistic."""
+    """CDF of N(mean, std^2) as a callable, for ks_statistic.
+
+    cdf(x) takes values of any shape and order; cdf.ascending(x) takes a
+    1-D array in ascending order, NaN last, and hands it to the ndtr kernel
+    without checking the order. Both standardize x into one new array, in
+    the order (x - mean) / std, and neither writes to x.
+    """
     _require_positive("std", std)
 
-    def cdf(x):
-        return ndtr((np.asarray(x, dtype=float) - mean) / std)
+    def scaled(x):
+        # (x - mean) / std / sqrt(2), the argument of ndtr's kernels
+        z = np.subtract(x, mean, dtype=float)
+        z /= std
+        z *= _SQRT1_2
+        return z
 
+    def cdf(x):
+        return _ndtr_scaled(scaled(x))
+
+    cdf.ascending = lambda x: _ndtr_sorted(scaled(x))
     return cdf
 
 

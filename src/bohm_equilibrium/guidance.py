@@ -299,6 +299,9 @@ def continuity_residual(
     their bits whatever W is; a grid of one leaf runs on the calling thread
     alone. Peak memory is a few leaves' stages per worker, whatever the
     grid size.
+
+    A norm that is not finite raises FloatingPointError naming it: a mode
+    too narrow for its stretch rate, for one, has a NaN guidance field.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -392,5 +395,8 @@ def continuity_residual(
         return leaf
 
     max_norm, sum_sq = _threaded_pairwise_reduce(points, new_leaf)
-    l2_norm = math.sqrt(sum_sq * grid.h * grid.h)
-    return ContinuityResidual(float(max_norm), l2_norm, too_coarse)
+    norms = {"max_norm": float(max_norm), "l2_norm": math.sqrt(sum_sq * grid.h * grid.h)}
+    broken = [f"{name} = {norm}" for name, norm in norms.items() if not math.isfinite(norm)]
+    if broken:
+        raise FloatingPointError(f"continuity residual is not finite: {', '.join(broken)}")
+    return ContinuityResidual(too_coarse=too_coarse, **norms)

@@ -14,15 +14,21 @@ stage of the residual over the whole grid at once, with no blocking of rows,
 from the package's own density and velocity: it checks the blocking, not
 the physics. The free Gaussian amplitude is the textbook packet, boosted
 and spread, written from its formula and using nothing of the package; the
-finite-difference velocity differences it.
+finite-difference velocity differences it. The KS, ndtr and mode-layout
+references are the plain forms of the package's buffer-sharing kernels: a
+new array per stage, ndtr's branches picked by masks on |x| rather than by
+slices of sorted values, and the two KS ramps i/n and (i - 1)/n built
+separately; the kernels must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from bohm_equilibrium import _normal
+from bohm_equilibrium.dynamics import substream_normals
 from bohm_equilibrium.guidance import _pair_velocity
-from bohm_equilibrium.model import eval_density
+from bohm_equilibrium.model import eval_density, mode_coordinates, particle_coordinates
 
 
 def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.0):
@@ -250,3 +256,85 @@ def continuity_residual_reference(state, grid, t):
     max_norm = float(np.max(np.abs(residual)))
     l2_norm = float(math.sqrt(np.sum(residual * residual) * grid.h * grid.h))
     return residual, max_norm, l2_norm
+
+
+def _horner(x, coef):
+    """coef[0] * x**N + ... + coef[N], each step a new array."""
+    ans = x * coef[0] + coef[1]
+    for c in coef[2:]:
+        ans = ans * x + c
+    return ans
+
+
+def _horner1(x, coef):
+    """_horner with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _half_erfc_reference(z, band):
+    """erfc(z) / 2 on |x| band 0 (by erf), 1 or 2 (by exp(-z^2)), as Cephes forms it."""
+    if band == 0:
+        z2 = z * z
+        return (1.0 - _horner(z2, _normal._T) * z / _horner1(z2, _normal._U)) * 0.5
+    p, q = ((_normal._P, _normal._Q), (_normal._R, _normal._S))[band - 1]
+    return np.exp(-z * z) * _horner(z, p) / _horner1(z, q) * 0.5
+
+
+def ndtr_reference(a):
+    """Cephes ndtr with the package's coefficients and branch edges.
+
+    x = a / sqrt(2); |x| < 1/sqrt(2) takes erf, the bands [1/sqrt(2), 1),
+    [1, 8) and [8, sqrt(MAXLOG)) take erfc / 2 of -x (x < 0) or one minus
+    that of x, and |x| beyond saturates to 0 or 1. Each branch is chosen by
+    a mask on the values, in any order.
+    """
+    x = np.asarray(a, dtype=float) * _normal._SQRT1_2
+    out = np.full(x.shape, np.nan)
+    ax = np.abs(x)
+    edges = _normal._EDGES
+    central = ax < edges[0]
+    x2 = x[central] * x[central]
+    out[central] = _horner(x2, _normal._T) * x[central] / _horner1(x2, _normal._U) * 0.5 + 0.5
+    for band in range(3):
+        inside = (edges[band] <= ax) & (ax < edges[band + 1])
+        below, above = inside & (x < 0.0), inside & (x > 0.0)
+        out[below] = _half_erfc_reference(-x[below], band)
+        out[above] = 1.0 - _half_erfc_reference(x[above], band)
+    out[ax >= edges[-1]] = np.where(x[ax >= edges[-1]] < 0.0, 0.0, 1.0)
+    return out
+
+
+def ks_reference(samples, cdf):
+    """KS statistic by the sorted-sample form: np.sort, cdf, then both ramps."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, n + 1, dtype=float)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+
+
+def normal_ks_reference(samples, mean, std):
+    """ks_reference against N(mean, std^2): ndtr_reference((x - mean) / std)."""
+    return ks_reference(samples, lambda x: ndtr_reference((x - mean) / std))
+
+
+def mode_starts_reference(positions):
+    """(2, n) mode coordinates of (n, 2) positions, stacked from two new rows."""
+    return np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
+
+
+def mode_positions_reference(a, b, u0):
+    """(..., 2) positions of the mode map (a, b) applied to u0, stacked."""
+    p1, p2 = particle_coordinates(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
+    return np.stack([p1, p2], axis=-1)
+
+
+def sample_equilibrium_reference(state, n, seed, first_sample=0):
+    """(n, 2) draws from |psi(.,.,0)|^2, column-stacked from new arrays."""
+    z = substream_normals(seed, first_sample, n)
+    big_y = state.cm_mode.center0 + state.cm_mode.sigma0 * z[:, 0]
+    small_y = state.rel_mode.center0 + state.rel_mode.sigma0 * z[:, 1]
+    return np.column_stack(particle_coordinates(big_y, small_y))

@@ -27,7 +27,7 @@ from bohm_equilibrium import (
     substream_normals,
 )
 
-from _oracles import cdf_sup_distance
+from _oracles import cdf_sup_distance, ks_reference, normal_ks_reference
 
 # brute-force sup |Phi(x/2) - Phi(x)|, the large-n limit of the
 # doubled-std KS statistic (frozen from a 2e6-point grid scan)
@@ -90,6 +90,37 @@ def test_ks_median_shrinks_with_n():
 
     m500, m2000, m8000 = median_ks(500), median_ks(2000), median_ks(8000)
     assert m500 > m2000 > m8000
+
+
+def _ks_cases():
+    """(samples, mean, std): tiny, default-size, tied, signed-zero, saturated and NaN samples."""
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(100_000)
+    yield np.array([0.3, -1.2]), 0.0, 1.0
+    yield np.array([2.0, 2.0, -0.5]), 0.25, 1.5
+    yield 1.3 * z + 0.1, 0.1, 1.3
+    yield np.round(z, 2), 0.0, 1.0  # about 800 distinct values
+    yield np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]), 0.0, 1.0
+    yield np.concatenate([z[:1000], [-40.0, 40.0, -1e300, 1e300, -np.inf, np.inf]]), 0.0, 1.0
+    yield np.concatenate([z[:999], [np.nan]]), 0.0, 1.0
+    yield 1e-3 * z[:5000], 0.0, 1e-4  # most samples in the saturated bands
+
+
+def test_ks_statistic_matches_whole_array_reference_bitwise():
+    for samples, mean, std in _ks_cases():
+        before = samples.tobytes()
+        ours = ks_statistic(samples, normal_cdf(mean, std))
+        assert np.float64(ours).tobytes() == np.float64(
+            normal_ks_reference(samples, mean, std)
+        ).tobytes()
+        assert samples.tobytes() == before
+
+
+def test_ks_statistic_with_a_cdf_that_returns_its_argument():
+    # the differences may not be written over values the CDF returned
+    u = np.random.default_rng(2).uniform(size=1000)
+    for cdf in (lambda x: x, lambda x: x[:]):
+        assert ks_statistic(u, cdf) == ks_reference(u, cdf)
 
 
 def test_normal_cdf_validation():

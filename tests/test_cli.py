@@ -517,6 +517,19 @@ def test_oversized_continuity_grid_exits_2_without_output(tmp_path, capsys, widt
     assert list(tmp_path.iterdir()) == []
 
 
+def test_continuity_with_non_finite_norms_exits_3_without_output(tmp_path, capsys):
+    # at t = 2 the 1e-100 cm mode's stretch rate is inf / inf = NaN, so every
+    # residual point is NaN; both norms used to be written as nan with exit 0
+    argv = ["continuity", "--sigma-wide", "1e100", "--sigma-narrow", "1e-100"]
+    assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "numerical failure: continuity residual is not finite: "
+        "max_norm = nan, l2_norm = nan\n",
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsys):
     # the default grids make 4 and 16 leaves; the second worker's first leaf fails
     def density(evolved, u, out=None):

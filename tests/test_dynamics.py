@@ -39,8 +39,11 @@ from bohm_equilibrium.dynamics import (
 from _oracles import (
     ReferenceOverflow,
     ReferenceUnderflow,
+    mode_positions_reference,
+    mode_starts_reference,
     rk4_reference,
     rk45_reference,
+    sample_equilibrium_reference,
     state_modes,
 )
 
@@ -468,6 +471,97 @@ def test_ensemble_failure_threshold(monkeypatch):
         propagate_ensemble(
             state, starts, IntegratorConfig(method="rk45", t_final=2.0)
         )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "cells, failed",
+    [
+        ([(3, 0)], 1),
+        ([(3, 1)], 1),
+        ([(3, 0), (3, 1)], 1),
+        ([(0, 0), (7, 1), (12, 0), (12, 1), (19, 1)], 4),
+    ],
+)
+def test_ensemble_failure_counts_failed_rows(monkeypatch, value, cells, failed):
+    # one whole-array finiteness check, then rows are counted, not cells
+    state = default_state()
+    starts = sample_equilibrium(state, 20, seed=1)
+    mode_positions = dynamics._mode_positions
+
+    def planted(a, b, u0):
+        final = mode_positions(a, b, u0)
+        for row, column in cells:
+            final[row, column] = value
+        return final
+
+    monkeypatch.setattr(dynamics, "_mode_positions", planted)
+    with pytest.raises(
+        EnsembleFailureError, match=f"^{failed} of 20 trajectories failed to integrate$"
+    ):
+        propagate_ensemble(state, starts, IntegratorConfig(t_final=0.1))
+
+
+def test_ensemble_failure_counts_mixed_non_finite_rows(monkeypatch):
+    state = default_state()
+    starts = sample_equilibrium(state, 20, seed=1)
+    exact = _rk45_lanes
+
+    def planted(rhs, u, t0, t1, tolerance, record=False):
+        final, steps = exact(rhs, u, t0, t1, tolerance, record)
+        final[0, 2] = np.nan  # Y: both particle columns
+        final[1, 5] = np.inf  # y: y1 = +inf, y2 = -inf
+        final[0, 11] = -np.inf  # Y: y1 = y2 = -inf
+        return final, steps
+
+    monkeypatch.setattr(dynamics, "_rk45_lanes", planted)
+    with pytest.raises(EnsembleFailureError, match="^3 of 20 trajectories failed to integrate$"):
+        propagate_ensemble(state, starts, IntegratorConfig(method="rk45", t_final=0.1))
+
+
+def _positions_with_signed_zeros(n, seed):
+    positions = 3.0 * np.random.default_rng(seed).standard_normal((n, 2))
+    positions[: min(n, 4)] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1e300, -1e300]][: min(n, 4)]
+    return positions
+
+
+@pytest.mark.parametrize("n", [2, 3, 100_000])
+def test_mode_maps_match_stacked_reference_bitwise(n):
+    positions = _positions_with_signed_zeros(n, n)
+    before = positions.tobytes()
+    u0 = dynamics._mode_starts(positions)
+    reference = mode_starts_reference(positions)
+    assert u0.shape == (2, n) and u0.tobytes() == reference.tobytes()
+    a = np.array([1.7, 0.3])
+    b = np.array([-0.0, 2.5])
+    final = dynamics._mode_positions(a, b, u0)
+    assert final.shape == (n, 2)
+    assert final.tobytes() == mode_positions_reference(a, b, reference).tobytes()
+    assert positions.tobytes() == before and u0.tobytes() == reference.tobytes()
+
+
+def test_mode_positions_broadcast_over_times_matches_reference_bitwise():
+    # integrate_trajectory maps one start through every recorded time at once
+    state = default_state()
+    config = IntegratorConfig(t_final=0.5, record_stride=7)
+    times, a, b = dynamics._rk4_maps(state, config, 0.0)
+    for start in ((0.3, -1.1), (0.0, -0.0), (1e300, -1e300)):
+        u0 = mode_coordinates(*start)
+        positions = dynamics._mode_positions(a.T, b.T, u0)
+        assert positions.shape == (len(times), 2)
+        assert positions.tobytes() == mode_positions_reference(a.T, b.T, u0).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 100_000])
+@pytest.mark.parametrize("correlation", ["sum", "difference"])
+def test_sample_equilibrium_matches_stacked_reference_bitwise(n, correlation):
+    state = TwoParticleState.from_widths(
+        0.05, 1.0, correlation=correlation, cm_center=0.7, rel_center=-2.0
+    )
+    for first_sample in (0, 5):
+        ours = sample_equilibrium(state, n, 42, first_sample)
+        reference = sample_equilibrium_reference(state, n, 42, first_sample)
+        assert ours.shape == (n, 2) and ours.tobytes() == reference.tobytes()
 
 
 def test_ensemble_start_time_offset():

@@ -9,6 +9,8 @@ from bohm_equilibrium._normal import ndtr, ndtri
 from bohm_equilibrium.analysis import normal_cdf
 from bohm_equilibrium.dynamics import substream_uniforms
 
+from _oracles import ndtr_reference
+
 # numpy's exp and log differ from the C library's in the last bits, so the
 # ports agree with scipy to a few ulps (at most 4 seen), not always to the bit
 ULPS = 8
@@ -100,3 +102,41 @@ def test_normal_cdf_unsorted_and_2d_input():
     order = np.argsort(flat)
     assert np.array_equal(f.reshape(-1)[order], cdf(flat[order]), equal_nan=True)
     assert np.array_equal(cdf(x.T), f.T, equal_nan=True)
+
+
+def _saturating_and_edge_values():
+    """Branch edges, both zeros, subnormals, the saturated bands and NaN."""
+    edges = _branch_edges()
+    far = np.array([37.5, 38.0, 40.0, 1e10, 1e300, np.inf])
+    return np.concatenate(
+        [edges, far, -far, [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, np.nan]]
+    )
+
+
+def test_ndtr_kernel_matches_whole_array_reference_bitwise():
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        [
+            rng.standard_normal(100_000),
+            rng.uniform(-40.0, 40.0, 20_000),
+            _saturating_and_edge_values(),
+        ]
+    )
+    reference = ndtr_reference(x)
+    assert ndtr(x).tobytes() == reference.tobytes()
+    order = np.argsort(x)
+    assert ndtr(x[order]).tobytes() == reference[order].tobytes()
+    grid = x[:120_000].reshape(300, 400)
+    assert ndtr(grid.T).tobytes() == ndtr_reference(grid.T).tobytes()
+
+
+def test_normal_cdf_matches_reference_bitwise_in_any_order():
+    rng = np.random.default_rng(9)
+    x = np.concatenate([3.0 * rng.standard_normal(50_000), 2.0 * _saturating_and_edge_values()])
+    cdf = normal_cdf(0.5, 2.0)
+    reference = ndtr_reference((x - 0.5) / 2.0)
+    before = x.tobytes()
+    assert cdf(x).tobytes() == reference.tobytes()
+    ascending = np.sort(x)
+    assert cdf.ascending(ascending).tobytes() == ndtr_reference((ascending - 0.5) / 2.0).tobytes()
+    assert x.tobytes() == before
