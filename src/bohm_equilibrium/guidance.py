@@ -31,18 +31,15 @@ from .model import (
 # marginal stds of the density that grid_for_state covers and continuity_residual requires
 _COVER_STDS = 5.0
 
-# most grid points per leaf of the continuity residual's sum tree; a leaf's
-# stage buffers are about 0.5 MB each instead of 8 B per point of the grid
+# most grid points per leaf of the continuity residual, a leaf being at least
+# one whole row; a leaf's stage buffers are about 0.5 MB each instead of 8 B
+# per point of the grid
 _BLOCK_POINTS = 1 << 16
 
-# most threads that reduce the continuity residual's sum tree: each holds its
+# most threads that evaluate the continuity residual's leaves: each holds its
 # own leaf's stage buffers (about 5 MB at 2877 columns), so this bounds peak
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
-
-# numpy's pairwise sum adds runs of at most this many values in one loop
-# (PW_BLOCKSIZE in its loops_utils.h), so no leaf may be split below it
-_PAIRWISE_RUN = 128
 
 
 class VelocityPair(NamedTuple):
@@ -91,7 +88,8 @@ class ResidualGrid:
         _require_positive("tau", self.tau)
         if self.n1 < 3 or self.n2 < 3:
             raise ValueError("grid needs at least 3 points per axis")
-        # continuity_residual indexes the grid's points, row by row, as one range
+        # refused before any axis is built, with a message that names both
+        # point counts: no grid this large can be evaluated
         limit = np.iinfo(np.intp).max
         if self.n1 * self.n2 > limit:
             raise ValueError(
@@ -175,44 +173,6 @@ class ContinuityResidual:
     too_coarse: bool
 
 
-def _pairwise_half(n: int) -> int:
-    """Size of the first part when np.sum splits a run of n values pairwise."""
-    half = n // 2
-    return half - half % 8
-
-
-def _pairwise_reduce(start: int, stop: int, leaf, levels: float = math.inf):
-    """Combine leaf(a, b) -> (max, sum) over numpy's pairwise-sum tree.
-
-    np.sum over n contiguous float64 values splits them into the first
-    _pairwise_half(n) and the rest, recursively, and adds runs of at most
-    _PAIRWISE_RUN values in one loop. Splitting [start, stop) the same way
-    down to leaves of at most max(_BLOCK_POINTS, _PAIRWISE_RUN) points, and
-    adding the leaves' np.sum up the tree, gives the bits of one np.sum
-    over the whole range. With levels given, the walk stops that many levels
-    below the root and calls leaf on the subtrees there.
-    """
-    n = stop - start
-    if levels == 0 or n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
-        return leaf(start, stop)
-    mid = start + _pairwise_half(n)
-    max_a, sum_a = _pairwise_reduce(start, mid, leaf, levels - 1)
-    max_b, sum_b = _pairwise_reduce(mid, stop, leaf, levels - 1)
-    return np.maximum(max_a, max_b), sum_a + sum_b
-
-
-def _pairwise_subtrees(start: int, stop: int, levels: int):
-    """The (a, b) spans on which _pairwise_reduce(start, stop, leaf, levels)
-    calls leaf, left to right."""
-    n = stop - start
-    if levels == 0 or n <= max(_BLOCK_POINTS, _PAIRWISE_RUN):
-        yield start, stop
-        return
-    mid = start + _pairwise_half(n)
-    yield from _pairwise_subtrees(start, mid, levels - 1)
-    yield from _pairwise_subtrees(mid, stop, levels - 1)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -220,32 +180,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _threaded_pairwise_reduce(points: int, new_leaf):
-    """_pairwise_reduce(0, points, leaf) with its top levels split over threads.
+def _reduce_leaves(leaves: int, new_leaf):
+    """The largest maximum and the total sum of leaf(k) -> (max, sum), k < leaves.
 
-    W is the largest power of two at most min(usable CPUs, _MAX_WORKERS).
-    The top log2 W levels of the tree are cut into at most W subtrees;
-    worker j reduces subtree j with its own leaf from new_leaf(), worker 0
-    on the calling thread, and the subtrees' results are combined up the
-    top levels as _pairwise_reduce does, so the bits do not depend on W; a
-    single subtree starts no thread. A failing worker makes the others skip
-    their remaining leaves; every worker is joined before this returns or
-    raises, and the first failure, in worker order, is re-raised.
+    The leaves are dealt round-robin to W = min(usable CPUs, _MAX_WORKERS,
+    leaves) workers, worker 0 on the calling thread; worker j evaluates
+    leaves j, j + W, ... with its own leaf from new_leaf(). The maximum is
+    np.max of the leaf maxima, so a NaN carries through, and the sum is the
+    exactly rounded math.fsum of the leaf sums, so neither depends on W or
+    on the order in which the workers finish; one worker starts no thread.
+    A failing worker makes the others skip their remaining leaves; every
+    worker is joined before this returns or raises, and the first failure,
+    in worker order, is re-raised.
     """
-    levels = min(_usable_cpus(), _MAX_WORKERS).bit_length() - 1
-    spans = list(_pairwise_subtrees(0, points, levels))
-    results = {}
-    errors = [None] * len(spans)
+    workers = min(_usable_cpus(), _MAX_WORKERS, leaves)
+    peaks = [0.0] * leaves
+    sums = [0.0] * leaves
+    errors = [None] * workers
     failed = threading.Event()
 
     def work(j):
         try:
             leaf = new_leaf()
-            start, stop = spans[j]
-            # after a failure the result is discarded, so the leaves left are skipped
-            results[start] = _pairwise_reduce(
-                start, stop, lambda a, b: (0.0, 0.0) if failed.is_set() else leaf(a, b)
-            )
+            for k in range(j, leaves, workers):
+                if failed.is_set():
+                    return
+                peaks[k], sums[k] = leaf(k)
         except BaseException as exc:  # re-raised on the calling thread below
             errors[j] = exc
             failed.set()
@@ -253,7 +213,7 @@ def _threaded_pairwise_reduce(points: int, new_leaf):
     # a worker sees the caller's context: numpy's errstate lives there
     threads = [
         threading.Thread(target=contextvars.copy_context().run, args=(work, j))
-        for j in range(1, len(spans))
+        for j in range(1, workers)
     ]
     started = []
     try:
@@ -271,7 +231,11 @@ def _threaded_pairwise_reduce(points: int, new_leaf):
     for error in errors:
         if error is not None:
             raise error
-    return _pairwise_reduce(0, points, lambda a, b: results[a], levels)
+    try:
+        total = math.fsum(sums)
+    except OverflowError:  # finite leaf sums whose exact total exceeds the largest float
+        total = math.inf
+    return np.max(peaks), total
 
 
 def continuity_residual(
@@ -284,21 +248,18 @@ def continuity_residual(
     O(h^2 + tau^2) if the closed forms actually satisfy the continuity
     equation. The grid must cover ±_COVER_STDS marginal stds of the density.
 
-    No array spans the grid. The n1*n2 grid points, taken row by row, are
-    split into the leaves of the tree by which np.sum adds them pairwise,
-    each of at most _BLOCK_POINTS points. A leaf's stages (rho, velocities,
-    fluxes, rho at t ± tau) are evaluated on the rows that cover it, plus
-    one ghost row per side, into buffers allocated once per call and
-    worker; max_norm is the largest of the leaves' maxima, and the leaves'
-    sums of squares are added up the same tree. Following numpy's tree,
-    rather than any other blocking, is what keeps l2_norm bit-identical to
-    squaring and summing the whole residual array; max_norm is exact in any
-    order. The subtrees below the top log2 W levels run on W threads, W the
-    largest power of two at most the CPUs this process may use and at most
-    _MAX_WORKERS, and are combined up the same tree, so both norms keep
-    their bits whatever W is; a grid of one leaf runs on the calling thread
-    alone. Peak memory is a few leaves' stages per worker, whatever the
-    grid size.
+    No array spans the grid. Its rows are cut into leaves of
+    max(1, _BLOCK_POINTS // n2) whole rows, the last possibly shorter, the
+    same cut whatever the CPU count. A leaf's stages (rho, velocities,
+    fluxes, rho at t ± tau) are evaluated on its rows plus one ghost row per
+    side, into buffers allocated once per call and worker. max_norm is the
+    largest of the leaves' maxima, and l2_norm comes from the math.fsum of
+    the leaves' np.sum of squares, which is exactly rounded (Shewchuk 1997),
+    so both norms keep their bits on any number of workers. The leaves run
+    on up to _MAX_WORKERS threads, no more than the CPUs this process may
+    use (see _reduce_leaves); a grid of one leaf runs on the calling thread
+    alone. Peak memory is a leaf's stages per worker, whatever the number
+    of grid rows.
 
     A norm that is not finite raises FloatingPointError naming it: a mode
     too narrow for its stretch rate, for one, has a NaN guidance field.
@@ -338,11 +299,8 @@ def continuity_residual(
     earlier = state.evolved(t - grid.tau)
     fields = [mode_field(mode, state.params, t) for mode in (state.cm_mode, state.rel_mode)]
 
-    n2 = grid.n2
-    points = grid.n1 * n2
-    # a leaf of m points spans at most (m + 2*n2 - 2) // n2 rows
-    leaf_points = min(max(_BLOCK_POINTS, _PAIRWISE_RUN), points)
-    rows = min(grid.n1, (leaf_points + 2 * n2 - 2) // n2)
+    n1, n2 = grid.n1, grid.n2
+    rows = max(1, min(n1, _BLOCK_POINTS // n2))
     inner = (slice(1, -1), slice(1, -1))
 
     def residual_rows(i0, i1, ghosted, inner_rows):
@@ -379,22 +337,21 @@ def continuity_residual(
         return out
 
     def new_leaf():
-        """leaf(a, b) -> (max |r|, sum of r^2) over points [a, b), with its
-        own stage buffers: six ghost-extended and three inner."""
+        """leaf(k) -> (max |r|, sum of r^2) over grid rows [k*rows, (k+1)*rows),
+        with its own stage buffers: six ghost-extended and three inner."""
         ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(6)]
         inner_rows = [np.empty((rows, n2)) for _ in range(3)]
 
-        def leaf(a, b):
-            i0 = a // n2
-            flat = residual_rows(i0, (b - 1) // n2 + 1, ghosted, inner_rows).reshape(-1)
-            segment = flat[a - i0 * n2 : b - i0 * n2]
-            peak = np.max(np.abs(segment, out=inner_rows[1].reshape(-1)[: segment.size]))
-            segment *= segment
-            return peak, np.sum(segment)
+        def leaf(k):
+            i0 = k * rows
+            out = residual_rows(i0, min(n1, i0 + rows), ghosted, inner_rows)
+            peak = np.max(np.abs(out, out=inner_rows[1][: len(out)]))
+            out *= out
+            return peak, np.sum(out)
 
         return leaf
 
-    max_norm, sum_sq = _threaded_pairwise_reduce(points, new_leaf)
+    max_norm, sum_sq = _reduce_leaves(-(-n1 // rows), new_leaf)
     norms = {"max_norm": float(max_norm), "l2_norm": math.sqrt(sum_sq * grid.h * grid.h)}
     broken = [f"{name} = {norm}" for name, norm in norms.items() if not math.isfinite(norm)]
     if broken:

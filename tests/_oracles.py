@@ -12,8 +12,10 @@ which takes all lanes' factors in one np.power call, must match it bit for
 bit. The continuity reference evaluates every
 stage of the residual over the whole grid at once, with no blocking of rows,
 from the package's own density and velocity: it checks the blocking, not
-the physics. The free Gaussian amplitude is the textbook packet, boosted
-and spread, written from its formula and using nothing of the package; the
+the physics. Its leaf form adds the whole-grid squares over the package's
+row leaves with math.fsum, and the package must match it bit for bit. The
+free Gaussian amplitude is the textbook packet, boosted and spread,
+written from its formula and using nothing of the package; the
 finite-difference velocity differences it. The KS, ndtr and mode-layout
 references are the plain forms of the package's buffer-sharing kernels: a
 new array per stage, ndtr's branches picked by masks on |x| rather than by
@@ -256,6 +258,17 @@ def continuity_residual_reference(state, grid, t):
     max_norm = float(np.max(np.abs(residual)))
     l2_norm = float(math.sqrt(np.sum(residual * residual) * grid.h * grid.h))
     return residual, max_norm, l2_norm
+
+
+def leaf_l2_norm(residual, h, rows):
+    """l2_norm of a whole-grid residual summed over leaves of rows whole rows.
+
+    Each leaf's squares go through np.sum, and math.fsum adds the leaf sums,
+    as the package combines them.
+    """
+    leaves = (residual[i : i + rows] for i in range(0, len(residual), rows))
+    sums = [np.sum(leaf * leaf) for leaf in leaves]
+    return math.sqrt(math.fsum(sums) * h * h)
 
 
 def _horner(x, coef):

@@ -531,7 +531,7 @@ def test_continuity_with_non_finite_norms_exits_3_without_output(tmp_path, capsy
 
 
 def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsys):
-    # the default grids make 4 and 16 leaves; the second worker's first leaf fails
+    # the default grids make 3 and 9 leaves; the second worker's first leaf fails
     def density(evolved, u, out=None):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("stub")

@@ -26,7 +26,7 @@ from bohm_equilibrium import (
 )
 from bohm_equilibrium.model import mode_density, mode_field, observable_normal
 
-from _oracles import continuity_residual_reference, state_modes, velocity_fd
+from _oracles import continuity_residual_reference, leaf_l2_norm, state_modes, velocity_fd
 
 PARAMS = PhysicalParams()
 
@@ -196,6 +196,32 @@ def test_continuity_residual_zero_at_t0():
 MODE_PARAM = st.floats(-3.0, 3.0)
 
 
+def leaf_rows(grid):
+    """Whole grid rows per leaf of continuity_residual at the current _BLOCK_POINTS."""
+    return max(1, min(grid.n1, guidance._BLOCK_POINTS // grid.n2))
+
+
+def assert_matches_whole_grid(res, state, grid, t, rows):
+    """Both norms against continuity_residual_reference.
+
+    max_norm and the leaf form of l2_norm must match bit for bit. np.sum
+    adds runs of at most 128 values in a loop (at most 127 additions) and
+    joins the runs up a binary tree of at most ceil(log2 N) levels, so each
+    of N squares passes through at most 128 + ceil(log2 N) roundings of
+    relative size eps; with no negative term no partial sum exceeds the
+    total, so the computed sum is within (128 + ceil(log2 N)) * eps of the
+    exact one, to first order. A leaf's np.sum holds at most N values and
+    fsum rounds once, so the package's and the whole grid's sums of squares
+    differ by at most twice that; the square root halves it, and * h * h
+    and sqrt add 3 eps on either side.
+    """
+    residual, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
+    assert res.max_norm == max_norm
+    assert res.l2_norm == leaf_l2_norm(residual, grid.h, rows)
+    bound = (128 + math.ceil(math.log2(residual.size)) + 6) * np.finfo(float).eps
+    assert abs(res.l2_norm - l2_norm) <= bound * l2_norm
+
+
 @pytest.mark.parametrize("block_rows", [None, 3])
 @settings(max_examples=50, deadline=None)
 @given(
@@ -223,15 +249,13 @@ def test_blocked_residual_matches_whole_grid(
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(guidance, "_BLOCK_POINTS", block_rows * grid.n2)
-        rows = max(1, guidance._BLOCK_POINTS // grid.n2)
+        rows = leaf_rows(grid)
         assume(grid.n1 % rows != 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # too_coarse
             res = continuity_residual(state, grid, t)
-    _, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
     assert grid.n1 > rows
-    assert res.max_norm == max_norm
-    assert res.l2_norm == l2_norm
+    assert_matches_whole_grid(res, state, grid, t, rows)
 
 
 def moving_state():
@@ -240,14 +264,15 @@ def moving_state():
     )
 
 
-@pytest.mark.parametrize(
-    "block_points, half_points",
-    [(1, 200), (128, 200), (200, 200), (377, 200), (None, 1), (None, 50)],
-)
+# (rows per leaf, leaves) at each (block_points, half_points): one row per
+# leaf where a row of 401 points exceeds the limit; 401 rows in two default
+# leaves of 163 and a short last one of 75; 101^2 and 3^2 points in a
+# single default leaf
+LEAF_CASES = {(1, 200): (1, 401), (None, 200): (163, 3), (None, 50): (101, 1), (None, 1): (3, 1)}
+
+
+@pytest.mark.parametrize("block_points, half_points", list(LEAF_CASES))
 def test_leaf_sums_match_whole_grid(block_points, half_points):
-    # leaves of at most 128..377 points start and end inside rows of 401 (a
-    # limit below numpy's 128-value run still stops at 128); 3^2 and 101^2
-    # points fit in one default leaf
     state, t = moving_state(), 1.3
     std = observable_normal(state, t, "y1")[1]
     grid = grid_for_state(state, t, h=5.0 * std / (half_points - 0.5))
@@ -255,14 +280,12 @@ def test_leaf_sums_match_whole_grid(block_points, half_points):
     with pytest.MonkeyPatch.context() as mp:
         if block_points is not None:
             mp.setattr(guidance, "_BLOCK_POINTS", block_points)
-        within_rows = grid.n2 > guidance._BLOCK_POINTS
-        assert within_rows or grid.n1 * grid.n2 <= guidance._BLOCK_POINTS
+        rows = leaf_rows(grid)
+        assert (rows, math.ceil(grid.n1 / rows)) == LEAF_CASES[block_points, half_points]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # too_coarse at 3^2
             res = continuity_residual(state, grid, t)
-    _, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
-    assert res.max_norm == max_norm
-    assert res.l2_norm == l2_norm
+    assert_matches_whole_grid(res, state, grid, t, rows)
 
 
 def moving_grid(half_points):
@@ -286,17 +309,16 @@ def fast_thread_switching():
     [(1, None), (2, None), (3, None), ("more than the leaves", None), ("more than the leaves", 64)],
 )
 @pytest.mark.parametrize(
-    "block_points, half_points, leaves", [(None, 200, 4), (377, 31, 16), (None, 50, 1)]
+    "block_points, half_points, leaves", [(None, 200, 3), (377, 31, 13), (None, 50, 1)]
 )
 def test_residual_bits_do_not_depend_on_worker_count(
     cpus, max_workers, block_points, half_points, leaves
 ):
-    # 401^2 points make 4 default leaves and 63^2 points 16 leaves of at
-    # most 377; both start and end inside rows. On 63^2 points, adding the
-    # 16 leaf sums left to right instead of up the tree changes l2_norm.
-    # 101^2 points are one leaf, run on the calling thread alone. The
-    # workers are the largest power of two at most the CPUs and
-    # _MAX_WORKERS (4, or 64 here), and at most the leaves
+    # 401^2 points make 3 default leaves, the last one short, and 63^2
+    # points 13 leaves of five rows, at most 377 points; 101^2 points are
+    # one leaf, run on the calling thread alone. The workers are the CPUs,
+    # at most _MAX_WORKERS (4, or 64 here) and at most the leaves, a power
+    # of two or not
     state, grid, t = moving_grid(half_points)
     threads = set()
 
@@ -307,27 +329,25 @@ def test_residual_bits_do_not_depend_on_worker_count(
     with pytest.MonkeyPatch.context() as mp:
         if block_points is not None:
             mp.setattr(guidance, "_BLOCK_POINTS", block_points)
-        points = grid.n1 * grid.n2
-        assert sum(1 for _ in guidance._pairwise_subtrees(0, points, math.inf)) == leaves
+        rows = leaf_rows(grid)
+        assert math.ceil(grid.n1 / rows) == leaves
         if cpus == "more than the leaves":
             cpus = leaves + 1
-        workers = min({1: 1, 2: 2, 3: 2}.get(cpus, max_workers or 4), leaves)
+        workers = min(cpus, max_workers or 4, leaves)
         if max_workers is not None:
             mp.setattr(guidance, "_MAX_WORKERS", max_workers)
         mp.setattr(guidance, "_usable_cpus", lambda: cpus)
         mp.setattr(guidance, "mode_density", density)
         res = continuity_residual(state, grid, t)
-    _, max_norm, l2_norm = continuity_residual_reference(state, grid, t)
     assert threading.main_thread() in threads
     assert len(threads) == workers
-    assert res.max_norm == max_norm
-    assert res.l2_norm == l2_norm
+    assert_matches_whole_grid(res, state, grid, t, rows)
 
 
 @pytest.mark.parametrize("failing", ["first", "other"])
 @pytest.mark.parametrize("error", [MemoryError, RuntimeWarning])
 def test_worker_failure_reaches_caller_after_every_join(error, failing):
-    # two workers on 4 leaves; the first worker runs on the calling thread
+    # two workers on 3 leaves; the first worker runs on the calling thread
     state, grid, t = moving_grid(200)
 
     def density(evolved, u, out=None):
@@ -347,9 +367,9 @@ def test_worker_failure_reaches_caller_after_every_join(error, failing):
 
 
 def test_worker_failure_stops_the_other_workers():
-    # two workers on 16 leaves; the calling thread fails in its first leaf,
-    # while the other worker is still in its first; that worker evaluates
-    # one leaf, 6 mode_density calls, instead of all 8 of its own
+    # two workers on 13 five-row leaves; the calling thread fails in its
+    # first leaf, while the other worker is still in its first; that worker
+    # evaluates one leaf, 6 mode_density calls, instead of all 6 of its own
     state, grid, t = moving_grid(31)
     raised = threading.Event()
     other_calls = []
@@ -371,6 +391,31 @@ def test_worker_failure_stops_the_other_workers():
         with pytest.raises(MemoryError, match="stub"):
             continuity_residual(state, grid, t)
     assert len(other_calls) == 6
+
+
+def test_overflowing_sum_of_squares_is_not_finite():
+    # densities scaled so that each of two leaves sums its squares to a
+    # finite 0.6e308..1.2e308 and their total exceeds the largest float:
+    # math.fsum raises OverflowError there, which must end as the same
+    # FloatingPointError as any other norm that is not finite
+    state, grid, t = moving_grid(31)
+    rows = 32
+    residual, _, _ = continuity_residual_reference(state, grid, t)
+    sums = [float(np.sum(leaf * leaf)) for leaf in (residual[:rows], residual[rows:])]
+    assert min(sums) > 0.5 * max(sums)
+    scale = 1.2e308**0.25 / max(sums) ** 0.25
+
+    def density(evolved, u, out=None):
+        out = mode_density(evolved, u, out=out)
+        out *= scale
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_BLOCK_POINTS", rows * grid.n2)
+        mp.setattr(guidance, "mode_density", density)
+        not_finite = "^continuity residual is not finite: l2_norm = inf$"
+        with pytest.raises(FloatingPointError, match=not_finite):
+            continuity_residual(state, grid, t)
 
 
 def test_continuity_grid_coverage_enforced():
