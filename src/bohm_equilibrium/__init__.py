@@ -18,7 +18,6 @@ from .analysis import (
     constraint_surface_experiment,
     equivariance_check,
     ks_statistic,
-    normal_cdf,
     regularization_sweep,
 )
 from .dynamics import (

@@ -3,7 +3,9 @@
 Ports of the Cephes rational approximations ndtr (through erf and erfc) and
 ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989).
 They keep the C code's operation order and branch edges; exp and log are
-numpy's, so a value may differ from the C library's by a few ulps.
+numpy's, so a value may differ from the C library's by a few ulps. ndtri
+takes values of any shape and order; the CDF kernel _ndtr_sorted takes only
+a 1-D array in increasing order, NaN last, as ks_statistic hands it one.
 """
 
 from __future__ import annotations
@@ -150,31 +152,8 @@ _EDGES = np.array([_SQRT1_2, 1.0, 8.0, _UNDERFLOW])
 _HALF_ERFC = (_half_erfc_by_erf, partial(_half_erfc, p=_P, q=_Q), partial(_half_erfc, p=_R, q=_S))
 
 
-def ndtr(a):
-    """Standard normal CDF, elementwise on an array of any shape.
-
-    The branches are slices of the values in sorted order, so sorted input
-    goes to the kernel as it is and other input is permuted into order and
-    back. ks_statistic's sorted samples skip the order check: normal_cdf
-    hands them to _ndtr_sorted directly.
-    """
-    a = np.asarray(a, dtype=float)
-    return _ndtr_scaled(a * _SQRT1_2)
-
-
-def _ndtr_scaled(x):
-    """ndtr of sqrt(2) * x, for x of any shape and order; x is overwritten."""
-    flat = x.reshape(-1)
-    if np.all(flat[:-1] <= flat[1:]):
-        return _ndtr_sorted(flat).reshape(x.shape)
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    out[order] = _ndtr_sorted(flat[order])
-    return out.reshape(x.shape)
-
-
 def _ndtr_sorted(x):
-    """ndtr of sqrt(2) * x for a 1-D x in ascending order, NaN last.
+    """ndtr of sqrt(2) * x for a 1-D x in increasing order, NaN last.
 
     Each branch runs on one slice, with the operations of Cephes' erf and
     erfc in their order. x is overwritten: it, the result and one scratch

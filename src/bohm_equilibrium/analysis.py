@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._normal import _SQRT1_2, _ndtr_scaled, _ndtr_sorted
+from ._normal import _SQRT1_2, _ndtr_sorted
 from .dynamics import (
     IntegratorConfig,
     _check_rk4_step,
@@ -80,16 +80,15 @@ def ks_statistic(samples, cdf) -> float:
     Returns the statistic only; with n around 1e5, D < 1.95/sqrt(n) holds with
     >= 99.9% probability when the samples follow the reference law.
 
-    cdf is called once, on the samples in ascending order (NaN last): as
-    cdf.ascending(x) if it has that method (normal_cdf's does, and skips
-    ndtr's order check), else as cdf(x). The two ramps are one array of k/n,
+    cdf is called once, as cdf(x), on a sorted copy of the samples: a 1-D
+    array in increasing order, NaN last. The two ramps are one array of k/n,
     k = 0..n, read from its second and its first entry, and both differences
     go into the sorted copy once the CDF no longer reads it.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     _require_samples(n)
-    f = np.asarray(getattr(cdf, "ascending", cdf)(x), dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
     ramp = np.arange(n + 1, dtype=float)
     ramp /= n
     gap = np.empty_like(x) if np.may_share_memory(f, x) else x
@@ -101,24 +100,20 @@ def ks_statistic(samples, cdf) -> float:
 def normal_cdf(mean: float, std: float):
     """CDF of N(mean, std^2) as a callable, for ks_statistic.
 
-    cdf(x) takes values of any shape and order; cdf.ascending(x) takes a
-    1-D array in ascending order, NaN last, and hands it to the ndtr kernel
-    without checking the order. Both standardize x into one new array, in
-    the order (x - mean) / std, and neither writes to x.
+    cdf(x) takes a 1-D array in increasing order, NaN last, as ks_statistic
+    passes it; the order is not checked, and other input gives wrong values.
+    x is standardized into one new array, in the order (x - mean) / std,
+    and is not written to.
     """
     _require_positive("std", std)
 
-    def scaled(x):
-        # (x - mean) / std / sqrt(2), the argument of ndtr's kernels
+    def cdf(x):
+        # (x - mean) / std / sqrt(2), the argument of the ndtr kernel
         z = np.subtract(x, mean, dtype=float)
         z /= std
         z *= _SQRT1_2
-        return z
+        return _ndtr_sorted(z)
 
-    def cdf(x):
-        return _ndtr_scaled(scaled(x))
-
-    cdf.ascending = lambda x: _ndtr_sorted(scaled(x))
     return cdf
 
 

@@ -34,11 +34,13 @@ from .dynamics import (
 )
 from .guidance import continuity_residual, grid_for_state
 from .model import (
+    OBSERVABLES,
     Correlation,
     PhysicalParams,
     TwoParticleState,
     _require_finite,
     _require_positive,
+    observable_normal,
 )
 
 
@@ -94,6 +96,9 @@ class RunConfig:
             dynamics._check_seed(self.seed)
             dynamics._check_parallel_width(self.parallel)
             analysis._check_times(self.resolved_times(), self.t_final)
+            for t in (0.0, self.t_final, *self.resolved_times()):
+                for name in OBSERVABLES:
+                    observable_normal(state, t, name)
             analysis._sweep_states(state, self.sweep_widths)
             if self.grid_h is not None:
                 _require_positive("grid_h", self.grid_h)
@@ -295,7 +300,6 @@ def _run_continuity(config: RunConfig):
 def _run_trajectory(config: RunConfig):
     state = config.state()
     integrator = config.integrator()
-    dynamics._check_rk4_step(state, integrator)
     if config.start_y1 is not None:
         start = (config.start_y1, config.start_y2)
     else:

@@ -44,7 +44,8 @@ class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
     Either a trajectory of an ensemble ended in a non-finite state, or the
-    fixed rk4 step is too long for the state (see _check_rk4_step), or a
+    fixed rk4 step is too long for the state (see _check_rk4_step; the
+    experiments and integrate_trajectory refuse it before any step), or a
     trajectory's state is not finite: an rk4 position at some recorded time,
     or an rk45 step that shrank to the floor on a non-finite error estimate.
     """
@@ -448,11 +449,13 @@ def integrate_trajectory(
     """Integrate one trajectory from configuration `start` at time t0.
 
     The ODE is solved in mode coordinates where the two components decouple;
-    recorded positions are mapped back to (y1, y2). A state that is not
-    finite raises EnsembleFailureError; an rk45 step below 1e-12 raises
-    StepUnderflowError.
+    recorded positions are mapped back to (y1, y2). An rk4 step too long for
+    the state (see _check_rk4_step) raises EnsembleFailureError before any
+    step, and so does a state that is not finite; an rk45 step below 1e-12
+    raises StepUnderflowError.
     """
     _require_finite("start", start)
+    _check_rk4_step(state, config)
     t1 = t0 + config.t_final
     # a state that overflows is refused by the checks below; numpy's overflow
     # and invalid-value warnings on the way would only repeat that, or stop

@@ -347,7 +347,8 @@ def observable_normal(state: TwoParticleState, t: float, observable: str):
 
     With y1 = Y + y/2 and y2 = Y - y/2, c1*y1 + c2*y2 = a*Y + b*y for
     a = c1 + c2 and b = (c1 - c2)/2: a combination of the independent normal
-    mode coordinates, hence exactly normal at every t.
+    mode coordinates, hence exactly normal at every t. A mean or std that
+    double precision cannot hold raises ValueError naming the observable and t.
     """
     if observable not in OBSERVABLES:
         raise ValueError(
@@ -356,4 +357,9 @@ def observable_normal(state: TwoParticleState, t: float, observable: str):
     c1, c2 = OBSERVABLES[observable]
     a, b = c1 + c2, 0.5 * (c1 - c2)
     cm, rel = state.evolved(t)
-    return a * cm.center + b * rel.center, math.hypot(a * cm.sigma, b * rel.sigma)
+    mean, std = a * cm.center + b * rel.center, math.hypot(a * cm.sigma, b * rel.sigma)
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(
+            f"the law of {observable} at t = {t:g} is not finite in double precision"
+        )
+    return mean, std

@@ -20,12 +20,12 @@ from bohm_equilibrium import (
     equivariance_check,
     evolve_mode,
     ks_statistic,
-    normal_cdf,
     observable_normal,
     regularization_sweep,
     sample_equilibrium,
     substream_normals,
 )
+from bohm_equilibrium.analysis import normal_cdf
 
 from _oracles import cdf_sup_distance, ks_reference, normal_ks_reference
 

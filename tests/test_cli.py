@@ -454,6 +454,21 @@ def test_rk45_failed_trajectories_exit_3_without_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_law_that_overflows_exits_2_at_load(tmp_path, capsys, method):
+    # the cm center reaches 1.7e308 at t = 2, so the y1+y2 mean 2 * Y is inf;
+    # rk45 printed max KS = 0.9145 and exited 0, rk4 exited 3 behind warnings
+    config = tmp_path / "run.cfg"
+    config.write_text(f"method = {method}\ncm_wavenumber = 1.7e308\nsamples = 2000\n")
+    message = "the law of y1+y2 at t = 2 is not finite in double precision"
+    with pytest.raises(ConfigError) as refused:
+        load_config(str(config), {})
+    assert str(refused.value) == message
+    assert main(["equivariance", "--config", str(config), "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize(
     "subcommand, settings",
     [

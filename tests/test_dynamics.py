@@ -229,8 +229,19 @@ def test_rk4_step_guard_checks_both_modes():
     dynamics._check_rk4_step(wide_too_narrow, dataclasses.replace(config, method="rk45"))
 
 
+def test_rk4_trajectory_refuses_a_stiff_step():
+    # narrow mode: beta = hbar / (2 (2m) 0.005^2) = 1e4, rate * step peaks at 5
+    state = TwoParticleState.from_widths(sigma_narrow=0.005)
+    config = IntegratorConfig(record_stride=1)
+    with pytest.raises(EnsembleFailureError, match="^narrow mode .* use method = rk45$"):
+        integrate_trajectory(state, (0.01, 0.02), config)
+    rk45 = integrate_trajectory(state, (0.01, 0.02), dataclasses.replace(config, method="rk45"))
+    assert np.all(np.isfinite(rk45.positions))
+
+
 def test_record_stride_times():
-    state = default_state()
+    # dt = 0.1 is too long for rk4 at the default narrow width; 0.5 admits it
+    state = TwoParticleState.from_widths(sigma_narrow=0.5)
     config = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=2)
     traj = integrate_trajectory(state, (0.1, 0.2), config)
     np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)

@@ -1,6 +1,7 @@
 """Analytic state: spread law, normalization, densities, widths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ def test_observable_normal_composition():
     mean, std = observable_normal(state, 1.7, "y1")
     assert mean == pytest.approx(cm.center + 0.5 * rel.center, rel=1e-12)
     assert std == pytest.approx(math.hypot(cm.sigma, 0.5 * rel.sigma), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "state, t, observable",
+    [
+        # the cm center reaches 1.7e308 at t = 2, so the mean 2 * Y is inf
+        (TwoParticleState.from_widths(0.05, 1.0, cm_wavenumber=1.7e308), 2.0, "y1+y2"),
+        # beta * t = 1e309 for the narrow mode, so its width is inf
+        (default_state(), 1e307, "y1"),
+    ],
+)
+def test_observable_normal_that_overflows_raises(state, t, observable):
+    message = f"the law of {observable} at t = {t:g} is not finite in double precision"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        observable_normal(state, t, observable)
 
 
 def test_mode_coordinate_roundtrip():
