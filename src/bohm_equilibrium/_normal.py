@@ -169,18 +169,21 @@ def _ndtr_sorted(x):
     out[pos[-1] : end] = 1.0
     out[end:] = np.nan
     lo, hi = neg[0], pos[0]
-    central = x[lo:hi]
-    x2 = np.multiply(central, central, out=scratch[: hi - lo])
-    erf = _polevl(x2, _T, out=out[lo:hi])
-    erf *= central
-    erf /= _p1evl(x2, _U, out=central)  # central is not read again
-    erf *= 0.5
-    erf += 0.5
+    if lo < hi:  # a call on a few sorted blocks leaves most bands empty
+        central = x[lo:hi]
+        x2 = np.multiply(central, central, out=scratch[: hi - lo])
+        erf = _polevl(x2, _T, out=out[lo:hi])
+        erf *= central
+        erf /= _p1evl(x2, _U, out=central)  # central is not read again
+        erf *= 0.5
+        erf += 0.5
     for k, half_erfc in enumerate(_HALF_ERFC):
         lo, hi = neg[k + 1], neg[k]
-        z = np.negative(x[lo:hi], out=x[lo:hi])
-        half_erfc(z, out[lo:hi], scratch[: hi - lo])
+        if lo < hi:
+            z = np.negative(x[lo:hi], out=x[lo:hi])
+            half_erfc(z, out[lo:hi], scratch[: hi - lo])
         lo, hi = pos[k], pos[k + 1]
-        h = half_erfc(x[lo:hi], out[lo:hi], scratch[: hi - lo])
-        np.subtract(1.0, h, out=h)
+        if lo < hi:
+            h = half_erfc(x[lo:hi], out[lo:hi], scratch[: hi - lo])
+            np.subtract(1.0, h, out=h)
     return out

@@ -25,9 +25,11 @@ from bohm_equilibrium import (
     sample_equilibrium,
     substream_normals,
 )
+from bohm_equilibrium import _normal
+from bohm_equilibrium._normal import ndtri
 from bohm_equilibrium.analysis import normal_cdf
 
-from _oracles import cdf_sup_distance, ks_reference, normal_ks_reference
+from _oracles import cdf_sup_distance, ks_reference, ndtr_reference, normal_ks_reference
 
 # brute-force sup |Phi(x/2) - Phi(x)|, the large-n limit of the
 # doubled-std KS statistic (frozen from a 2e6-point grid scan)
@@ -121,6 +123,122 @@ def test_ks_statistic_with_a_cdf_that_returns_its_argument():
     u = np.random.default_rng(2).uniform(size=1000)
     for cdf in (lambda x: x, lambda x: x[:]):
         assert ks_statistic(u, cdf) == ks_reference(u, cdf)
+
+
+BLOCK = analysis._KS_BLOCK  # the block size the bounds are taken over
+EDGE_ARGUMENTS = math.sqrt(2.0) * _normal._EDGES  # ndtr's branch edges in standard units
+
+
+def _quantiles(n):
+    """The n midpoint quantiles of N(0, 1): every KS term is 0.5/n."""
+    return ndtri((np.arange(n) + 0.5) / n)
+
+
+def _plant_cluster(z, i0, m, above):
+    """Sorted z with m values tied to one end of [i0 - m, i0 + m]: the largest term is at i0.
+
+    above: z[i0 .. i0+m-1] take z[i0+m], and F(x_i0) - i0/n is about (m + 0.5)/n;
+    otherwise z[i0-m+1 .. i0] take z[i0-m], and (i0+1)/n - F(x_i0) is.
+    """
+    z = np.sort(z)
+    if above:
+        z[i0 : i0 + m] = z[i0 + m]
+    else:
+        z[i0 - m + 1 : i0 + 1] = z[i0 - m]
+    return z
+
+
+@st.composite
+def ks_samples(draw):
+    """(samples, mean, std): one kind of hard case for the bounded KS kernel."""
+    n = draw(st.one_of(st.sampled_from([2, 3, 31, 32, 33, 63, 64, 65, 95]), st.integers(2, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(n)
+    kinds = ["shifted", "ties", "zeros", "saturated", "edges", "nan", "planted"]
+    kind = draw(st.sampled_from(kinds))
+    mean, std = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 1e3))
+    if kind == "shifted":  # the law moved by 1e-3 to 30 std
+        z += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
+    elif kind == "ties":  # runs of equal values across every block boundary
+        z.sort()
+        r = draw(st.integers(1, 3))
+        for k in range(BLOCK, n, BLOCK):
+            z[max(k - r, 0) : k + r] = z[k]
+    elif kind == "saturated":  # |z| >= 38: F is exactly 0 or 1 there
+        far = rng.uniform(0.0, 1.0, n) < draw(st.floats(0.5, 1.0))
+        z[far] = np.copysign(rng.uniform(38.0, 1e3, far.sum()), z[far])
+    elif kind == "edges":  # a few ulps on either side of each branch edge
+        mean, std = 0.0, 2.0 ** draw(st.integers(-8, 8))  # keeps (x - mean) / std exact
+        near = np.concatenate([EDGE_ARGUMENTS, -EDGE_ARGUMENTS])
+        picked = rng.integers(0, near.size, n)
+        z = near[picked] + rng.integers(-8, 9, n) * np.spacing(near[picked])
+    elif kind == "planted" and n >= 8:  # the largest term strictly inside a block
+        z = _quantiles(n)
+        m = draw(st.integers(2, max(2, n // 4)))
+        i0 = draw(st.integers(m, n - m - 1))
+        z = _plant_cluster(z, i0, m, draw(st.booleans()))
+    elif kind == "zeros":
+        mean = 0.0
+    samples = mean + std * z
+    if kind == "zeros":  # set after the shift, which would turn -0.0 into 0.0
+        samples[rng.uniform(0.0, 1.0, n) < 0.5] = 0.0
+        samples[rng.uniform(0.0, 1.0, n) < 0.3] = -0.0
+    elif kind == "nan":  # one NaN, or several
+        samples[rng.integers(0, n, draw(st.integers(1, min(n, 5))))] = np.nan
+    rng.shuffle(samples)
+    return samples, mean, std
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ks_samples())
+def test_bounded_ks_statistic_matches_whole_array_reference_bitwise(case):
+    samples, mean, std = case
+    before = samples.tobytes()
+    ours = ks_statistic(samples, normal_cdf(mean, std))
+    reference = normal_ks_reference(samples, mean, std)
+    assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
+    assert samples.tobytes() == before
+
+
+def _counting(cdf, counts):
+    """cdf that records how many points it gets and checks they are ascending, NaN last."""
+
+    def counted(x):
+        assert x.ndim == 1
+        finite = x[~np.isnan(x)]
+        assert finite.size == np.argmax(np.append(np.isnan(x), True))
+        assert np.all(finite[1:] >= finite[:-1])
+        counts.append(x.size)
+        return cdf(x)
+
+    return counted
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_ks_statistic_finds_a_maximum_inside_a_block(above):
+    n, i0, m = 10_000, 5 * BLOCK + 13, 100
+    samples = _plant_cluster(_quantiles(n), i0, m, above)
+    x = np.sort(samples)
+    f = ndtr_reference(x)
+    k = np.arange(n, dtype=float)
+    assert np.argmax(np.maximum((k + 1.0) / n - f, f - k / n)) == i0
+    counts = []
+    ours = ks_statistic(samples[::-1], _counting(normal_cdf(0.0, 1.0), counts))
+    reference = normal_ks_reference(samples, 0.0, 1.0)
+    assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
+    assert ours == pytest.approx((m + 0.5) / n, rel=1e-6)
+    assert len(counts) == 2 and sum(counts) < 0.25 * n
+
+
+def test_ks_statistic_evaluates_the_cdf_on_few_samples():
+    # the two calls together take both ends of every block and the blocks
+    # that may hold the maximum; a full evaluation would take all n points
+    n = 100_000
+    for seed in (42, 43, 44):
+        counts = []
+        ks_statistic(substream_normals(seed, 0, n)[:, 0], _counting(normal_cdf(0.0, 1.0), counts))
+        assert len(counts) == 2
+        assert sum(counts) < 0.25 * n
 
 
 def test_normal_cdf_validation():

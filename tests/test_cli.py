@@ -469,6 +469,24 @@ def test_law_that_overflows_exits_2_at_load(tmp_path, capsys, method):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_observable_whose_std_overflows_exits_3_without_output(tmp_path):
+    # the law is finite, but y1 reaches about 1e300, so np.std's square is
+    # inf: std inf and KS 1 were written with exit 0 behind numpy's overflow
+    # warning, and -W error::RuntimeWarning turned that into a traceback
+    config = tmp_path / "run.cfg"
+    config.write_text("cm_wavenumber = 1e300\nsamples = 2000\n")
+    argv = ["equivariance", "--config", str(config), "--out", str(tmp_path / "e.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 3
+        assert child.stderr == "numerical failure: empirical std of y1 at t = 2 is not finite\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize(
     "subcommand, settings",
     [
