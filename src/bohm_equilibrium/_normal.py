@@ -5,7 +5,9 @@ ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989).
 They keep the C code's operation order and branch edges; exp and log are
 numpy's, so a value may differ from the C library's by a few ulps. ndtri
 takes values of any shape and order; the CDF kernel _ndtr_sorted takes only
-a 1-D array in increasing order, NaN last, as ks_statistic hands it one.
+a 1-D array in increasing order, NaN last, as ks_statistic hands it one: a
+few thousand values, so each band is one call on new arrays, and the input
+is left as it was.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def _underflow_edge() -> float:
     return edge
 
 
-def _polevl(x, coef, out=None):
-    """coef[0] * x**N + ... + coef[N] by Horner's rule, into a new array or out."""
-    ans = np.multiply(x, coef[0], out=out)
+def _polevl(x, coef):
+    """coef[0] * x**N + ... + coef[N] by Horner's rule."""
+    ans = x * coef[0]
     ans += coef[1]
     for c in coef[2:]:
         ans *= x
@@ -75,9 +77,9 @@ def _polevl(x, coef, out=None):
     return ans
 
 
-def _p1evl(x, coef, out=None):
+def _p1evl(x, coef):
     """_polevl with an implicit leading coefficient 1."""
-    ans = np.add(x, coef[0], out=out)
+    ans = x + coef[0]
     for c in coef[1:]:
         ans *= x
         ans += c
@@ -119,32 +121,15 @@ def ndtri(p):
     return out.reshape(shape)
 
 
-def _half_erfc_by_erf(z, out, scratch):
-    """erfc(z) / 2 as (1 - erf(z)) / 2, for 1/sqrt(2) <= z < 1, into out.
-
-    z is overwritten; scratch is a buffer of z's size.
-    """
-    z2 = np.multiply(z, z, out=scratch)
-    h = _polevl(z2, _T, out=out)
-    h *= z
-    h /= _p1evl(z2, _U, out=z)
-    np.subtract(1.0, h, out=h)
-    h *= 0.5
-    return h
+def _half_erfc_by_erf(z):
+    """erfc(z) / 2 as (1 - erf(z)) / 2, for 1/sqrt(2) <= z < 1."""
+    z2 = z * z
+    return (1.0 - _polevl(z2, _T) * z / _p1evl(z2, _U)) * 0.5
 
 
-def _half_erfc(z, out, scratch, p, q):
-    """erfc(z) / 2 by its exp(-z^2) rational form, for 1 <= z < _UNDERFLOW, into out.
-
-    scratch is a buffer of z's size.
-    """
-    h = np.negative(z, out=out)
-    h *= z
-    np.exp(h, out=h)
-    h *= _polevl(z, p, out=scratch)
-    h /= _p1evl(z, q, out=scratch)
-    h *= 0.5
-    return h
+def _half_erfc(z, p, q):
+    """erfc(z) / 2 by its exp(-z^2) rational form, for 1 <= z < _UNDERFLOW."""
+    return np.exp(-z * z) * _polevl(z, p) / _p1evl(z, q) * 0.5
 
 
 _UNDERFLOW = _underflow_edge()
@@ -155,12 +140,11 @@ _HALF_ERFC = (_half_erfc_by_erf, partial(_half_erfc, p=_P, q=_Q), partial(_half_
 def _ndtr_sorted(x):
     """ndtr of sqrt(2) * x for a 1-D x in increasing order, NaN last.
 
-    Each branch runs on one slice, with the operations of Cephes' erf and
-    erfc in their order. x is overwritten: it, the result and one scratch
-    array hold every stage, so no other array of x's size is made.
+    x is not written. Each branch runs in one call, with the operations of Cephes' erf and
+    erfc in their order: erf on the central slice, and erfc / 2 of each band
+    on its negated negative values followed by its positive ones.
     """
     out = np.empty_like(x)
-    scratch = np.empty_like(x)
     # band k holds _EDGES[k] <= |x| < _EDGES[k + 1]; NaN sorts last
     neg = np.searchsorted(x, -_EDGES, "right")
     pos = np.searchsorted(x, _EDGES, "left")
@@ -171,19 +155,13 @@ def _ndtr_sorted(x):
     lo, hi = neg[0], pos[0]
     if lo < hi:  # a call on a few sorted blocks leaves most bands empty
         central = x[lo:hi]
-        x2 = np.multiply(central, central, out=scratch[: hi - lo])
-        erf = _polevl(x2, _T, out=out[lo:hi])
-        erf *= central
-        erf /= _p1evl(x2, _U, out=central)  # central is not read again
-        erf *= 0.5
-        erf += 0.5
+        x2 = central * central
+        out[lo:hi] = _polevl(x2, _T) * central / _p1evl(x2, _U) * 0.5 + 0.5
     for k, half_erfc in enumerate(_HALF_ERFC):
-        lo, hi = neg[k + 1], neg[k]
-        if lo < hi:
-            z = np.negative(x[lo:hi], out=x[lo:hi])
-            half_erfc(z, out[lo:hi], scratch[: hi - lo])
-        lo, hi = pos[k], pos[k + 1]
-        if lo < hi:
-            h = half_erfc(x[lo:hi], out[lo:hi], scratch[: hi - lo])
-            np.subtract(1.0, h, out=h)
+        below, above = slice(neg[k + 1], neg[k]), slice(pos[k], pos[k + 1])
+        n_below = neg[k] - neg[k + 1]
+        if n_below or pos[k] < pos[k + 1]:
+            h = half_erfc(np.concatenate([-x[below], x[above]]))
+            out[below] = h[:n_below]
+            out[above] = 1.0 - h[n_below:]
     return out

@@ -165,6 +165,13 @@ class IntegratorConfig:
                 f"tolerance must lie in (1e-14, 1e-2), got {self.tolerance!r}"
             )
         _require_positive("t_final", self.t_final)
+        limit = np.iinfo(np.intp).max
+        if self.method == "rk4" and self.t_final / self.dt > limit:
+            raise ValueError(
+                f"rk4 with t_final = {self.t_final:g} and dt = {self.dt:g} takes "
+                f"{self.t_final / self.dt:.6g} steps, more than the {limit:.6g} an array "
+                "can index"
+            )
         if not isinstance(self.record_stride, int) or self.record_stride < 0:
             raise ValueError(
                 f"record_stride must be a non-negative integer, got {self.record_stride!r}"
@@ -277,7 +284,9 @@ def _rk4_maps(
     shape (len(times), 2) and hold the step maps folded up to each of them.
     """
     n_steps, dt = _step_grid(config)
-    steps = np.append(np.arange(0, n_steps, config.record_stride or n_steps), n_steps)
+    # a stride at or past n_steps records only the endpoints
+    stride = min(config.record_stride or n_steps, n_steps)
+    steps = np.append(np.arange(0, n_steps, stride), n_steps)
     t = t0 + np.arange(n_steps) * dt
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))

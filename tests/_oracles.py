@@ -17,7 +17,7 @@ row leaves with math.fsum, and the package must match it bit for bit. The
 free Gaussian amplitude is the textbook packet, boosted and spread,
 written from its formula and using nothing of the package; the
 finite-difference velocity differences it. The KS, ndtr and mode-layout
-references are the plain forms of the package's buffer-sharing kernels: a
+references are the plain forms of the package's kernels: a
 new array per stage, ndtr's branches picked by masks on |x| rather than by
 slices of sorted values, and the two KS ramps i/n and (i - 1)/n built
 separately; the kernels must match them bit for bit.

@@ -416,6 +416,37 @@ def test_stiff_rk4_exits_3_without_output(tmp_path, capsys, subcommand):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", ["equivariance", "trajectory", "ga-constraint", "sweep"])
+@pytest.mark.parametrize(
+    "setting, steps",
+    # dt = 1e-308 was an OverflowError traceback; the others failed at run
+    # time with numpy's "Maximum allowed size exceeded", which names no setting
+    [
+        (["--dt", "1e-308"], "inf"),
+        (["--dt", "1e-200"], "2e+200"),
+        (["--t-final", "1e300"], "1e+303"),
+    ],
+)
+def test_rk4_step_count_an_array_cannot_index_exits_2_at_load(
+    tmp_path, capsys, subcommand, setting, steps
+):
+    assert main([subcommand, *setting, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rk4 with t_final = ") and f" takes {steps} steps, " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_stride_past_the_step_count_records_the_endpoints(tmp_path):
+    # a stride of 2**63 or more was an IndexError traceback from np.arange
+    config = tmp_path / "run.cfg"
+    config.write_text(f"record_stride = {2**63}\nsamples = 200\nt_final = 0.5\n")
+    out = tmp_path / "x.csv"
+    assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 0
+    assert [row[0] for row in read_csv(out)[1]] == ["0", "0.5"]
+    assert main(["ga-constraint", "--config", str(config), "--out", str(out)]) == 0
+    assert dict(read_csv(out)[1])["max_abs_sum"] == "0"
+
+
 def test_ga_constraint_stiff_wide_mode_exits_3_without_output(tmp_path, capsys):
     # recording needs rk4, so the remedy is a smaller dt, not rk45
     out = tmp_path / "ga.csv"

@@ -186,6 +186,13 @@ def test_integrator_config_validation():
         IntegratorConfig(record_stride=-1)
 
 
+@pytest.mark.parametrize("dt, t_final", [(1e-308, 2.0), (1e-200, 2.0), (1e-3, 1e300)])
+def test_rk4_step_count_past_what_an_array_can_index_is_refused(dt, t_final):
+    with pytest.raises(ValueError, match=r"^rk4 with t_final = .* steps, more than the"):
+        IntegratorConfig(dt=dt, t_final=t_final)
+    IntegratorConfig(method="rk45", dt=dt, t_final=t_final)  # rk45 does not step by dt
+
+
 def test_rk4_matches_scaling_solution():
     state = default_state()
     start = (0.3, -0.2)
@@ -248,6 +255,23 @@ def test_record_stride_times():
     config = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=3)
     traj = integrate_trajectory(state, (0.1, 0.2), config)
     np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("stride", [10, 11, 2**63, 2**70])
+def test_record_stride_at_or_past_the_step_count_records_the_endpoints(stride):
+    # 2**63 and above used to overflow np.arange's step
+    state = TwoParticleState.from_widths(sigma_narrow=0.5)
+    config = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=stride)
+    unrecorded = dataclasses.replace(config, record_stride=0)
+    traj = integrate_trajectory(state, (0.1, 0.2), config)
+    assert traj.times.tolist() == [0.0, 1.0]
+    end = integrate_trajectory(state, (0.1, 0.2), unrecorded).positions[-1]
+    assert traj.positions[-1].tobytes() == end.tobytes()
+    start = sample_equilibrium(state, 16, 5)
+    frames = list(propagate_ensemble(state, start, config).frames())
+    assert len(frames) == 2
+    final = propagate_ensemble(state, start, unrecorded).final_positions
+    assert frames[1].tobytes() == final.tobytes()
 
 
 def test_rk45_trajectory_matches_scaling_solution():

@@ -134,6 +134,20 @@ def test_normal_cdf_matches_reference_bitwise():
     assert x.tobytes() == before
 
 
+def test_cdf_does_not_write_its_input():
+    # values inside every band and 3 ulps around each edge, of both signs,
+    # with the saturated ends, both zeros and NaN
+    inner = np.array([0.3, 0.9, 4.0, 20.0, 30.0, np.inf])
+    x = np.concatenate([_within_3_ulps(_normal._EDGES), inner, -inner, [0.0, -0.0, np.nan]])
+    x.sort()
+    before = x.tobytes()
+    _ndtr_sorted(x)
+    assert x.tobytes() == before
+    for cdf in (ndtr, normal_cdf(0.5, 2.0)):
+        cdf(x)
+        assert x.tobytes() == before
+
+
 def test_sorted_kernel_bits_do_not_depend_on_neighbours_or_length():
     # the kernel's arguments x = a / sqrt(2): 3 ulps around each branch edge,
     # the saturated bands out to inf, both zeros, subnormals and NaN
