@@ -73,13 +73,14 @@ def _sweep_states(state: TwoParticleState, widths) -> list[tuple[float, TwoParti
     return rows
 
 
-# Where the true CDF rises, the computed ndtr falls by one ulp of 1 at most
-# over 2e5 consecutive doubles at each _normal._EDGES edge and 1e7 random
+# For a non-decreasing CDF every term strictly inside a block [s, e] lies at
+# least 1/n below the block's bound, (e+1)/n - F(x_s) or F(x_e) - s/n. Where
+# the true CDF rises, the computed ndtr falls by one ulp of 1 at most over
+# 2e5 consecutive doubles at each _normal._EDGES edge and 1e7 random
 # arguments, and by about 2e-15 at most anywhere (it is within 4 ulps of
-# scipy); the slack is 500 times that. fl(a - b) is monotone in a and in
-# -b, so rounding needs none.
+# scipy); each term rounds by a few ulps of 1. So a block whose bound is
+# below a term already found cannot hold D for any n below about 4e14.
 _KS_BLOCK = 32
-_KS_SLACK = 1e-12
 
 
 def _ks_ramps(x, cdf, k):
@@ -112,7 +113,7 @@ def ks_statistic(samples, cdf) -> float:
     f, lo, hi = _ks_ramps(x, cdf, ends)
     d_min = np.maximum(np.max(hi - f), np.max(f - lo))
     bound = np.maximum(hi[1::2] - f[::2], f[1::2] - lo[::2])
-    kept = starts[bound >= d_min - _KS_SLACK]  # none when d_min is NaN
+    kept = starts[bound >= d_min]  # none when d_min is NaN
     inside = np.minimum(kept[:, None] + np.arange(_KS_BLOCK), n - 1).ravel()
     f, lo, hi = _ks_ramps(x, cdf, inside)
     return float(np.max(np.maximum(hi - f, f - lo), initial=d_min))

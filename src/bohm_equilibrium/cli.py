@@ -77,7 +77,7 @@ class RunConfig:
     times: tuple[float, ...] | None = None
     sweep_widths: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     grid_h: float | None = None
-    grid_tau: float = 1e-3
+    grid_tau: float | None = None
     start_y1: float | None = None
     start_y2: float | None = None
     out: str | None = None
@@ -88,7 +88,7 @@ class RunConfig:
                 if isinstance(value, (float, tuple)):
                     _require_finite(key, value)
             # checked here, not left to GaussianMode, so a bad width names its key
-            for key in ("sigma_narrow", "sigma_wide", "grid_tau"):
+            for key in ("sigma_narrow", "sigma_wide"):
                 _require_positive(key, getattr(self, key))
             state = self.state()
             self.integrator()
@@ -107,6 +107,17 @@ class RunConfig:
                     raise ValueError(
                         f"grid_h = {self.grid_h:g} exceeds {limit:.4g}, a quarter of the "
                         "narrowest density feature at t_final"
+                    )
+            # resolved here, so the meta sidecar records the tau continuity uses
+            if self.grid_tau is None:
+                self.grid_tau = guidance._default_grid_tau(state, self.t_final)
+            else:
+                _require_positive("grid_tau", self.grid_tau)
+                limit = guidance._max_grid_tau(state, self.t_final)
+                if self.grid_tau > limit:
+                    raise ValueError(
+                        f"grid_tau = {self.grid_tau:g} exceeds {limit:.4g}, the time in "
+                        "which the density moves a quarter of its width at t_final"
                     )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

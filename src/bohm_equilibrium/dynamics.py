@@ -132,12 +132,8 @@ def sample_constraint_surface(state: TwoParticleState, n: int, seed: int) -> np.
     """
     z = substream_normals(seed, 0, n, columns=1)[:, 0]
     if state.correlation is Correlation.SUM_NARROW:
-        small_y = state.rel_mode.center0 + state.rel_mode.sigma0 * z
-        y1, y2 = particle_coordinates(0.0, small_y)
-    else:
-        big_y = state.cm_mode.center0 + state.cm_mode.sigma0 * z
-        y1, y2 = particle_coordinates(big_y, 0.0)
-    return np.column_stack([y1, y2])
+        return _particle_positions(0.0, state.rel_mode.center0 + state.rel_mode.sigma0 * z)
+    return _particle_positions(state.cm_mode.center0 + state.cm_mode.sigma0 * z, 0.0)
 
 
 @dataclass(frozen=True)
@@ -309,24 +305,16 @@ def _mode_starts(positions: np.ndarray) -> np.ndarray:
     return u0
 
 
-def _particle_positions(cm: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """particle_coordinates(cm, rel), by the same operations, as the two
-    columns of one new (..., 2) array. rel is halved in place, so it must be
-    the caller's own array."""
-    half = np.multiply(rel, 0.5, out=rel)
-    out = np.empty(np.broadcast_shapes(np.shape(cm), np.shape(half)) + (2,))
-    np.add(cm, half, out=out[..., 0])
-    np.subtract(cm, half, out=out[..., 1])
+def _particle_positions(cm, rel) -> np.ndarray:
+    """particle_coordinates(cm, rel) as the two columns of one new (..., 2) array."""
+    out = np.empty(np.broadcast_shapes(np.shape(cm), np.shape(rel)) + (2,))
+    particle_coordinates(cm, rel, out=(out[..., 0], out[..., 1]))
     return out
 
 
 def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """Particle coordinates (..., 2) of the mode map (a, b) applied to u0 = (Y, y)."""
-    cm = np.multiply(a[0], u0[0])
-    cm += b[0]
-    rel = np.multiply(a[1], u0[1])
-    rel += b[1]
-    return _particle_positions(cm, rel)
+    return _particle_positions(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
 
 
 def _frame_abs_sum_maxima(ensemble: Ensemble) -> np.ndarray:
@@ -350,18 +338,16 @@ def _frame_abs_sum_maxima(ensemble: Ensemble) -> np.ndarray:
     buffers = raw[skip : skip + 3 * width].reshape(3, width)
     for i0 in range(0, n, _FRAME_CHUNK):
         big_y, small_y = u0[:, i0 : i0 + _FRAME_CHUNK]
-        cm, half, diff = buffers[:, : big_y.size]
+        cm, rel, diff = buffers[:, : big_y.size]
         for j, (a0, a1, b0, b1) in enumerate(coeffs):
             np.multiply(big_y, a0, out=cm)
             cm += b0
-            np.multiply(small_y, a1, out=half)
-            half += b1
-            half *= 0.5
-            np.subtract(cm, half, out=diff)  # y2
-            cm += half  # y1
-            cm += diff
-            np.abs(cm, out=cm)
-            chunk_max[j] = np.maximum.reduce(cm)
+            np.multiply(small_y, a1, out=rel)
+            rel += b1
+            y1, y2 = particle_coordinates(cm, rel, out=(rel, diff))
+            y1 += y2
+            np.abs(y1, out=y1)
+            chunk_max[j] = np.maximum.reduce(y1)
         np.maximum(maxima, chunk_max, out=maxima)
     return maxima
 

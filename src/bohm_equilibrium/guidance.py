@@ -26,6 +26,7 @@ from .model import (
     mode_density,
     mode_field,
     observable_normal,
+    particle_coordinates,
 )
 
 # marginal stds of the density that grid_for_state covers and continuity_residual requires
@@ -37,7 +38,7 @@ _COVER_STDS = 5.0
 _BLOCK_POINTS = 1 << 16
 
 # most threads that evaluate the continuity residual's leaves: each holds its
-# own leaf's stage buffers (about 5 MB at 2877 columns), so this bounds peak
+# own leaf's stage buffers (about 4.3 MB at 2877 columns), so this bounds peak
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
 
@@ -47,23 +48,19 @@ class VelocityPair(NamedTuple):
     v2: np.ndarray
 
 
-def _pair_velocity(state: TwoParticleState, t: float, y1, y2) -> VelocityPair:
-    big_y, small_y = mode_coordinates(y1, y2)
-    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
-    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
-    return VelocityPair(v_cm + 0.5 * v_rel, v_cm - 0.5 * v_rel)
-
-
 def velocity(state: TwoParticleState, y1, y2, t: float) -> VelocityPair:
     """Particle velocities (v1, v2) at configuration (y1, y2) and time t.
 
     Computed from the mode fields via dY/dt = v_cm, dy/dt = v_rel and the
-    chain rule y1 = Y + y/2, y2 = Y - y/2.
+    chain rule y1 = Y + y/2, y2 = Y - y/2 of particle_coordinates.
     """
     _require_finite("y1", y1)
     _require_finite("y2", y2)
     _require_finite("t", t)
-    return _pair_velocity(state, t, y1, y2)
+    big_y, small_y = mode_coordinates(y1, y2)
+    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
+    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
+    return VelocityPair(*particle_coordinates(v_cm, v_rel))
 
 
 @dataclass(frozen=True)
@@ -135,17 +132,45 @@ def _max_grid_spacing(state: TwoParticleState, t: float) -> float:
     return _feature_scale(state, t) / 4.0
 
 
+def _max_grid_tau(state: TwoParticleState, t: float) -> float:
+    """Longest time step tau whose residual norms are reliable at time t.
+
+    The central time difference at a grid point is a central difference
+    along the density as it moves past, with step v * tau. At the
+    _COVER_STDS reach of its center a mode's density moves at
+    v = |drift| + rate * reach, and the rule of _max_grid_spacing, that a
+    step moves each mode coordinate by at most a quarter of its width, asks
+    v * tau <= sigma / 4. At that edge a drifting cm or relative mode at
+    t = 2 keeps the coarse/fine ratio at 3.95, as grid_h's edge does.
+    continuity_residual warns above it, and the CLI refuses a grid_tau above it.
+    """
+    fastest = 0.0
+    for mode, now in zip((state.cm_mode, state.rel_mode), state.evolved(t)):
+        speed = abs(mode_field(mode, state.params, t).drift)
+        speed += now.stretch_rate * _COVER_STDS * now.sigma
+        fastest = max(fastest, speed / now.sigma)
+    return 0.25 / fastest if fastest > 0.0 else math.inf
+
+
+def _default_grid_tau(state: TwoParticleState, t: float) -> float:
+    """1e-3, or _max_grid_tau where the density moves too fast for that."""
+    return min(1e-3, _max_grid_tau(state, t))
+
+
 def grid_for_state(
     state: TwoParticleState,
     t: float,
     h: float | None = None,
-    tau: float = 1e-3,
+    tau: float | None = None,
 ) -> ResidualGrid:
     """Grid centered on the density covering the ±_COVER_STDS marginal stds
     that continuity_residual requires.
 
-    Default spacing resolves the narrowest feature with 8 points.
+    Default spacing resolves the narrowest feature with 8 points; the
+    default tau is _default_grid_tau.
     """
+    if tau is None:
+        tau = _default_grid_tau(state, t)
     if h is None:
         h = _feature_scale(state, t) / 8.0
     else:
@@ -165,7 +190,8 @@ class ContinuityResidual:
 
     The defect d_t rho + d_1(rho v1) + d_2(rho v2) is taken at every grid
     point; max_norm is its sup, l2_norm its area-weighted L2 norm.
-    too_coarse flags h above a quarter of the narrowest density feature.
+    too_coarse flags h above a quarter of the narrowest density feature, or
+    tau above the time in which the density moves a quarter of its width.
     """
 
     max_norm: float
@@ -252,14 +278,14 @@ def continuity_residual(
     max(1, _BLOCK_POINTS // n2) whole rows, the last possibly shorter, the
     same cut whatever the CPU count. A leaf's stages (rho, velocities,
     fluxes, rho at t ± tau) are evaluated on its rows plus one ghost row per
-    side, into buffers allocated once per call and worker. max_norm is the
-    largest of the leaves' maxima, and l2_norm comes from the math.fsum of
-    the leaves' np.sum of squares, which is exactly rounded (Shewchuk 1997),
-    so both norms keep their bits on any number of workers. The leaves run
-    on up to _MAX_WORKERS threads, no more than the CPUs this process may
-    use (see _reduce_leaves); a grid of one leaf runs on the calling thread
-    alone. Peak memory is a leaf's stages per worker, whatever the number
-    of grid rows.
+    side, into five ghost-extended and three inner buffers allocated once
+    per call and worker. max_norm is the largest of the leaves' maxima, and
+    l2_norm comes from the math.fsum of the leaves' np.sum of squares, which
+    is exactly rounded (Shewchuk 1997), so both norms keep their bits on any
+    number of workers. The leaves run on up to _MAX_WORKERS threads, no more
+    than the CPUs this process may use (see _reduce_leaves); a grid of one
+    leaf runs on the calling thread alone. Peak memory is a leaf's stages
+    per worker, whatever the number of grid rows.
 
     A norm that is not finite raises FloatingPointError naming it: a mode
     too narrow for its stretch rate, for one, has a NaN guidance field.
@@ -280,10 +306,11 @@ def continuity_residual(
             f"grid must cover at least ±{_COVER_STDS:g} marginal stds of the density"
         )
 
-    too_coarse = grid.h > _max_grid_spacing(state, t)
+    too_coarse = grid.h > _max_grid_spacing(state, t) or grid.tau > _max_grid_tau(state, t)
     if too_coarse:
         warnings.warn(
-            "grid spacing exceeds a quarter of the narrowest density feature; "
+            "grid spacing exceeds a quarter of the narrowest density feature, or tau "
+            "the time in which the density moves a quarter of its width; "
             "residual norms are unreliable",
             RuntimeWarning,
             stacklevel=2,
@@ -305,7 +332,7 @@ def continuity_residual(
 
     def residual_rows(i0, i1, ghosted, inner_rows):
         """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
-        big_y, small_y, rho, flux1, flux2, work = (a[: i1 - i0 + 2] for a in ghosted)
+        big_y, small_y, rho, flux1, flux2 = (a[: i1 - i0 + 2] for a in ghosted)
         out, term, scratch = (a[: i1 - i0] for a in inner_rows)
         mode_coordinates(ext1[i0 : i1 + 2, None], ext2[None, :], out=(big_y, small_y))
 
@@ -317,14 +344,12 @@ def continuity_residual(
         out -= term
         out /= 2.0 * grid.tau
 
-        # rho * v1 and rho * v2 with one ghost point per side
+        # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y
         mode_density(now[0], big_y, out=rho)
-        rho *= mode_density(now[1], small_y, out=work)
-        v_cm = fields[0].velocity(big_y, out=flux2)
-        half_v_rel = fields[1].velocity(small_y, out=work)
-        half_v_rel *= 0.5
-        np.add(v_cm, half_v_rel, out=flux1)
-        np.subtract(v_cm, half_v_rel, out=flux2)
+        rho *= mode_density(now[1], small_y, out=flux1)
+        v_cm = fields[0].velocity(big_y, out=big_y)
+        v_rel = fields[1].velocity(small_y, out=small_y)
+        particle_coordinates(v_cm, v_rel, out=(flux1, flux2))
         flux1 *= rho
         flux2 *= rho
 
@@ -338,8 +363,8 @@ def continuity_residual(
 
     def new_leaf():
         """leaf(k) -> (max |r|, sum of r^2) over grid rows [k*rows, (k+1)*rows),
-        with its own stage buffers: six ghost-extended and three inner."""
-        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(6)]
+        with its own stage buffers: five ghost-extended and three inner."""
+        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(5)]
         inner_rows = [np.empty((rows, n2)) for _ in range(3)]
 
         def leaf(k):

@@ -307,11 +307,15 @@ def mode_coordinates(y1, y2, out=(None, None)):
     return big_y, np.subtract(y1, y2, out=out[1])
 
 
-def particle_coordinates(cm, rel):
-    """Inverse of mode_coordinates: (y1, y2) = (Y + y/2, Y - y/2)."""
+def particle_coordinates(cm, rel, out=(None, None)):
+    """Inverse of mode_coordinates: (y1, y2) = (Y + y/2, Y - y/2), into out if given.
+
+    y/2 goes to out[1] first; either out may be rel, but neither may be cm.
+    """
     cm = np.asarray(cm, dtype=float)
     rel = np.asarray(rel, dtype=float)
-    return cm + 0.5 * rel, cm - 0.5 * rel
+    half = np.multiply(rel, 0.5, out=out[1])
+    return np.add(cm, half, out=out[0]), np.subtract(cm, half, out=out[1])
 
 
 def eval_density(state: TwoParticleState, y1, y2, t: float):

@@ -29,8 +29,7 @@ import numpy as np
 
 from bohm_equilibrium import _normal
 from bohm_equilibrium.dynamics import substream_normals
-from bohm_equilibrium.guidance import _pair_velocity
-from bohm_equilibrium.model import eval_density, mode_coordinates, particle_coordinates
+from bohm_equilibrium.model import eval_density, mode_coordinates, mode_field
 
 
 def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.0):
@@ -243,9 +242,11 @@ def continuity_residual_reference(state, grid, t):
     yy1 = ext1[:, None]
     yy2 = ext2[None, :]
     rho = eval_density(state, yy1, yy2, t)
-    v1, v2 = _pair_velocity(state, t, yy1, yy2)
-    flux1 = rho * v1
-    flux2 = rho * v2
+    big_y, small_y = mode_coordinates(yy1, yy2)
+    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
+    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
+    flux1 = rho * (v_cm + 0.5 * v_rel)
+    flux2 = rho * (v_cm - 0.5 * v_rel)
 
     inner1 = slice(1, -1)
     rho_plus = eval_density(state, yy1[inner1], yy2[:, inner1], t + grid.tau)
@@ -341,8 +342,8 @@ def mode_starts_reference(positions):
 
 def mode_positions_reference(a, b, u0):
     """(..., 2) positions of the mode map (a, b) applied to u0, stacked."""
-    p1, p2 = particle_coordinates(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
-    return np.stack([p1, p2], axis=-1)
+    cm, rel = a[0] * u0[0] + b[0], a[1] * u0[1] + b[1]
+    return np.stack([cm + 0.5 * rel, cm - 0.5 * rel], axis=-1)
 
 
 def sample_equilibrium_reference(state, n, seed, first_sample=0):
@@ -350,4 +351,4 @@ def sample_equilibrium_reference(state, n, seed, first_sample=0):
     z = substream_normals(seed, first_sample, n)
     big_y = state.cm_mode.center0 + state.cm_mode.sigma0 * z[:, 0]
     small_y = state.rel_mode.center0 + state.rel_mode.sigma0 * z[:, 1]
-    return np.column_stack(particle_coordinates(big_y, small_y))
+    return np.column_stack([big_y + 0.5 * small_y, big_y - 0.5 * small_y])

@@ -190,12 +190,22 @@ def ks_samples(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=ks_samples())
-def test_bounded_ks_statistic_matches_whole_array_reference_bitwise(case):
+@given(case=ks_samples(), lowered=st.booleans())
+def test_bounded_ks_statistic_matches_whole_array_reference_bitwise(case, lowered):
+    # lowered: the normal CDF minus up to 1/(4n), a function of x alone that
+    # falls by up to 1/(4n) inside a block; every term inside a block still
+    # lies 3/(4n) below its bound, so no block that may hold D is skipped
     samples, mean, std = case
     before = samples.tobytes()
-    ours = ks_statistic(samples, normal_cdf(mean, std))
-    reference = normal_ks_reference(samples, mean, std)
+    if lowered:
+
+        def cdf(x):
+            return ndtr_reference((x - mean) / std) - 0.25 / samples.size * np.sin(1e3 * x) ** 2
+
+        ours, reference = ks_statistic(samples, cdf), ks_reference(samples, cdf)
+    else:
+        ours = ks_statistic(samples, normal_cdf(mean, std))
+        reference = normal_ks_reference(samples, mean, std)
     assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
     assert samples.tobytes() == before
 

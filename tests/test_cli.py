@@ -568,6 +568,51 @@ def test_too_coarse_grid_exits_2_without_output(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "setting, limit",
+    # the cm packet drifts 50 of its widths per tau = 1e-3, the relative one 9:
+    # the coarse/fine ratio read 0.994 and 0.996 with exit 0
+    [("cm_wavenumber = 1e6", "5e-06"), ("rel_wavenumber = 1e4", "2.794e-05")],
+)
+def test_grid_tau_the_density_outruns_exits_2_without_output(tmp_path, setting, limit):
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\ngrid_tau = 1e-3\n")
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 2
+        assert child.stderr == (
+            f"error: grid_tau = 0.001 exceeds {limit}, the time in which the density "
+            "moves a quarter of its width at t_final\n"
+        )
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "wavenumber, sized",
+    # below the bound tau stays 1e-3; past it, tau is the bound (the ratio
+    # read 3.84 at tau = 1e-3 for 1e4, and 0.994 for 1e6)
+    [(4e3, False), (1e4, True), (1e6, True)],
+)
+def test_default_grid_tau_follows_a_drifting_density(tmp_path, wavenumber, sized):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"cm_wavenumber = {wavenumber}\nsamples = 2000\n")
+    out = tmp_path / "c.csv"
+    assert main(["continuity", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    limit = guidance._max_grid_tau(RunConfig(cm_wavenumber=wavenumber).state(), 2.0)
+    assert float(rows[0][2]) == (limit if sized else 1e-3)
+    assert 3.9 < float(rows[0][3]) / float(rows[1][3]) < 4.1
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["config"]["grid_tau"] == float(rows[0][2])
+    # the subcommands that never use grid_tau run too
+    assert main(["equivariance", "--config", str(config), "--out", str(tmp_path / "e.csv")]) == 0
+
+
+@pytest.mark.parametrize(
     "width, points",
     [(["--sigma-wide", "1e150"], "1.99998e+150"), (["--sigma-narrow", "1e-150"], "1.78885e+151")],
 )

@@ -434,6 +434,26 @@ def test_continuity_too_coarse_warns():
     assert res.too_coarse
 
 
+@pytest.mark.parametrize("wavenumbers", [(4e3, 0.0), (1e6, 0.0), (0.0, 250.0), (0.0, 0.0)])
+def test_continuity_tau_just_inside_its_bound_converges(wavenumbers):
+    # a drifting cm or relative mode, or none; at cm_wavenumber = 1e6 the
+    # default tau = 1e-3 gave a coarse/fine ratio of 0.994 and no warning
+    cm_wavenumber, rel_wavenumber = wavenumbers
+    state = TwoParticleState.from_widths(
+        0.05, 1.0, cm_wavenumber=cm_wavenumber, rel_wavenumber=rel_wavenumber
+    )
+    t = 2.0
+    limit = guidance._max_grid_tau(state, t)
+    assert grid_for_state(state, t).tau == min(1e-3, limit)
+    grid = grid_for_state(state, t, tau=0.99 * limit)
+    coarse = continuity_residual(state, grid, t)
+    fine = continuity_residual(state, grid.refined(), t)
+    assert not coarse.too_coarse
+    assert 3.9 < coarse.max_norm / fine.max_norm < 4.1
+    with pytest.warns(RuntimeWarning, match="tau"):
+        assert continuity_residual(state, grid_for_state(state, t, tau=1.01 * limit), t).too_coarse
+
+
 @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
 def test_grid_for_state_rejects_bad_spacing(h):
     with pytest.raises(ValueError, match="h must be positive"):

@@ -211,6 +211,51 @@ def test_mode_coordinate_roundtrip():
     assert back[1] == pytest.approx(y2, rel=1e-15)
 
 
+# signed zeros, infinities, NaN, subnormals, 1e308 (whose sum with itself
+# overflows) and two plain values; PAIRS holds every ordered pair of them
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1e308, -1e308, 0.75, -3])
+PAIRS = (np.repeat(SPECIAL, SPECIAL.size), np.tile(SPECIAL, SPECIAL.size))
+# (cm, rel): the pairs, or a scalar 0.0 broadcast against either side
+COORDINATE_SIDES = {"pairs": PAIRS, "cm-0": (0.0, PAIRS[1]), "rel-0": (PAIRS[0], 0.0)}
+
+
+def _coordinate_out(into, shape, rel):
+    """out for particle_coordinates: none, the columns of one (..., 2) array, or (new, rel)."""
+    if into == "none":
+        return None, None
+    if into == "columns":
+        positions = np.empty(shape + (2,))
+        return positions[..., 0], positions[..., 1]
+    return np.empty(shape), rel
+
+
+@pytest.mark.parametrize(
+    "sides, into",
+    [
+        (sides, into)
+        for sides in COORDINATE_SIDES
+        for into in ("none", "columns", "rel")
+        if (sides, into) != ("rel-0", "rel")  # a scalar rel cannot be out[1]
+    ],
+)
+def test_particle_coordinates_out_matches_the_inline_form_bitwise(sides, into):
+    # own copies: rel may be passed as out[1]
+    cm, rel = (np.array(value) for value in COORDINATE_SIDES[sides])
+    shape = np.broadcast_shapes(cm.shape, rel.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (cm + 0.5 * rel, cm - 0.5 * rel)
+        cm_before, rel_before = cm.tobytes(), rel.tobytes()
+        out = _coordinate_out(into, shape, rel)
+        got = particle_coordinates(cm, rel, out=out)
+    for ours, inline in zip(got, want):
+        assert ours.shape == inline.shape and ours.tobytes() == inline.tobytes()
+    if into != "none":
+        assert got[0] is out[0] and got[1] is out[1]
+    assert cm.tobytes() == cm_before
+    if into != "rel":
+        assert rel.tobytes() == rel_before
+
+
 def test_correlation_labels():
     assert Correlation.from_label("sum") is Correlation.SUM_NARROW
     assert Correlation.from_label("difference") is Correlation.DIFFERENCE_NARROW
