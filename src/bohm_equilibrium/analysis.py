@@ -4,7 +4,8 @@ Three experiments: the equivariance check (an equilibrium ensemble stays
 distributed as |psi|^2 under the guidance flow), the constraint-surface run
 (an ensemble started exactly on the narrow-combination surface stays on it
 while an equilibrium ensemble's width grows), and the regularization sweep
-(the width ratio R as the narrow packet is squeezed).
+(the width ratio R as the narrow packet is squeezed). Each carries its
+ensemble as (2, n) mode offsets from the start centers (see dynamics).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import numpy as np
 from ._normal import _SQRT1_2, _ndtr_sorted
 from .dynamics import (
     IntegratorConfig,
+    _check_parallel_width,
     _check_rk4_step,
     _frame_abs_sum_maxima,
-    propagate_ensemble,
-    sample_constraint_surface,
-    sample_equilibrium,
+    _sample_modes,
+    _transport,
+    substream_normals,
 )
 from .model import (
     OBSERVABLES,
@@ -165,10 +167,18 @@ class EquivarianceReport:
         return max(stats.ks for stats in self.observables)
 
 
-def _snapshot(state: TwoParticleState, positions: np.ndarray, t: float) -> EquivarianceReport:
+def _snapshot(state: TwoParticleState, u: np.ndarray, t: float) -> EquivarianceReport:
+    """The four observables at time t of the (2, n) offsets u from state's start centers.
+
+    The centers are added back, then each observable is a*Y + b*y with its
+    OBSERVABLES weights, so y1+y2 is 2Y and y1-y2 is y, whatever the ratio
+    of the modes' scales. The weights are 0, ±1/2, 1 or 2, so both products
+    are exact, and the matrix product rounds a*Y + b*y once, as the sum does.
+    """
+    modes = u + np.array([[state.cm_mode.center0], [state.rel_mode.center0]])
     rows = []
-    for name, coefficients in OBSERVABLES.items():
-        values = positions @ coefficients
+    for name, weights in OBSERVABLES.items():
+        values = np.array(weights) @ modes
         mean, std = observable_normal(state, t, name)
         with np.errstate(over="ignore"):  # values near 1e300 square to inf
             empirical_std = float(np.std(values, ddof=1))
@@ -201,29 +211,29 @@ def equivariance_check(
     their exact normal laws. Equivariance predicts every KS statistic stays
     at the sampling-noise level no matter how far the ensemble is pushed.
     Every statistic covers all n samples: a trajectory that fails to
-    integrate raises EnsembleFailureError from propagate_ensemble, and an
-    rk4 step too long for the state raises it before sampling.
+    integrate raises EnsembleFailureError, and an rk4 step too long for the
+    state raises it before sampling. The ensemble is carried as offsets
+    from the start centers, so far centers cost no precision in transport.
     """
     _require_samples(n)
     times = _check_times(times, config.t_final)
+    _check_parallel_width(parallel_width)
     _check_rk4_step(state, config)
+    u = _sample_modes(state.at_origin(), substream_normals(seed, 0, n))
+    return _equivariance_reports(state, u, config, times)
 
-    positions = sample_equilibrium(state, n, seed)
+
+def _equivariance_reports(state: TwoParticleState, u: np.ndarray, config, times):
+    """Transport the (2, n) offsets u, drawn at t = 0, and take a snapshot at each time."""
+    origin = state.at_origin()
     reports = []
     t_now = 0.0
     for t in times:
         if t > t_now:
             segment = replace(config, t_final=t - t_now, record_stride=0)
-            positions = propagate_ensemble(
-                state,
-                positions,
-                segment,
-                parallel_width=parallel_width,
-                t0=t_now,
-                seed=seed,
-            ).final_positions
+            u = _transport(origin, u, segment, t_now)[0]
             t_now = t
-        reports.append(_snapshot(state, positions, t))
+        reports.append(_snapshot(state, u, t))
     return reports
 
 
@@ -258,9 +268,10 @@ def constraint_surface_experiment(
     (or config.record_stride if set) and reports the worst constraint
     violation together with the width comparison at t_final. The violation
     is measured on every trajectory at every recorded time by
-    dynamics._frame_abs_sum_maxima, never on whole frames. An rk4 step too
-    long for the wide mode raises EnsembleFailureError before sampling; the
-    narrow mode stays exactly at 0 for any step.
+    dynamics._frame_abs_sum_maxima, as |2Y|, never on whole frames. An rk4
+    step too long for the wide mode raises EnsembleFailureError before
+    sampling; the narrow mode stays exactly at 0 for any step. So does a
+    recorded step map that is not finite.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -273,13 +284,13 @@ def constraint_surface_experiment(
         raise ValueError(f"method must be 'rk4' to record every step, got {config.method!r}")
     _check_rk4_step(state, config, _surface=True)
     config = replace(config, record_stride=config.record_stride or 1)
-    starts = sample_constraint_surface(state, n, seed)
-    ensemble = propagate_ensemble(state, starts, config, seed=seed)
-    max_abs_sum = float(np.max(_frame_abs_sum_maxima(ensemble)))
-    final = ensemble.final_positions
-    sum_final = final[:, 0] + final[:, 1]
-    diff_final = final[:, 0] - final[:, 1]
-    sum_width_empirical = float(np.std(sum_final, ddof=1))
+    origin = state.at_origin()
+    u0 = _sample_modes(origin, substream_normals(seed, 0, n, columns=1), surface=True)
+    final, _, maps = _transport(origin, u0, config)
+    max_abs_sum = float(np.max(_frame_abs_sum_maxima(maps, u0)))
+    # widths do not see the start centers, so they are taken on the offsets:
+    # y1 + y2 is 2Y and y1 - y2 is y
+    sum_width_empirical = float(np.std(2.0 * final[0], ddof=1))
     sum_width_equilibrium = constraint_width(state, config.t_final, "sum")
     if sum_width_empirical == 0.0:
         ratio = math.inf
@@ -292,7 +303,7 @@ def constraint_surface_experiment(
         sum_width_empirical=sum_width_empirical,
         sum_width_equilibrium=sum_width_equilibrium,
         width_mismatch_ratio=ratio,
-        diff_width_empirical=float(np.std(diff_final, ddof=1)),
+        diff_width_empirical=float(np.std(final[1], ddof=1)),
         diff_width_analytic=constraint_width(state, config.t_final, "difference"),
     )
 
@@ -334,21 +345,24 @@ def regularization_sweep(
     states), strictly decreasing. Each row reports the spreading ratio
     R = sigma_narrow(t_final) / sigma_narrow(0): R grows as the width
     shrinks, keeping the final width R * delta_y_i finite, while the KS
-    column certifies the ensemble stayed in equilibrium. The same seed is
-    reused across rows (common random numbers). With rk4, every row state
-    is checked against _check_rk4_step before the first row runs, and a
-    width too narrow for dt raises EnsembleFailureError.
+    column certifies the ensemble stayed in equilibrium. The normals are
+    drawn once from the seed and scaled for each row (common random
+    numbers); each row then runs equivariance_check's transport and
+    snapshot. With rk4, every row state is checked against _check_rk4_step
+    before the draw, and a width too narrow for dt raises
+    EnsembleFailureError.
     """
     row_states = _sweep_states(state, widths)
     for _, row_state in row_states:
         _check_rk4_step(row_state, config)
+    _require_samples(n)
+    z = substream_normals(seed, 0, n)
     narrow_name = "y1+y2" if state.correlation is Correlation.SUM_NARROW else "y1-y2"
     rows = []
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
-        report = equivariance_check(
-            row_state, n, seed, config, [config.t_final]
-        )[0]
+        u = _sample_modes(row_state.at_origin(), z)
+        report = _equivariance_reports(row_state, u, config, [config.t_final])[0]
         r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(
             SweepRow(

@@ -9,6 +9,12 @@ trajectory with elementwise arithmetic, which makes ensembles and single
 trajectories agree to the bit. Adaptive Dormand-Prince runs each trajectory
 as one lane of a single step loop, with its own time and step size, so it
 agrees to the bit as well.
+
+Inside the package an ensemble is one (2, n) array of mode coordinates,
+rows Y and y: _sample_modes draws it and _transport carries it. The
+experiments run on their state translated to the origin, so the rows are
+offsets from the start centers. (n, 2) particle positions are formed only
+by the public functions and Ensemble.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .model import (
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
 _MIN_ADAPTIVE_DT = 1e-12
-_FRAME_CHUNK = 16384  # starts per chunk in _frame_abs_sum_maxima
 
 
 class StepUnderflowError(RuntimeError):
@@ -43,11 +48,12 @@ class StepUnderflowError(RuntimeError):
 class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
-    Either a trajectory of an ensemble ended in a non-finite state, or the
-    fixed rk4 step is too long for the state (see _check_rk4_step; the
-    experiments and integrate_trajectory refuse it before any step), or a
-    trajectory's state is not finite: an rk4 position at some recorded time,
-    or an rk45 step that shrank to the floor on a non-finite error estimate.
+    Either a trajectory of an ensemble ended in a non-finite state, or a
+    recorded rk4 step map is not finite, or the fixed rk4 step is too long
+    for the state (see _check_rk4_step; the experiments and
+    integrate_trajectory refuse it before any step), or a trajectory's state
+    is not finite: an rk4 position at some recorded time, or an rk45 step
+    that shrank to the floor on a non-finite error estimate.
     """
 
 
@@ -106,6 +112,24 @@ def substream_normals(seed: int, first_sample: int, n: int, columns: int = 2):
     return ndtri(substream_uniforms(seed, first_sample, n, columns))
 
 
+def _sample_modes(state: TwoParticleState, z: np.ndarray, surface=False) -> np.ndarray:
+    """(2, n) mode coordinates, rows Y and y, each its mode's center0 + sigma0 * z.
+
+    z holds standard normals, a row per sample, and its columns 0 and 1
+    feed Y and y. On the surface the narrow row is exactly 0.0 and column 0
+    feeds the wide row.
+    """
+    u = np.zeros((2, len(z)))
+    columns = (0, 1)
+    if surface:
+        columns = (None, 0) if state.correlation is Correlation.SUM_NARROW else (0, None)
+    for row, mode, column in zip(u, (state.cm_mode, state.rel_mode), columns):
+        if column is not None:
+            np.multiply(z[:, column], mode.sigma0, out=row)
+            row += mode.center0
+    return u
+
+
 def sample_equilibrium(
     state: TwoParticleState, n: int, seed: int, first_sample: int = 0
 ) -> np.ndarray:
@@ -114,12 +138,7 @@ def sample_equilibrium(
     Uses the factorized normal law of the mode coordinates: columns 0 and 1
     of each sample's substream feed the cm and relative draws respectively.
     """
-    z = substream_normals(seed, first_sample, n)
-    big_y = np.multiply(z[:, 0], state.cm_mode.sigma0, out=z[:, 0])
-    big_y += state.cm_mode.center0
-    small_y = np.multiply(z[:, 1], state.rel_mode.sigma0, out=z[:, 1])
-    small_y += state.rel_mode.center0
-    return _particle_positions(big_y, small_y)
+    return _particle_positions(*_sample_modes(state, substream_normals(seed, first_sample, n)))
 
 
 def sample_constraint_surface(state: TwoParticleState, n: int, seed: int) -> np.ndarray:
@@ -130,10 +149,8 @@ def sample_constraint_surface(state: TwoParticleState, n: int, seed: int) -> np.
     marginal), so the constraint holds to the last bit. Difference-narrow
     states use y1 - y2 = 0 analogously.
     """
-    z = substream_normals(seed, 0, n, columns=1)[:, 0]
-    if state.correlation is Correlation.SUM_NARROW:
-        return _particle_positions(0.0, state.rel_mode.center0 + state.rel_mode.sigma0 * z)
-    return _particle_positions(state.cm_mode.center0 + state.cm_mode.sigma0 * z, 0.0)
+    z = substream_normals(seed, 0, n, columns=1)
+    return _particle_positions(*_sample_modes(state, z, surface=True))
 
 
 @dataclass(frozen=True)
@@ -196,9 +213,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Starts and end points of a propagated ensemble.
+    """Starts and end points of a propagated ensemble, as (n, 2) positions.
 
-    A recorded rk4 run keeps its composed step maps; frames() applies them.
+    The positions are formed at this boundary from the run's mode
+    coordinates. A recorded rk4 run keeps its composed step maps; frames()
+    applies them to the starts' modes and forms each frame's positions.
     """
 
     seed: int | None
@@ -211,7 +230,7 @@ class Ensemble:
         """Yield the (n, 2) positions at each recorded time, one frame at a time."""
         u0 = _mode_starts(self.initial_positions)
         for a_j, b_j in zip(*(self.maps or ())):
-            yield _mode_positions(a_j, b_j, u0)
+            yield _particle_positions(*_map_modes(a_j, b_j, u0))
 
 
 def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
@@ -312,44 +331,32 @@ def _particle_positions(cm, rel) -> np.ndarray:
     return out
 
 
-def _mode_positions(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """Particle coordinates (..., 2) of the mode map (a, b) applied to u0 = (Y, y)."""
-    return _particle_positions(a[0] * u0[0] + b[0], a[1] * u0[1] + b[1])
+def _map_modes(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Row i of the (2, n) modes u0 through the mode map: a[i] * u0[i] + b[i].
 
-
-def _frame_abs_sum_maxima(ensemble: Ensemble) -> np.ndarray:
-    """max |y1 + y2| over all trajectories at each time of a recorded rk4 run.
-
-    Equal, bit for bit, to np.max(np.abs(f[:, 0] + f[:, 1])) of each frame f
-    of ensemble.frames(): the same elementwise operations run in the same
-    order, in place on three chunk buffers of _FRAME_CHUNK starts, and the
-    chunk maxima are combined with np.maximum, so a NaN anywhere stays NaN.
-    The buffers start on 64-byte cache lines: malloc's 16-byte placement
-    made the whole kernel up to 30% slower depending on where it fell.
+    a and b are (2,) for one map, or (2, k) for k maps of one start, u0 (2, 1).
     """
-    coeffs = np.hstack(ensemble.maps).tolist()  # rows (a0, a1, b0, b1)
-    u0 = _mode_starts(ensemble.initial_positions)
-    n = u0.shape[1]
-    maxima = np.zeros(len(coeffs))
-    chunk_max = np.empty(len(coeffs))
-    width = -(-min(n, _FRAME_CHUNK) // 8) * 8  # rows of whole 64-byte cache lines
-    raw = np.empty(3 * width + 7)
-    skip = -raw.ctypes.data // 8 % 8  # the first row starting on one
-    buffers = raw[skip : skip + 3 * width].reshape(3, width)
-    for i0 in range(0, n, _FRAME_CHUNK):
-        big_y, small_y = u0[:, i0 : i0 + _FRAME_CHUNK]
-        cm, rel, diff = buffers[:, : big_y.size]
-        for j, (a0, a1, b0, b1) in enumerate(coeffs):
-            np.multiply(big_y, a0, out=cm)
-            cm += b0
-            np.multiply(small_y, a1, out=rel)
-            rel += b1
-            y1, y2 = particle_coordinates(cm, rel, out=(rel, diff))
-            y1 += y2
-            np.abs(y1, out=y1)
-            chunk_max[j] = np.maximum.reduce(y1)
-        np.maximum(maxima, chunk_max, out=maxima)
-    return maxima
+    u = np.reshape(a, (2, -1)) * u0
+    u += np.reshape(b, (2, -1))
+    return u
+
+
+def _frame_abs_sum_maxima(maps, u0: np.ndarray) -> np.ndarray:
+    """max |2Y| over the columns of u0 at each recorded map; 2Y is y1 + y2 about cm 0.
+
+    Map j sends each Y of the (2, n) modes u0 to a[j, 0] * Y + b[j, 0], on one
+    n-buffer. Doubling is exact and monotone, so 2 * max|Y| is max|2Y| bit
+    for bit; a NaN anywhere gives NaN.
+    """
+    a, b = maps
+    big_y = u0[0]
+    frame = np.empty_like(big_y)
+    maxima = np.empty(len(a))
+    for j, (a0, b0) in enumerate(zip(a[:, 0].tolist(), b[:, 0].tolist())):
+        np.multiply(big_y, a0, out=frame)
+        frame += b0
+        maxima[j] = np.maximum.reduce(np.abs(frame, out=frame))
+    return 2.0 * maxima
 
 
 # Dormand-Prince 5(4) tableau
@@ -456,13 +463,13 @@ def integrate_trajectory(
     # and invalid-value warnings on the way would only repeat that, or stop
     # the run with a traceback where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
-        u0 = mode_coordinates(float(start[0]), float(start[1]))
+        u0 = np.vstack(mode_coordinates(float(start[0]), float(start[1])))
         if config.method == "rk4":
             times, a, b = _rk4_maps(state, config, t0)
-            positions = _mode_positions(a.T, b.T, u0)
+            positions = _particle_positions(*_map_modes(a.T, b.T, u0))
         else:
             final, steps = _rk45_lanes(
-                partial(_mode_rhs, state), np.vstack(u0), t0, t1, config.tolerance, record=True
+                partial(_mode_rhs, state), u0, t0, t1, config.tolerance, record=True
             )
 
     if config.method == "rk4":
@@ -485,8 +492,45 @@ def integrate_trajectory(
     stride = config.record_stride
     kept = [(t, u) for t, u in steps[stride - 1 :: stride] if t[0] < t1] if stride else []
     times = np.concatenate([[t0], *(t for t, _ in kept), [t1]])
-    u = np.hstack([np.vstack(u0), *(u for _, u in kept), final])
+    u = np.hstack([u0, *(u for _, u in kept), final])
     return Trajectory(times=times, positions=_particle_positions(*u))
+
+
+def _require_finite_columns(u: np.ndarray):
+    """Raise EnsembleFailureError naming how many columns (trajectories) of u are not finite."""
+    # a whole-array all() costs about 1/25 of the column reduction, so
+    # columns are counted only after it fails
+    if not np.isfinite(u).all():
+        failed = np.count_nonzero(~np.isfinite(u).all(axis=0))
+        raise EnsembleFailureError(f"{failed} of {u.shape[1]} trajectories failed to integrate")
+
+
+def _transport(state: TwoParticleState, u0: np.ndarray, config: IntegratorConfig, t0=0.0):
+    """Carry the (2, n) modes u0 from t0 to t0 + t_final: (final, times, maps).
+
+    rk4 applies its composed step maps to every column at once; with
+    record_stride > 0 it also returns the recorded times and maps (a, b),
+    each (len(times), 2), else None for both. rk45 steps every column as a
+    lane of _rk45_lanes. A recorded map or a final column that is not
+    finite raises EnsembleFailureError.
+    """
+    times = maps = None
+    if config.method == "rk4":
+        recorded_times, a, b = _rk4_maps(state, config, t0)
+        if config.record_stride > 0:
+            finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+            if not finite.all():
+                raise EnsembleFailureError(
+                    f"step map is not finite at t = {recorded_times[finite.argmin()]:.6g}"
+                )
+            times, maps = recorded_times, (a, b)
+        final = _map_modes(a[-1], b[-1], u0)
+    else:
+        final, _ = _rk45_lanes(
+            partial(_mode_rhs, state), u0, t0, t0 + config.t_final, config.tolerance
+        )
+    _require_finite_columns(final)
+    return final, times, maps
 
 
 def propagate_ensemble(
@@ -499,13 +543,12 @@ def propagate_ensemble(
 ) -> Ensemble:
     """Propagate every row of initial_positions from t0 to t0 + t_final.
 
-    rk4 composes its steps into one affine map per mode and applies it to
-    the whole ensemble at once; with record_stride > 0 it keeps the maps of
-    the recorded times, for Ensemble.frames() to apply. rk45 steps every
-    trajectory as one lane of a single adaptive loop, each with its own step
-    size. parallel_width is validated and kept for compatibility; it does
-    not change the arithmetic. An ensemble is all or nothing: if any
-    trajectory's final state is not finite, EnsembleFailureError names how
+    The rows' mode coordinates go through _transport, and the final modes
+    come back as positions; with record_stride > 0 (rk4 only) the Ensemble
+    keeps the recorded maps, for Ensemble.frames() to apply. parallel_width
+    is validated and kept for compatibility; it does not change the
+    arithmetic. An ensemble is all or nothing: if any trajectory's final
+    state or final position is not finite, EnsembleFailureError names how
     many of the n failed.
     """
     positions = np.asarray(initial_positions, dtype=float)
@@ -517,26 +560,9 @@ def propagate_ensemble(
     if config.record_stride > 0 and config.method != "rk4":
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
 
-    u0 = _mode_starts(positions)
-    times = maps = None
-    if config.method == "rk4":
-        recorded_times, a, b = _rk4_maps(state, config, t0)
-        final = _mode_positions(a[-1], b[-1], u0)
-        if config.record_stride > 0:
-            times, maps = recorded_times, (a, b)
-    else:
-        final_u, _ = _rk45_lanes(
-            partial(_mode_rhs, state), u0, t0, t0 + config.t_final, config.tolerance
-        )
-        final = _particle_positions(*final_u)
-
-    # a whole-array all() costs about 1/25 of the row reduction, so rows are
-    # counted only after it fails
-    if not np.isfinite(final).all():
-        failed = np.count_nonzero(~np.isfinite(final).all(axis=1))
-        raise EnsembleFailureError(
-            f"{failed} of {len(final)} trajectories failed to integrate"
-        )
+    final, times, maps = _transport(state, _mode_starts(positions), config, t0)
+    final = _particle_positions(*final)
+    _require_finite_columns(final.T)  # Y +- y/2 can overflow where Y and y do not
     return Ensemble(
         seed=seed,
         initial_positions=positions,

@@ -290,6 +290,15 @@ class TwoParticleState:
             return replace(self, cm_mode=new_mode)
         return replace(self, rel_mode=new_mode)
 
+    def at_origin(self) -> "TwoParticleState":
+        """This state translated so that both modes start at 0.0, wavenumbers kept.
+
+        Free evolution commutes with translation: each mode coordinate of the
+        original is this state's plus its center0, at every time.
+        """
+        cm, rel = (replace(mode, center0=0.0) for mode in (self.cm_mode, self.rel_mode))
+        return replace(self, cm_mode=cm, rel_mode=rel)
+
     def evolved(self, t: float) -> tuple[EvolvedMode, EvolvedMode]:
         """(cm, rel) mode snapshots at time t."""
         return (
@@ -337,29 +346,28 @@ def constraint_width(state: TwoParticleState, t: float, which: str = "sum") -> f
     return observable_normal(state, t, "y1+y2" if is_sum else "y1-y2")[1]
 
 
-# each observable is c1*y1 + c2*y2
+# each observable is a*Y + b*y, with y1 = Y + y/2 and y2 = Y - y/2
 OBSERVABLES = {
-    "y1": (1.0, 0.0),
-    "y2": (0.0, 1.0),
-    "y1+y2": (1.0, 1.0),
-    "y1-y2": (1.0, -1.0),
+    "y1": (1.0, 0.5),
+    "y2": (1.0, -0.5),
+    "y1+y2": (2.0, 0.0),
+    "y1-y2": (0.0, 1.0),
 }
 
 
 def observable_normal(state: TwoParticleState, t: float, observable: str):
     """(mean, std) of the named linear observable under |psi|^2 at time t.
 
-    With y1 = Y + y/2 and y2 = Y - y/2, c1*y1 + c2*y2 = a*Y + b*y for
-    a = c1 + c2 and b = (c1 - c2)/2: a combination of the independent normal
-    mode coordinates, hence exactly normal at every t. A mean or std that
-    double precision cannot hold raises ValueError naming the observable and t.
+    The observable is a*Y + b*y with its OBSERVABLES weights: a combination
+    of the independent normal mode coordinates, hence exactly normal at
+    every t. A mean or std that double precision cannot hold raises
+    ValueError naming the observable and t.
     """
     if observable not in OBSERVABLES:
         raise ValueError(
             f"observable must be one of {tuple(OBSERVABLES)}, got {observable!r}"
         )
-    c1, c2 = OBSERVABLES[observable]
-    a, b = c1 + c2, 0.5 * (c1 - c2)
+    a, b = OBSERVABLES[observable]
     cm, rel = state.evolved(t)
     mean, std = a * cm.center + b * rel.center, math.hypot(a * cm.sigma, b * rel.sigma)
     if not (math.isfinite(mean) and math.isfinite(std)):

@@ -22,7 +22,6 @@ from bohm_equilibrium import (
     ks_statistic,
     observable_normal,
     regularization_sweep,
-    sample_equilibrium,
     substream_normals,
 )
 from bohm_equilibrium import _normal
@@ -298,7 +297,7 @@ def test_equivariance_check_rejects_nan_times_before_work(monkeypatch, times):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the times were validated")
 
-    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     with pytest.raises(ValueError, match="times must lie within"):
         equivariance_check(default_state(), 100, 42, default_config(), times)
 
@@ -307,8 +306,7 @@ def test_experiments_reject_single_sample_before_work(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before n was validated")
 
-    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
-    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     with pytest.raises(ValueError, match="samples must be at least 2"):
         equivariance_check(default_state(), 1, 42, default_config(), [1.0])
     with pytest.raises(ValueError, match="samples must be at least 2"):
@@ -320,7 +318,7 @@ def test_equivariance_check_refuses_stiff_rk4_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the rk4 step was checked")
 
-    monkeypatch.setattr(analysis, "sample_equilibrium", no_sampling)
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.005, 1.0)
     with pytest.raises(EnsembleFailureError, match="step 0.001; use method = rk45"):
         equivariance_check(state, 100, 42, default_config(), [1.0])
@@ -334,6 +332,35 @@ def test_equivariance_parallel_width_invariance():
     for sa, sb in zip(a[0].observables, b[0].observables):
         assert sa.empirical_std == sb.empirical_std
         assert sa.ks == sb.ks
+
+
+# carried as absolute positions, these runs read max KS 0.0266, 0.956,
+# 0.0187, 0.216 and 0.460 against the noise level 0.0138: the step maps
+# rounded offsets that grow with the center, and y1 + y2 lost Y to y/2
+FAR_SETTINGS = {
+    "cm_center=1e12": {"cm_center": 1e12},
+    "cm_center=1e14": {"cm_center": 1e14},
+    "rel_center=1e13": {"rel_center": 1e13},
+    "sigma_wide=1e15": {"sigma_wide": 1e15},
+    "sigma_wide=1e16": {"sigma_wide": 1e16},
+}
+
+
+@pytest.mark.parametrize("setting", FAR_SETTINGS.values(), ids=FAR_SETTINGS)
+def test_equivariance_holds_at_far_centers_and_wide_ratios(setting):
+    n = 20_000
+    state = TwoParticleState.from_widths(**setting)
+    report = equivariance_check(state, n, 42, default_config(), [2.0])[0]
+    assert report.max_ks < 1.95 / math.sqrt(n)
+
+
+def test_equivariance_still_integrates_a_fast_drift():
+    # the translation to the origin keeps the wavenumbers, so the drift is
+    # still integrated, and rounded, by the step maps; carrying offsets from
+    # the moving center would hide a wrong drift in the field
+    state = TwoParticleState.from_widths(cm_wavenumber=1e14)
+    report = equivariance_check(state, 20_000, 42, default_config(), [2.0])[0]
+    assert report.max_ks == pytest.approx(0.01024, abs=5e-5)
 
 
 def test_equivariance_refuses_a_failed_trajectory(monkeypatch):
@@ -397,11 +424,18 @@ def test_observable_table_matches_closed_forms(
     for name, expected in closed_forms.items():
         assert observable_normal(state, t, name) == expected
 
-    positions = sample_equilibrium(state, 50, seed)
-    y1, y2 = positions[:, 0], positions[:, 1]
-    expected_values = {"y1": y1, "y2": y2, "y1+y2": y1 + y2, "y1-y2": y1 - y2}
+    # the snapshot takes offsets from the start centers and adds them back
+    u = dynamics._sample_modes(state.at_origin(), substream_normals(seed, 0, 50))
+    big_y = u[0] + state.cm_mode.center0
+    small_y = u[1] + state.rel_mode.center0
+    expected_values = {
+        "y1": big_y + 0.5 * small_y,
+        "y2": big_y - 0.5 * small_y,
+        "y1+y2": 2.0 * big_y,
+        "y1-y2": small_y,
+    }
     with mock.patch.object(analysis, "ks_statistic", wraps=ks_statistic) as spy:
-        report = analysis._snapshot(state, positions, t)
+        report = analysis._snapshot(state, u, t)
     assert [stats.observable for stats in report.observables] == list(expected_values)
     for call, expected in zip(spy.call_args_list, expected_values.values()):
         assert call.args[0].tobytes() == expected.tobytes()
@@ -422,8 +456,9 @@ def test_constraint_surface_experiment():
 
 
 @pytest.mark.parametrize("column", [0, 1])
-def test_constraint_surface_nan_map_poisons_max(monkeypatch, column):
-    # a NaN in one recorded map (not the final one) must not be skipped
+def test_constraint_surface_refuses_a_nan_map(monkeypatch, column):
+    # a NaN in one recorded map (not the final one) must not be skipped, in
+    # the relative column too, which the |2Y| kernel does not read
     rk4_maps = dynamics._rk4_maps
 
     def planted(*args):
@@ -433,9 +468,8 @@ def test_constraint_surface_nan_map_poisons_max(monkeypatch, column):
 
     monkeypatch.setattr(dynamics, "_rk4_maps", planted)
     config = IntegratorConfig(dt=1e-2, t_final=0.1)
-    report = constraint_surface_experiment(default_state(), 40000, 42, config)
-    assert math.isnan(report.max_abs_sum)
-    assert math.isfinite(report.sum_width_empirical)
+    with pytest.raises(EnsembleFailureError, match="^step map is not finite at t = 0.03$"):
+        constraint_surface_experiment(default_state(), 40000, 42, config)
 
 
 def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
@@ -444,7 +478,7 @@ def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the rk4 step was checked")
 
-    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.05, 0.02)
     with pytest.raises(EnsembleFailureError, match="wide mode sigma0 = 0.02 .*; lower dt"):
         constraint_surface_experiment(state, 100, 42, default_config())
@@ -455,7 +489,7 @@ def test_constraint_surface_refuses_rk45_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the method was checked")
 
-    monkeypatch.setattr(analysis, "sample_constraint_surface", no_sampling)
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     config = IntegratorConfig(method="rk45", t_final=2.0)
     with pytest.raises(ValueError, match="method must be 'rk4'.*got 'rk45'"):
         constraint_surface_experiment(default_state(), 100, 42, config)
@@ -501,6 +535,19 @@ def test_regularization_sweep_rows():
         assert row.ks < 1.5 * noise
 
 
+@pytest.mark.parametrize("centers", [(0.0, 0.0), (3.0, -2.0)])
+def test_regularization_sweep_rows_equal_equivariance_runs(centers):
+    # the sweep draws its normals once; each row must equal a full
+    # equivariance_check of that width, which draws them again
+    state = TwoParticleState.from_widths(0.05, 1.0, cm_center=centers[0], rel_center=centers[1])
+    config = IntegratorConfig(dt=1e-3, t_final=1.0)
+    result = regularization_sweep(state, (0.4, 0.1), 2000, 42, config)
+    for width, row in zip((0.4, 0.1), result.rows):
+        report = equivariance_check(state.with_narrow_sigma(0.5 * width), 2000, 42, config, [1.0])
+        assert row.ks == report[0].max_ks
+        assert row.delta_y_f_empirical == report[0].get("y1+y2").empirical_std
+
+
 def test_regularization_sweep_difference_orientation():
     state = TwoParticleState.from_widths(0.05, 1.0, correlation="difference")
     result = regularization_sweep(state, (0.5,), 2000, 42, default_config())
@@ -519,9 +566,9 @@ def test_regularization_sweep_rejects_stiff_rk4(monkeypatch):
     config = IntegratorConfig(dt=1e-3, t_final=0.05)
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("a row ran before every width was checked")
+        raise AssertionError("sampled before every width was checked")
 
-    monkeypatch.setattr(analysis, "equivariance_check", no_rows)
+    monkeypatch.setattr(analysis, "substream_normals", no_rows)
     with pytest.raises(EnsembleFailureError, match="method = rk45"):
         regularization_sweep(state, (0.4, 0.028), 100, 42, config)
     # the same widths are fine for the adaptive method

@@ -172,8 +172,7 @@ def _accepts(call, *args) -> bool:
 
 def _rule_owners(monkeypatch):
     """The library calls that own each setting's rule, stopped before any work."""
-    monkeypatch.setattr(analysis, "sample_equilibrium", _stop)
-    monkeypatch.setattr(analysis, "sample_constraint_surface", _stop)
+    monkeypatch.setattr(analysis, "substream_normals", _stop)
     monkeypatch.setattr(analysis, "_check_rk4_step", _stop)
     state, config = TwoParticleState.from_widths(), IntegratorConfig()
     return {
@@ -589,6 +588,34 @@ def test_grid_tau_the_density_outruns_exits_2_without_output(tmp_path, setting, 
             "moves a quarter of its width at t_final\n"
         )
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "setting", ["cm_center = 1e13", "cm_center = 1e14", "rel_center = 1e13", "rel_center = 1e15"]
+)
+def test_continuity_converges_at_far_centers(tmp_path, setting):
+    # on grid points at the density's own position the ratio read 1.76, 0.543,
+    # 1.26 and 0.458: the points rounded away what the residual resolves
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\n")
+    out = tmp_path / "c.csv"
+    assert main(["continuity", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert 3.5 <= float(rows[0][3]) / float(rows[1][3]) <= 4.5
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["cm_center = 1e12", "cm_center = 1e14", "rel_center = 1e13", "sigma_wide = 1e15",
+     "sigma_wide = 1e16"],
+)
+def test_equivariance_at_far_centers_and_wide_ratios(tmp_path, setting):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{setting}\nsamples = 20000\n")
+    out = tmp_path / "e.csv"
+    assert main(["equivariance", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert max(float(row[4]) for row in rows) < 1.95 / 20000**0.5
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from bohm_equilibrium import (
 )
 from bohm_equilibrium._normal import ndtri
 from bohm_equilibrium.dynamics import (
-    _FRAME_CHUNK,
     _frame_abs_sum_maxima,
     _mode_rhs,
     _rk45_lanes,
@@ -447,21 +446,21 @@ def test_ensemble_frames_rebuild_recording_from_maps():
 
 
 @pytest.mark.parametrize("surface", ["on", "off-first", "off-last"])
-@pytest.mark.parametrize(
-    "n", [1, 2, _FRAME_CHUNK - 1, _FRAME_CHUNK, _FRAME_CHUNK + 1, 3 * _FRAME_CHUNK + 5]
-)
+@pytest.mark.parametrize("n", [1, 2, 16383, 16384, 16385, 49157])
 def test_frame_abs_sum_maxima_match_frames(n, surface):
     state = default_state()
     if surface == "on":
         starts = sample_constraint_surface(state, n, seed=5)
     else:
-        # nonzero Y, with the largest |y1 + y2| planted in the first or last chunk
+        # nonzero Y, with the largest |y1 + y2| planted at the first or last start
         starts = sample_equilibrium(state, n, seed=5)
         starts[0 if surface == "off-first" else -1] *= 50.0
     config = IntegratorConfig(dt=1e-2, t_final=0.05, record_stride=1)
-    ensemble = propagate_ensemble(state, starts, config)
-    maxima = _frame_abs_sum_maxima(ensemble)
-    expected = np.array([np.max(np.abs(f[:, 0] + f[:, 1])) for f in ensemble.frames()])
+    u0 = dynamics._mode_starts(starts)
+    _, _, maps = dynamics._transport(state, u0, config)
+    maxima = _frame_abs_sum_maxima(maps, u0)
+    # |2Y| of each frame's modes, formed as a new array per stage
+    expected = np.array([np.max(np.abs(2.0 * (a[0] * u0[0] + b[0]))) for a, b in zip(*maps)])
     assert maxima.shape == (6,)
     assert maxima.tobytes() == expected.tobytes()
     if surface == "on":
@@ -519,22 +518,34 @@ def test_ensemble_failure_threshold(monkeypatch):
     ],
 )
 def test_ensemble_failure_counts_failed_rows(monkeypatch, value, cells, failed):
-    # one whole-array finiteness check, then rows are counted, not cells
+    # one whole-array finiteness check, then trajectories are counted, not cells
     state = default_state()
     starts = sample_equilibrium(state, 20, seed=1)
-    mode_positions = dynamics._mode_positions
+    map_modes = dynamics._map_modes
 
     def planted(a, b, u0):
-        final = mode_positions(a, b, u0)
-        for row, column in cells:
-            final[row, column] = value
+        final = map_modes(a, b, u0)
+        for trajectory, mode in cells:
+            final[mode, trajectory] = value
         return final
 
-    monkeypatch.setattr(dynamics, "_mode_positions", planted)
+    monkeypatch.setattr(dynamics, "_map_modes", planted)
     with pytest.raises(
         EnsembleFailureError, match=f"^{failed} of 20 trajectories failed to integrate$"
     ):
         propagate_ensemble(state, starts, IntegratorConfig(t_final=0.1))
+
+
+def test_ensemble_refuses_positions_that_overflow_from_finite_modes():
+    # Y and y stay finite, but the narrow cm mode grows 1.5x by t = 0.011, so
+    # y1 = Y + y/2 passes the largest double at the boundary
+    start = np.array([[0.95, 0.05]]) * np.finfo(float).max
+    config = IntegratorConfig(dt=1e-3, t_final=0.011)
+    u0 = dynamics._mode_starts(start)
+    assert np.isfinite(dynamics._transport(default_state(), u0, config)[0]).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(EnsembleFailureError, match="^1 of 1 trajectories failed to integrate$"):
+            propagate_ensemble(default_state(), start, config)
 
 
 def test_ensemble_failure_counts_mixed_non_finite_rows(monkeypatch):
@@ -569,7 +580,7 @@ def test_mode_maps_match_stacked_reference_bitwise(n):
     assert u0.shape == (2, n) and u0.tobytes() == reference.tobytes()
     a = np.array([1.7, 0.3])
     b = np.array([-0.0, 2.5])
-    final = dynamics._mode_positions(a, b, u0)
+    final = dynamics._particle_positions(*dynamics._map_modes(a, b, u0))
     assert final.shape == (n, 2)
     assert final.tobytes() == mode_positions_reference(a, b, reference).tobytes()
     assert positions.tobytes() == before and u0.tobytes() == reference.tobytes()
@@ -582,7 +593,8 @@ def test_mode_positions_broadcast_over_times_matches_reference_bitwise():
     times, a, b = dynamics._rk4_maps(state, config, 0.0)
     for start in ((0.3, -1.1), (0.0, -0.0), (1e300, -1e300)):
         u0 = mode_coordinates(*start)
-        positions = dynamics._mode_positions(a.T, b.T, u0)
+        modes = dynamics._map_modes(a.T, b.T, np.vstack(u0))
+        positions = dynamics._particle_positions(*modes)
         assert positions.shape == (len(times), 2)
         assert positions.tobytes() == mode_positions_reference(a.T, b.T, u0).tobytes()
 
