@@ -170,16 +170,18 @@ class EquivarianceReport:
 def _snapshot(state: TwoParticleState, u: np.ndarray, t: float) -> EquivarianceReport:
     """The four observables at time t of the (2, n) offsets u from state's start centers.
 
-    The centers are added back, then each observable is a*Y + b*y with its
-    OBSERVABLES weights, so y1+y2 is 2Y and y1-y2 is y, whatever the ratio
-    of the modes' scales. The weights are 0, ±1/2, 1 or 2, so both products
-    are exact, and the matrix product rounds a*Y + b*y once, as the sum does.
+    Each observable is a*Y + b*y of the offsets with its OBSERVABLES weights,
+    so y1+y2 is 2Y and y1-y2 is y, whatever the ratio of the modes' scales.
+    The weights are 0, ±1/2, 1 or 2, so both products are exact, and the
+    matrix product rounds a*Y + b*y once, as the sum does. Width and KS do
+    not see a translation, so both are taken against the law of
+    state.at_origin(): a far center costs the statistics no rounding.
     """
-    modes = u + np.array([[state.cm_mode.center0], [state.rel_mode.center0]])
+    origin = state.at_origin()
     rows = []
     for name, weights in OBSERVABLES.items():
-        values = np.array(weights) @ modes
-        mean, std = observable_normal(state, t, name)
+        values = np.array(weights) @ u
+        mean, std = observable_normal(origin, t, name)
         with np.errstate(over="ignore"):  # values near 1e300 square to inf
             empirical_std = float(np.std(values, ddof=1))
         if not math.isfinite(empirical_std):
@@ -267,8 +269,10 @@ def constraint_surface_experiment(
     method 'rk4', since only fixed steps are recorded. Records every step
     (or config.record_stride if set) and reports the worst constraint
     violation together with the width comparison at t_final. The violation
-    is measured on every trajectory at every recorded time by
-    dynamics._frame_abs_sum_maxima, as |2Y|, never on whole frames. An rk4
+    is |2Y| over every trajectory at every recorded time, from
+    dynamics._frame_abs_sum_maxima: each recorded map is monotone in Y, so
+    the smallest and largest start bound every other one bit for bit, and
+    the cost is O(n + frames), never a whole frame per recorded time. An rk4
     step too long for the wide mode raises EnsembleFailureError before
     sampling; the narrow mode stays exactly at 0 for any step. So does a
     recorded step map that is not finite.

@@ -309,11 +309,12 @@ def _rk4_maps(
         stages = [mode_field(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
         alpha = _rk4_step(lambda field, u: field.rate * u, stages, 1.0, dt)
         beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
-        prefix = [(1.0, 0.0)]
+        # accumulate multiplies left to right, as the recurrence does
+        a[:, row] = np.multiply.accumulate(np.append(1.0, alpha))[steps]
+        prefix = [0.0]
         for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
-            a_k, b_k = prefix[-1]
-            prefix.append((alpha_k * a_k, alpha_k * b_k + beta_k))
-        a[:, row], b[:, row] = np.array(prefix)[steps].T
+            prefix.append(alpha_k * prefix[-1] + beta_k)
+        b[:, row] = np.array(prefix)[steps]
     return t0 + steps * dt, a, b
 
 
@@ -344,19 +345,16 @@ def _map_modes(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
 def _frame_abs_sum_maxima(maps, u0: np.ndarray) -> np.ndarray:
     """max |2Y| over the columns of u0 at each recorded map; 2Y is y1 + y2 about cm 0.
 
-    Map j sends each Y of the (2, n) modes u0 to a[j, 0] * Y + b[j, 0], on one
-    n-buffer. Doubling is exact and monotone, so 2 * max|Y| is max|2Y| bit
-    for bit; a NaN anywhere gives NaN.
+    Map j sends each Y of the (2, n) modes u0 to fl(fl(a[j, 0] * Y) + b[j, 0]).
+    Rounding is monotone, so that is monotone in Y, and its largest |value|
+    over all starts is at the smallest or the largest Y, bit for bit: every
+    start is measured, through the two that bound it. Both are elements of
+    u0, so a NaN start gives NaN on every frame, and an infinite start under
+    a zero a gives NaN. Doubling is exact, so 2 * max|Y| is max|2Y|.
     """
     a, b = maps
-    big_y = u0[0]
-    frame = np.empty_like(big_y)
-    maxima = np.empty(len(a))
-    for j, (a0, b0) in enumerate(zip(a[:, 0].tolist(), b[:, 0].tolist())):
-        np.multiply(big_y, a0, out=frame)
-        frame += b0
-        maxima[j] = np.maximum.reduce(np.abs(frame, out=frame))
-    return 2.0 * maxima
+    ends = np.array([np.min(u0[0]), np.max(u0[0])])
+    return 2.0 * np.max(np.abs(a[:, :1] * ends + b[:, :1]), axis=1)
 
 
 # Dormand-Prince 5(4) tableau

@@ -354,6 +354,22 @@ def test_equivariance_holds_at_far_centers_and_wide_ratios(setting):
     assert report.max_ks < 1.95 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("setting", ["cm_center=1e14", "rel_center=1e13"])
+def test_far_center_reports_equal_the_centered_ones(setting):
+    # width and KS are taken on the offsets, so adding the centers back can
+    # no longer round them: at cm_center 1e14 that read max KS 0.006065
+    # against 0.005863 centered (n = 20000)
+    config = default_config()
+    far = TwoParticleState.from_widths(**FAR_SETTINGS[setting])
+    centered = TwoParticleState.from_widths()
+    assert equivariance_check(far, 5000, 42, config, [0.0, 1.0, 2.0]) == equivariance_check(
+        centered, 5000, 42, config, [0.0, 1.0, 2.0]
+    )
+    assert regularization_sweep(far, (0.4, 0.2), 5000, 42, config) == regularization_sweep(
+        centered, (0.4, 0.2), 5000, 42, config
+    )
+
+
 def test_equivariance_still_integrates_a_fast_drift():
     # the translation to the origin keeps the wavenumbers, so the drift is
     # still integrated, and rounded, by the step maps; carrying offsets from
@@ -424,10 +440,9 @@ def test_observable_table_matches_closed_forms(
     for name, expected in closed_forms.items():
         assert observable_normal(state, t, name) == expected
 
-    # the snapshot takes offsets from the start centers and adds them back
+    # the snapshot takes its statistics on the offsets from the start centers
     u = dynamics._sample_modes(state.at_origin(), substream_normals(seed, 0, 50))
-    big_y = u[0] + state.cm_mode.center0
-    small_y = u[1] + state.rel_mode.center0
+    big_y, small_y = u
     expected_values = {
         "y1": big_y + 0.5 * small_y,
         "y2": big_y - 0.5 * small_y,

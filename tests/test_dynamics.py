@@ -467,6 +467,54 @@ def test_frame_abs_sum_maxima_match_frames(n, surface):
         assert maxima.tolist() == [0.0] * 6
 
 
+# signed zeros, subnormals and values whose products with large a overflow
+EDGE_Y = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.7e308, -1.7e308])
+EDGE_A = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ANY_Y = st.one_of(EDGE_Y, ANY_FINITE)
+ANY_A = st.one_of(EDGE_A, ANY_FINITE)
+
+
+def _maxima_and_frame_scan(a_cm, b_cm, big_y):
+    """_frame_abs_sum_maxima and max |2Y| over every start of each frame, for one cm row."""
+    k, n = len(a_cm), len(big_y)
+    maps = (np.column_stack([a_cm, np.ones(k)]), np.column_stack([b_cm, np.zeros(k)]))
+    u0 = np.vstack([big_y, np.ones(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        maxima = _frame_abs_sum_maxima(maps, u0)
+        expected = np.array([np.max(np.abs(2.0 * (a0 * big_y + b0))) for a0, b0 in zip(a_cm, b_cm)])
+    return maxima, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    maps=st.lists(st.tuples(ANY_A, ANY_FINITE), min_size=1, max_size=8),
+    big_y=st.lists(ANY_Y, min_size=1, max_size=40),
+)
+def test_frame_abs_sum_maxima_equal_full_frame_scan(maps, big_y):
+    # each map is monotone in Y, so the extreme starts bound every frame bit for bit
+    a_cm, b_cm = map(np.array, zip(*maps))
+    maxima, expected = _maxima_and_frame_scan(a_cm, b_cm, np.array(big_y))
+    assert maxima.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a_cm=st.lists(ANY_A, min_size=1, max_size=8),
+    big_y=st.lists(ANY_Y, min_size=1, max_size=40),
+    where=st.integers(0, 40),
+    start=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_frame_abs_sum_maxima_non_finite_start(a_cm, big_y, where, start):
+    big_y.insert(where, start)
+    a_cm = np.array(a_cm + [0.0])
+    maxima, expected = _maxima_and_frame_scan(a_cm, np.ones(len(a_cm)), np.array(big_y))
+    assert np.array_equal(maxima, expected, equal_nan=True)
+    # a NaN start poisons every frame; an infinite one the frames whose a is 0
+    poisoned = np.ones(len(a_cm), bool) if math.isnan(start) else a_cm == 0.0
+    assert np.isnan(maxima).tolist() == poisoned.tolist()
+
+
 def test_ensemble_input_validation():
     state = default_state()
     config = IntegratorConfig()
