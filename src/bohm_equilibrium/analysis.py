@@ -214,27 +214,36 @@ def equivariance_check(
     at the sampling-noise level no matter how far the ensemble is pushed.
     Every statistic covers all n samples: a trajectory that fails to
     integrate raises EnsembleFailureError, and an rk4 step too long for the
-    state raises it before sampling. The ensemble is carried as offsets
-    from the start centers, so far centers cost no precision in transport.
+    state, on any leg between report times, raises it before sampling. The
+    ensemble is carried as offsets from the start centers, so far centers
+    cost no precision in transport.
     """
     _require_samples(n)
-    times = _check_times(times, config.t_final)
+    legs = _legs(config, _check_times(times, config.t_final))
     _check_parallel_width(parallel_width)
-    _check_rk4_step(state, config)
+    for _, _, leg in legs:
+        if leg is not None:
+            _check_rk4_step(state, leg)
     u = _sample_modes(state.at_origin(), substream_normals(seed, 0, n))
-    return _equivariance_reports(state, u, config, times)
+    return _equivariance_reports(state, u, legs)
 
 
-def _equivariance_reports(state: TwoParticleState, u: np.ndarray, config, times):
-    """Transport the (2, n) offsets u, drawn at t = 0, and take a snapshot at each time."""
+def _legs(config: IntegratorConfig, times) -> list[tuple[float, float, IntegratorConfig]]:
+    """(t0, t, leg) per report time t: leg runs config on its own step grid from
+    the previous report time t0 (or 0) to t, and is None for a report at 0."""
+    return [
+        (t0, t, replace(config, t_final=t - t0, record_stride=0) if t > t0 else None)
+        for t0, t in zip((0.0, *times), times)
+    ]
+
+
+def _equivariance_reports(state: TwoParticleState, u: np.ndarray, legs):
+    """Transport the (2, n) offsets u, drawn at t = 0, along legs; a snapshot ends each."""
     origin = state.at_origin()
     reports = []
-    t_now = 0.0
-    for t in times:
-        if t > t_now:
-            segment = replace(config, t_final=t - t_now, record_stride=0)
-            u = _transport(origin, u, segment, t_now)[0]
-            t_now = t
+    for t0, t, leg in legs:
+        if leg is not None:
+            u = _transport(origin, u, leg, t0)[0]
         reports.append(_snapshot(state, u, t))
     return reports
 
@@ -366,7 +375,7 @@ def regularization_sweep(
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
         u = _sample_modes(row_state.at_origin(), z)
-        report = _equivariance_reports(row_state, u, config, [config.t_final])[0]
+        report = _equivariance_reports(row_state, u, _legs(config, [config.t_final]))[0]
         r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(
             SweepRow(

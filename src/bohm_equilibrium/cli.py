@@ -87,9 +87,11 @@ class RunConfig:
             for key, value in dataclasses.asdict(self).items():
                 if isinstance(value, (float, tuple)):
                     _require_finite(key, value)
-            # checked here, not left to GaussianMode, so a bad width names its key
-            for key in ("sigma_narrow", "sigma_wide"):
-                _require_positive(key, getattr(self, key))
+            # checked here, not left to GaussianMode or ResidualGrid, so a bad
+            # width or grid step names its key
+            for key in ("sigma_narrow", "sigma_wide", "grid_h", "grid_tau"):
+                if getattr(self, key) is not None:
+                    _require_positive(key, getattr(self, key))
             state = self.state()
             self.integrator()
             analysis._require_samples(self.samples)
@@ -100,25 +102,12 @@ class RunConfig:
                 for name in OBSERVABLES:
                     observable_normal(state, t, name)
             analysis._sweep_states(state, self.sweep_widths)
-            if self.grid_h is not None:
-                _require_positive("grid_h", self.grid_h)
-                limit = guidance._max_grid_spacing(state, self.t_final)
-                if self.grid_h > limit:
-                    raise ValueError(
-                        f"grid_h = {self.grid_h:g} exceeds {limit:.4g}, a quarter of the "
-                        "narrowest density feature at t_final"
-                    )
+            verdict = guidance._coarse_grid_verdict(state, self.t_final, self.grid_h, self.grid_tau)
+            if verdict is not None:
+                raise ValueError(f"{verdict} at t_final")
             # resolved here, so the meta sidecar records the tau continuity uses
             if self.grid_tau is None:
                 self.grid_tau = guidance._default_grid_tau(state, self.t_final)
-            else:
-                _require_positive("grid_tau", self.grid_tau)
-                limit = guidance._max_grid_tau(state, self.t_final)
-                if self.grid_tau > limit:
-                    raise ValueError(
-                        f"grid_tau = {self.grid_tau:g} exceeds {limit:.4g}, the time in "
-                        "which the density moves a quarter of its width at t_final"
-                    )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if (self.start_y1 is None) != (self.start_y2 is None):

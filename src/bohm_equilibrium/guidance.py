@@ -42,6 +42,10 @@ _BLOCK_POINTS = 1 << 16
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
 
+# residual max below which its squares, under 2**-1000, come near the subnormals
+# (under 2**-1022), where they lose bits or round to 0
+_TINY_NORM = 2.0**-500
+
 
 class VelocityPair(NamedTuple):
     v1: np.ndarray
@@ -114,22 +118,14 @@ class ResidualGrid:
         )
 
 
-def _feature_scale(state: TwoParticleState, t: float) -> float:
-    """Narrowest density feature along a particle axis.
-
-    Along y1 at fixed y2 the density varies through Y on scale 2*sigma_cm,
-    the width of y1+y2, and through y on scale sigma_rel, that of y1-y2.
-    """
-    return min(observable_normal(state, t, name)[1] for name in ("y1+y2", "y1-y2"))
-
-
 def _max_grid_spacing(state: TwoParticleState, t: float) -> float:
     """Coarsest grid spacing whose residual norms are reliable at time t.
 
-    A quarter of the narrowest density feature: continuity_residual warns
-    above it, and the CLI refuses a grid_h above it.
+    A quarter of the narrowest density feature along a particle axis: along
+    y1 at fixed y2 the density varies through Y on scale 2*sigma_cm, the
+    width of y1+y2, and through y on scale sigma_rel, that of y1-y2.
     """
-    return _feature_scale(state, t) / 4.0
+    return min(observable_normal(state, t, name)[1] for name in ("y1+y2", "y1-y2")) / 4.0
 
 
 def _max_grid_tau(state: TwoParticleState, t: float) -> float:
@@ -142,7 +138,6 @@ def _max_grid_tau(state: TwoParticleState, t: float) -> float:
     step moves each mode coordinate by at most a quarter of its width, asks
     v * tau <= sigma / 4. At that edge a drifting cm or relative mode at
     t = 2 keeps the coarse/fine ratio at 3.95, as grid_h's edge does.
-    continuity_residual warns above it, and the CLI refuses a grid_tau above it.
     """
     fastest = 0.0
     for mode, now in zip((state.cm_mode, state.rel_mode), state.evolved(t)):
@@ -157,6 +152,26 @@ def _default_grid_tau(state: TwoParticleState, t: float) -> float:
     return min(1e-3, _max_grid_tau(state, t))
 
 
+def _coarse_grid_verdict(state: TwoParticleState, t: float, h, tau) -> str | None:
+    """Why a grid of spacing h and time half-step tau is too coarse at time t, or None.
+
+    The one home of the rule that h is at most _max_grid_spacing and tau at
+    most _max_grid_tau. The text names h and tau by the CLI's keys, grid_h
+    and grid_tau, and leaves the time to the caller: the CLI refuses with
+    it and " at t_final", continuity_residual warns with it and " at t = t".
+    h or tau None is grid_for_state's default, which fits.
+    """
+    feature = "a quarter of the narrowest density feature"
+    motion = "the time in which the density moves a quarter of its width"
+    for key, value, limit_of, meaning in (
+        ("grid_h", h, _max_grid_spacing, feature),
+        ("grid_tau", tau, _max_grid_tau, motion),
+    ):
+        if value is not None and value > (limit := limit_of(state, t)):
+            return f"{key} = {value:g} exceeds {limit:.4g}, {meaning}"
+    return None
+
+
 def grid_for_state(
     state: TwoParticleState,
     t: float,
@@ -166,13 +181,13 @@ def grid_for_state(
     """Grid centered on the density covering the ±_COVER_STDS marginal stds
     that continuity_residual requires.
 
-    Default spacing resolves the narrowest feature with 8 points; the
-    default tau is _default_grid_tau.
+    Default spacing is half of _max_grid_spacing, so the narrowest feature
+    spans 8 points; the default tau is _default_grid_tau.
     """
     if tau is None:
         tau = _default_grid_tau(state, t)
     if h is None:
-        h = _feature_scale(state, t) / 8.0
+        h = _max_grid_spacing(state, t) / 2.0
     else:
         _require_positive("h", h)
     mean1, std = observable_normal(state, t, "y1")
@@ -190,8 +205,7 @@ class ContinuityResidual:
 
     The defect d_t rho + d_1(rho v1) + d_2(rho v2) is taken at every grid
     point; max_norm is its sup, l2_norm its area-weighted L2 norm.
-    too_coarse flags h above a quarter of the narrowest density feature, or
-    tau above the time in which the density moves a quarter of its width.
+    too_coarse flags a grid that _coarse_grid_verdict finds too coarse.
     """
 
     max_norm: float
@@ -287,8 +301,11 @@ def continuity_residual(
     leaf runs on the calling thread alone. Peak memory is a leaf's stages
     per worker, whatever the number of grid rows.
 
-    A norm that is not finite raises FloatingPointError naming it: a mode
-    too narrow for its stretch rate, for one, has a NaN guidance field.
+    Below a max of _TINY_NORM, l2_norm is summed again over the residual
+    scaled exactly by a power of two into [0.5, 1), and scaled back. A norm
+    that is not finite raises FloatingPointError naming it: the fluxes of a
+    density too tall for double precision, for one, overflow. A too-coarse
+    grid warns with _coarse_grid_verdict's text, which names grid_h and grid_tau.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -306,14 +323,10 @@ def continuity_residual(
             f"grid must cover at least ±{_COVER_STDS:g} marginal stds of the density"
         )
 
-    too_coarse = grid.h > _max_grid_spacing(state, t) or grid.tau > _max_grid_tau(state, t)
-    if too_coarse:
+    verdict = _coarse_grid_verdict(state, t, grid.h, grid.tau)
+    if verdict is not None:
         warnings.warn(
-            "grid spacing exceeds a quarter of the narrowest density feature, or tau "
-            "the time in which the density moves a quarter of its width; "
-            "residual norms are unreliable",
-            RuntimeWarning,
-            stacklevel=2,
+            f"{verdict} at t = {t:g}; residual norms are unreliable", RuntimeWarning, stacklevel=2
         )
 
     # extended axes add one ghost point per side for the flux derivative
@@ -361,8 +374,8 @@ def continuity_residual(
         out += term
         return out
 
-    def new_leaf():
-        """leaf(k) -> (max |r|, sum of r^2) over grid rows [k*rows, (k+1)*rows),
+    def new_leaf(scale=1.0):
+        """leaf(k) -> (max |r|, sum of (scale r)^2) over grid rows [k*rows, (k+1)*rows),
         with its own stage buffers: five ghost-extended and three inner."""
         ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(5)]
         inner_rows = [np.empty((rows, n2)) for _ in range(3)]
@@ -371,14 +384,25 @@ def continuity_residual(
             i0 = k * rows
             out = residual_rows(i0, min(n1, i0 + rows), ghosted, inner_rows)
             peak = np.max(np.abs(out, out=inner_rows[1][: len(out)]))
+            if scale != 1.0:
+                out *= scale
             out *= out
             return peak, np.sum(out)
 
         return leaf
 
-    max_norm, sum_sq = _reduce_leaves(-(-n1 // rows), new_leaf)
-    norms = {"max_norm": float(max_norm), "l2_norm": math.sqrt(sum_sq * grid.h * grid.h)}
+    # fluxes that overflow are refused by the norm check below; numpy's overflow
+    # and invalid-value warnings on the way would only repeat that, or stop the
+    # run with a traceback where warnings are errors
+    leaves = -(-n1 // rows)
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_norm, sum_sq = _reduce_leaves(leaves, new_leaf)
+        if 0.0 < max_norm < _TINY_NORM:
+            scale = math.ldexp(1.0, -math.frexp(max_norm)[1])
+            sum_sq = _reduce_leaves(leaves, lambda: new_leaf(scale))[1]
+    norms = {"max_norm": float(max_norm), "l2_norm": math.sqrt(sum_sq * grid.h * grid.h) / scale}
     broken = [f"{name} = {norm}" for name, norm in norms.items() if not math.isfinite(norm)]
     if broken:
         raise FloatingPointError(f"continuity residual is not finite: {', '.join(broken)}")
-    return ContinuityResidual(too_coarse=too_coarse, **norms)
+    return ContinuityResidual(too_coarse=verdict is not None, **norms)

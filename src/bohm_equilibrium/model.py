@@ -158,13 +158,27 @@ def mode_field(mode: GaussianMode, params: PhysicalParams, t) -> ModeField:
     """The mode's guidance field at time t, a finite float or array of times.
 
     Every velocity in the package derives from this one definition; array
-    times give elementwise the same bits as scalar calls.
+    times give elementwise the same bits as scalar calls. The stretch rate
+    beta * sf / (1 + sf^2), sf = beta * t, is taken as beta / sf where sf^2
+    overflows (sf past about 1.3e154): 1 / sf^2 is then far below the
+    rounding of 1, and the first form would read 0 or NaN. A scalar time
+    takes one form in float arithmetic, with no numpy call; array times take
+    both and keep the one whose square is finite.
     """
     beta = _spread_rate(mode, params)
     sf = beta * t
     drift = params.hbar * mode.wavenumber / mode.coord_mass
+    if isinstance(sf, float):
+        square = sf * sf
+        rate = beta * sf / (1.0 + square) if square < math.inf else beta / sf
+    else:
+        # both forms are taken on every time; where one of them overflows or
+        # divides by zero the other is kept
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            square = sf * sf
+            rate = np.where(square < np.inf, beta * sf / (1.0 + square), beta / sf)
     return ModeField(
-        rate=beta * sf / (1.0 + sf * sf),
+        rate=rate,
         center=mode.center0 + drift * t,
         drift=drift,
     )

@@ -324,6 +324,19 @@ def test_equivariance_check_refuses_stiff_rk4_before_sampling(monkeypatch):
         equivariance_check(state, 100, 42, default_config(), [1.0])
 
 
+def test_equivariance_check_judges_each_legs_step_before_sampling(monkeypatch):
+    # sigma_narrow = 0.1: beta = 25, so rate * step peaks at 0.625 on the first
+    # leg, one step of 0.05; the whole run's step, 2 / 59 = 0.0339, scores 0.42
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before each leg's rk4 step was checked")
+
+    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
+    state = TwoParticleState.from_widths(0.1, 1.0)
+    config = IntegratorConfig(dt=0.034, t_final=2.0)
+    with pytest.raises(EnsembleFailureError, match="^narrow mode .* step 0.05; use method = rk45$"):
+        equivariance_check(state, 2000, 42, config, [0.05, 2.0])
+
+
 def test_equivariance_parallel_width_invariance():
     state = default_state()
     config = IntegratorConfig(dt=5e-3, t_final=1.0)

@@ -653,17 +653,36 @@ def test_oversized_continuity_grid_exits_2_without_output(tmp_path, capsys, widt
     assert list(tmp_path.iterdir()) == []
 
 
-def test_continuity_with_non_finite_norms_exits_3_without_output(tmp_path, capsys):
-    # at t = 2 the 1e-100 cm mode's stretch rate is inf / inf = NaN, so every
-    # residual point is NaN; both norms used to be written as nan with exit 0
-    argv = ["continuity", "--sigma-wide", "1e100", "--sigma-narrow", "1e-100"]
-    assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 3
-    assert capsys.readouterr() == (
-        "",
-        "numerical failure: continuity residual is not finite: "
-        "max_norm = nan, l2_norm = nan\n",
-    )
+def test_continuity_with_non_finite_norms_exits_3_without_output(tmp_path):
+    # two 1e-150 modes at t = 1e-300 make a density near 1e300, whose fluxes
+    # overflow; the refusal used to come behind six numpy warnings, or as a
+    # traceback with exit 1 under -W error
+    widths = ["--sigma-narrow", "1e-150", "--sigma-wide", "1e-150"]
+    argv = ["continuity", *widths, "--t-final", "1e-300", "--out", str(tmp_path / "c.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == (
+            "numerical failure: continuity residual is not finite: "
+            "max_norm = nan, l2_norm = nan\n"
+        )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_continuity_converges_past_the_stretch_rates_square_overflow(tmp_path):
+    # at t = 2 the 1e-100 cm mode has beta * t = 5e199, whose square
+    # overflows; its stretch rate read inf / inf = NaN, and the run exited 3
+    argv = ["continuity", "--sigma-wide", "1e100", "--sigma-narrow", "1e-100"]
+    out = tmp_path / "c.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    # both norms: the residual, near 1e-203, has squares that underflow
+    for column in (3, 4):
+        assert 3.5 <= float(rows[0][column]) / float(rows[1][column]) <= 4.5
 
 
 def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsys):

@@ -285,6 +285,18 @@ def test_rk45_trajectory_matches_scaling_solution():
     assert abs(small - small_e) / abs(small_e) < 1e-6
 
 
+def test_rk45_trajectory_to_late_times_matches_scaling_solution():
+    # past t = 1.3e152 the square of the cm mode's beta * t overflows; its
+    # stretch rate then read 0, and the run ended at (-5.29e153, 6.52e153)
+    state = default_state()
+    start = (0.3, -0.2)
+    traj = integrate_trajectory(state, start, IntegratorConfig(method="rk45", t_final=1e300))
+    big, small = mode_coordinates(*traj.positions[-1])
+    big_e, small_e = scaling_solution(state, start, 1e300)
+    assert abs(big - big_e) / abs(big_e) < 1e-6
+    assert abs(small - small_e) / abs(small_e) < 1e-6
+
+
 def blowup(t, u):
     """Row 0 moves in y/(s - t); row 1 holds the lane's singular time s."""
     return np.vstack([u[0] / (u[1] - t), np.zeros_like(u[1])])
@@ -381,15 +393,24 @@ def test_ensemble_more_workers_than_samples():
 
 
 def test_ensemble_finals_match_trajectories():
-    state = default_state()
-    starts = sample_equilibrium(state, 5, seed=9)
-    config = IntegratorConfig(dt=1e-2, t_final=1.0)
-    ensemble = propagate_ensemble(state, starts, config)
-    for i in range(5):
-        traj = integrate_trajectory(state, tuple(starts[i]), config)
-        np.testing.assert_allclose(
-            ensemble.final_positions[i], traj.positions[-1], rtol=0, atol=5e-14
-        )
+    # an ensemble and single trajectories agree to the bit: rk4 recorded
+    # frames, times and finals, and rk45 finals, for a drifting, off-center state
+    state = TwoParticleState.from_widths(
+        0.05, 1.0, cm_center=0.7, rel_center=-2.0, cm_wavenumber=3.0
+    )
+    starts = sample_equilibrium(state, 40, seed=9)
+    rk4 = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=7)
+    rk45 = IntegratorConfig(method="rk45", t_final=1.0)
+    ensemble = propagate_ensemble(state, starts, rk4)
+    frames = np.stack(list(ensemble.frames()), axis=1)
+    adaptive = propagate_ensemble(state, starts, rk45).final_positions
+    for i, start in enumerate(starts):
+        traj = integrate_trajectory(state, tuple(start), rk4)
+        assert traj.times.tobytes() == ensemble.times.tobytes()
+        assert traj.positions.tobytes() == frames[i].tobytes()
+        assert traj.positions[-1].tobytes() == ensemble.final_positions[i].tobytes()
+        final = integrate_trajectory(state, tuple(start), rk45).positions[-1]
+        assert final.tobytes() == adaptive[i].tobytes()
 
 
 def test_ensemble_no_crossing_in_mode_coordinates():

@@ -418,6 +418,27 @@ def test_overflowing_sum_of_squares_is_not_finite():
             continuity_residual(state, grid, t)
 
 
+def test_tiny_residual_keeps_its_l2_norm():
+    # densities scaled by 2**-350 each scale rho, and so the residual, by
+    # 2**-700 exactly; its squares, near 1e-430, round to 0 unless l2_norm
+    # is summed over the residual scaled back up by a power of two
+    state, grid, t = moving_grid(31)
+    res = continuity_residual(state, grid, t)
+
+    def density(evolved, u, out=None):
+        out = mode_density(evolved, u, out=out)
+        out *= 2.0**-350
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_BLOCK_POINTS", 32 * grid.n2)  # two leaves
+        mp.setattr(guidance, "mode_density", density)
+        tiny = continuity_residual(state, grid, t)
+    assert tiny.max_norm < guidance._TINY_NORM
+    assert tiny.max_norm == math.ldexp(res.max_norm, -700)
+    assert tiny.l2_norm == math.ldexp(res.l2_norm, -700)
+
+
 def test_continuity_grid_coverage_enforced():
     state = default_state()
     grid = ResidualGrid(y1_min=-1.0, y2_min=-1.0, n1=21, n2=21, h=0.1, tau=1e-3)

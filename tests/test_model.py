@@ -19,7 +19,7 @@ from bohm_equilibrium import (
     particle_coordinates,
     sample_equilibrium,
 )
-from bohm_equilibrium.model import _require_finite
+from bohm_equilibrium.model import _require_finite, mode_field
 
 from _oracles import free_gaussian_amplitude, pair_amplitude, spectral_free_packet, state_modes
 
@@ -71,6 +71,21 @@ def test_drifting_mode_center_and_width():
     assert ev.center == pytest.approx(-1.0 + 3.0 * 1.5, rel=1e-12)
     assert mean == pytest.approx(ev.center, rel=1e-9)
     assert std == pytest.approx(ev.sigma, rel=1e-6)
+
+
+def test_stretch_rate_at_late_times():
+    # beta = 0.5, so (beta * t)^2 overflows past t = 2.7e154, where the rate
+    # beta * sf / (1 + sf^2) read 0 instead of about 1 / t
+    mode = GaussianMode(sigma0=1.0, coord_mass=1.0)
+    times = np.array([0.0, 2.0, 1e150, 2.68e154, 2.69e154, 1e155, 1e300, -1e300])
+    rates = mode_field(mode, PARAMS, times).rate
+    # rate * t = sf^2 / (1 + sf^2): 0, then 1/2 at sf = 1, then 1 to rounding
+    assert (rates * times).tolist() == pytest.approx([0.0, 0.5, 1, 1, 1, 1, 1, 1], rel=1e-15)
+    # array times give elementwise the bits of scalar calls, also where no
+    # square overflows (the first four)
+    scalar = [mode_field(mode, PARAMS, float(t)).rate for t in times]
+    assert rates.tobytes() == np.array(scalar).tobytes()
+    assert mode_field(mode, PARAMS, times[:4]).rate.tobytes() == rates[:4].tobytes()
 
 
 def test_negative_t_is_allowed_and_symmetric():
