@@ -167,6 +167,20 @@ class EquivarianceReport:
         return max(stats.ks for stats in self.observables)
 
 
+def _empirical_std(values: np.ndarray, name: str, t: float) -> float:
+    """The ddof = 1 std of the values of observable name at time t.
+
+    The one home of the rule that an experiment's width is finite: values
+    whose squares overflow give an std that is not, which raises
+    FloatingPointError naming the observable and the time.
+    """
+    with np.errstate(over="ignore"):  # values near 1e300 square to inf
+        std = float(np.std(values, ddof=1))
+    if not math.isfinite(std):
+        raise FloatingPointError(f"empirical std of {name} at t = {t:g} is not finite")
+    return std
+
+
 def _snapshot(state: TwoParticleState, u: np.ndarray, t: float) -> EquivarianceReport:
     """The four observables at time t of the (2, n) offsets u from state's start centers.
 
@@ -182,15 +196,11 @@ def _snapshot(state: TwoParticleState, u: np.ndarray, t: float) -> EquivarianceR
     for name, weights in OBSERVABLES.items():
         values = np.array(weights) @ u
         mean, std = observable_normal(origin, t, name)
-        with np.errstate(over="ignore"):  # values near 1e300 square to inf
-            empirical_std = float(np.std(values, ddof=1))
-        if not math.isfinite(empirical_std):
-            raise FloatingPointError(f"empirical std of {name} at t = {t:g} is not finite")
         rows.append(
             ObservableStats(
                 observable=name,
                 n=values.size,
-                empirical_std=empirical_std,
+                empirical_std=_empirical_std(values, name, t),
                 analytic_std=std,
                 ks=ks_statistic(values, normal_cdf(mean, std)),
             )
@@ -284,7 +294,8 @@ def constraint_surface_experiment(
     the cost is O(n + frames), never a whole frame per recorded time. An rk4
     step too long for the wide mode raises EnsembleFailureError before
     sampling; the narrow mode stays exactly at 0 for any step. So does a
-    recorded step map that is not finite.
+    recorded step map that is not finite. An empirical width that is not
+    finite raises FloatingPointError, as in equivariance_check.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -303,7 +314,7 @@ def constraint_surface_experiment(
     max_abs_sum = float(np.max(_frame_abs_sum_maxima(maps, u0)))
     # widths do not see the start centers, so they are taken on the offsets:
     # y1 + y2 is 2Y and y1 - y2 is y
-    sum_width_empirical = float(np.std(2.0 * final[0], ddof=1))
+    sum_width_empirical = _empirical_std(2.0 * final[0], "y1+y2", config.t_final)
     sum_width_equilibrium = constraint_width(state, config.t_final, "sum")
     if sum_width_empirical == 0.0:
         ratio = math.inf
@@ -316,7 +327,7 @@ def constraint_surface_experiment(
         sum_width_empirical=sum_width_empirical,
         sum_width_equilibrium=sum_width_equilibrium,
         width_mismatch_ratio=ratio,
-        diff_width_empirical=float(np.std(final[1], ddof=1)),
+        diff_width_empirical=_empirical_std(final[1], "y1-y2", config.t_final),
         diff_width_analytic=constraint_width(state, config.t_final, "difference"),
     )
 

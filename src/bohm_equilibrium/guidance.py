@@ -22,6 +22,8 @@ from .model import (
     TwoParticleState,
     _require_finite,
     _require_positive,
+    _spread_rate,
+    evolve_mode,
     mode_coordinates,
     mode_density,
     mode_field,
@@ -41,10 +43,6 @@ _BLOCK_POINTS = 1 << 16
 # own leaf's stage buffers (about 4.3 MB at 2877 columns), so this bounds peak
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
-
-# residual max below which its squares, under 2**-1000, come near the subnormals
-# (under 2**-1022), where they lose bits or round to 0
-_TINY_NORM = 2.0**-500
 
 
 class VelocityPair(NamedTuple):
@@ -136,15 +134,33 @@ def _max_grid_tau(state: TwoParticleState, t: float) -> float:
     _COVER_STDS reach of its center a mode's density moves at
     v = |drift| + rate * reach, and the rule of _max_grid_spacing, that a
     step moves each mode coordinate by at most a quarter of its width, asks
-    v * tau <= sigma / 4. At that edge a drifting cm or relative mode at
-    t = 2 keeps the coarse/fine ratio at 3.95, as grid_h's edge does.
+    v * tau <= sigma / 4 at every time of the window [t - tau, t + tau]
+    that the difference spans. Before the spreading time 1/beta the rate at
+    t is near 0, but within a window that long it reaches beta / 2. So
+    limit(tau) takes |drift| / sigma at the window point nearest 0, where
+    sigma is smallest, and the rate at the window's |s| nearest 1/beta,
+    since the rate is odd in s and its size rises until s = 1/beta; limit
+    falls as tau grows. limit(0), the rule at t alone, is at least every
+    tau that the rule admits over its own window, and the result is the
+    rule over that widest window, limit(limit(0)): it is at most limit(0),
+    so the rule holds over its own window too. At that edge a drifting cm
+    or relative mode at t = 2 keeps the coarse/fine ratio at 3.95, as
+    grid_h's edge does, and a run before the spreading time keeps it at 3.9.
     """
-    fastest = 0.0
-    for mode, now in zip((state.cm_mode, state.rel_mode), state.evolved(t)):
-        speed = abs(mode_field(mode, state.params, t).drift)
-        speed += now.stretch_rate * _COVER_STDS * now.sigma
-        fastest = max(fastest, speed / now.sigma)
-    return 0.25 / fastest if fastest > 0.0 else math.inf
+    modes = (state.cm_mode, state.rel_mode)
+    drifts = [abs(mode_field(mode, state.params, t).drift) for mode in modes]
+    peaks = [1.0 / _spread_rate(mode, state.params) for mode in modes]
+
+    def limit(tau):
+        """The quarter rule's tau for the worst motion over [t - tau, t + tau]."""
+        near, far = max(0.0, abs(t) - tau), abs(t) + tau
+        fastest = 0.0
+        for mode, drift, peak, at_near in zip(modes, drifts, peaks, state.evolved(near)):
+            rate = evolve_mode(mode, state.params, min(max(peak, near), far)).stretch_rate
+            fastest = max(fastest, drift / at_near.sigma + _COVER_STDS * rate)
+        return 0.25 / fastest if fastest > 0.0 else math.inf
+
+    return limit(limit(0.0))
 
 
 def _default_grid_tau(state: TwoParticleState, t: float) -> float:
@@ -220,22 +236,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _reduce_leaves(leaves: int, new_leaf):
-    """The largest maximum and the total sum of leaf(k) -> (max, sum), k < leaves.
+def _map_leaves(leaves: int, new_leaf) -> list:
+    """[leaf(0), leaf(1), ..., leaf(leaves - 1)], each leaf evaluated once.
 
     The leaves are dealt round-robin to W = min(usable CPUs, _MAX_WORKERS,
     leaves) workers, worker 0 on the calling thread; worker j evaluates
-    leaves j, j + W, ... with its own leaf from new_leaf(). The maximum is
-    np.max of the leaf maxima, so a NaN carries through, and the sum is the
-    exactly rounded math.fsum of the leaf sums, so neither depends on W or
-    on the order in which the workers finish; one worker starts no thread.
-    A failing worker makes the others skip their remaining leaves; every
+    leaves j, j + W, ... with its own leaf from new_leaf(). Each result
+    lands in its leaf's slot, so the list does not depend on W or on the
+    order in which the workers finish; one worker starts no thread. A
+    failing worker makes the others skip their remaining leaves; every
     worker is joined before this returns or raises, and the first failure,
     in worker order, is re-raised.
     """
     workers = min(_usable_cpus(), _MAX_WORKERS, leaves)
-    peaks = [0.0] * leaves
-    sums = [0.0] * leaves
+    results = [None] * leaves
     errors = [None] * workers
     failed = threading.Event()
 
@@ -245,7 +259,7 @@ def _reduce_leaves(leaves: int, new_leaf):
             for k in range(j, leaves, workers):
                 if failed.is_set():
                     return
-                peaks[k], sums[k] = leaf(k)
+                results[k] = leaf(k)
         except BaseException as exc:  # re-raised on the calling thread below
             errors[j] = exc
             failed.set()
@@ -271,11 +285,7 @@ def _reduce_leaves(leaves: int, new_leaf):
     for error in errors:
         if error is not None:
             raise error
-    try:
-        total = math.fsum(sums)
-    except OverflowError:  # finite leaf sums whose exact total exceeds the largest float
-        total = math.inf
-    return np.max(peaks), total
+    return results
 
 
 def continuity_residual(
@@ -293,19 +303,23 @@ def continuity_residual(
     same cut whatever the CPU count. A leaf's stages (rho, velocities,
     fluxes, rho at t ± tau) are evaluated on its rows plus one ghost row per
     side, into five ghost-extended and three inner buffers allocated once
-    per call and worker. max_norm is the largest of the leaves' maxima, and
-    l2_norm comes from the math.fsum of the leaves' np.sum of squares, which
-    is exactly rounded (Shewchuk 1997), so both norms keep their bits on any
-    number of workers. The leaves run on up to _MAX_WORKERS threads, no more
-    than the CPUs this process may use (see _reduce_leaves); a grid of one
-    leaf runs on the calling thread alone. Peak memory is a leaf's stages
-    per worker, whatever the number of grid rows.
+    per call and worker. max_norm is the largest of the leaves' maxima. Each
+    leaf scales its residual by the power of two that brings its own max
+    into [0.5, 1), and returns its np.sum of squares; l2_norm rescales those
+    sums to the largest leaf exponent, adds them with math.fsum, which is
+    exactly rounded (Shewchuk 1997), takes the root and scales it back.
+    Every scaling is by a power of two, so wherever the unscaled squares
+    and sums are normal floats l2_norm has their bits, and where they would
+    underflow or overflow it still has its value. Both norms keep their bits
+    on any number of workers. The leaves run on up to _MAX_WORKERS threads,
+    no more than the CPUs this process may use (see _map_leaves); a grid of
+    one leaf runs on the calling thread alone. Peak memory is a leaf's
+    stages per worker, whatever the number of grid rows.
 
-    Below a max of _TINY_NORM, l2_norm is summed again over the residual
-    scaled exactly by a power of two into [0.5, 1), and scaled back. A norm
-    that is not finite raises FloatingPointError naming it: the fluxes of a
-    density too tall for double precision, for one, overflow. A too-coarse
-    grid warns with _coarse_grid_verdict's text, which names grid_h and grid_tau.
+    A norm that is not finite raises FloatingPointError naming it: the
+    fluxes of a density too tall for double precision, for one, overflow. A
+    too-coarse grid warns with _coarse_grid_verdict's text, which names
+    grid_h and grid_tau.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -374,9 +388,11 @@ def continuity_residual(
         out += term
         return out
 
-    def new_leaf(scale=1.0):
-        """leaf(k) -> (max |r|, sum of (scale r)^2) over grid rows [k*rows, (k+1)*rows),
-        with its own stage buffers: five ghost-extended and three inner."""
+    def new_leaf():
+        """leaf(k) -> (m, e, s) over grid rows [k*rows, (k+1)*rows), with its own
+        stage buffers, five ghost-extended and three inner: m is max |r|, and s
+        the sum of (r * 2**-e)^2, e being the exponent that puts m * 2**-e in
+        [0.5, 1) (0 for an m of 0 or one that is not finite)."""
         ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(5)]
         inner_rows = [np.empty((rows, n2)) for _ in range(3)]
 
@@ -384,24 +400,23 @@ def continuity_residual(
             i0 = k * rows
             out = residual_rows(i0, min(n1, i0 + rows), ghosted, inner_rows)
             peak = np.max(np.abs(out, out=inner_rows[1][: len(out)]))
-            if scale != 1.0:
-                out *= scale
+            exponent = math.frexp(peak)[1]
+            np.ldexp(out, -exponent, out=out)
             out *= out
-            return peak, np.sum(out)
+            return peak, exponent, np.sum(out)
 
         return leaf
 
     # fluxes that overflow are refused by the norm check below; numpy's overflow
     # and invalid-value warnings on the way would only repeat that, or stop the
-    # run with a traceback where warnings are errors
-    leaves = -(-n1 // rows)
-    scale = 1.0
+    # run with a traceback where warnings are errors. Each leaf sum is rescaled
+    # to the largest exponent, so the total stays below the number of points
     with np.errstate(over="ignore", invalid="ignore"):
-        max_norm, sum_sq = _reduce_leaves(leaves, new_leaf)
-        if 0.0 < max_norm < _TINY_NORM:
-            scale = math.ldexp(1.0, -math.frexp(max_norm)[1])
-            sum_sq = _reduce_leaves(leaves, lambda: new_leaf(scale))[1]
-    norms = {"max_norm": float(max_norm), "l2_norm": math.sqrt(sum_sq * grid.h * grid.h) / scale}
+        peaks, exponents, sums = zip(*_map_leaves(-(-n1 // rows), new_leaf))
+        top = max(exponents)
+        sum_sq = math.fsum(np.ldexp(sums, [2 * (e - top) for e in exponents]))
+        l2_norm = np.ldexp(math.sqrt(sum_sq * grid.h * grid.h), top)
+    norms = {"max_norm": float(np.max(peaks)), "l2_norm": float(l2_norm)}
     broken = [f"{name} = {norm}" for name, norm in norms.items() if not math.isfinite(norm)]
     if broken:
         raise FloatingPointError(f"continuity residual is not finite: {', '.join(broken)}")

@@ -13,7 +13,9 @@ bit. The continuity reference evaluates every
 stage of the residual over the whole grid at once, with no blocking of rows,
 from the package's own density and velocity: it checks the blocking, not
 the physics. Its leaf form adds the whole-grid squares over the package's
-row leaves with math.fsum, and the package must match it bit for bit. The
+row leaves with math.fsum, and the package must match it bit for bit; both
+forms square the residual scaled by a power of two, so a tiny residual's
+squares do not underflow. The
 free Gaussian amplitude is the textbook packet, boosted and spread,
 written from its formula and using nothing of the package; the
 finite-difference velocity differences it. The KS, ndtr and mode-layout
@@ -257,19 +259,23 @@ def continuity_residual_reference(state, grid, t):
     residual = dt_rho + div1 + div2
 
     max_norm = float(np.max(np.abs(residual)))
-    l2_norm = float(math.sqrt(np.sum(residual * residual) * grid.h * grid.h))
-    return residual, max_norm, l2_norm
+    return residual, max_norm, leaf_l2_norm(residual, grid.h, len(residual))
 
 
 def leaf_l2_norm(residual, h, rows):
     """l2_norm of a whole-grid residual summed over leaves of rows whole rows.
 
     Each leaf's squares go through np.sum, and math.fsum adds the leaf sums,
-    as the package combines them.
+    as the package combines them; a single leaf of all rows is the whole-grid
+    np.sum. The residual is first scaled by the power of two that brings its
+    max |r| into [0.5, 1), and the root is scaled back, so that no square
+    underflows and no sum overflows; the scaling is exact.
     """
-    leaves = (residual[i : i + rows] for i in range(0, len(residual), rows))
+    exponent = math.frexp(np.max(np.abs(residual)))[1]
+    scaled = np.ldexp(residual, -exponent)
+    leaves = (scaled[i : i + rows] for i in range(0, len(scaled), rows))
     sums = [np.sum(leaf * leaf) for leaf in leaves]
-    return math.sqrt(math.fsum(sums) * h * h)
+    return math.ldexp(math.sqrt(math.fsum(sums) * h * h), exponent)
 
 
 def _horner(x, coef):

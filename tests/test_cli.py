@@ -517,6 +517,23 @@ def test_observable_whose_std_overflows_exits_3_without_output(tmp_path):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_surface_width_that_overflows_exits_3_without_output(tmp_path):
+    # the y1-y2 offsets are about 1e153, so np.std's sum of their squares
+    # is inf: diff_width_empirical,inf was written with exit 0, and -W
+    # error::RuntimeWarning turned that into a traceback
+    argv = ["ga-constraint", "--sigma-wide", "1e153", "--samples", "2000"]
+    argv += ["--out", str(tmp_path / "s.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == "numerical failure: empirical std of y1-y2 at t = 2 is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "subcommand, settings",
     [
@@ -681,6 +698,29 @@ def test_continuity_converges_past_the_stretch_rates_square_overflow(tmp_path):
     assert main([*argv, "--out", str(out)]) == 0
     _, rows = read_csv(out)
     # both norms: the residual, near 1e-203, has squares that underflow
+    for column in (3, 4):
+        assert 3.5 <= float(rows[0][column]) / float(rows[1][column]) <= 4.5
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # before the spreading time 1/beta the stretch rate at t_final is near
+        # 0, and a default tau of 5/beta gave ratios 1.04, 3.27 and 1.04; the
+        # third ran at --sigma-wide 1 (beta * t = 0.01 all the same), on grids
+        # of 100 times the points
+        "--t-final 1e-6 --sigma-narrow 0.005",
+        "--t-final 1e-5 --sigma-narrow 0.005",
+        "--t-final 1e-8 --sigma-narrow 0.0005 --sigma-wide 0.1",
+        # a residual near 6e259, whose squares are past the largest double:
+        # summed unscaled, l2_norm read inf and the run exited 3
+        "--sigma-narrow 1e-78 --sigma-wide 1e-60 --t-final 1e-140",
+    ],
+)
+def test_continuity_converges_on_both_norms(tmp_path, args):
+    out = tmp_path / "c.csv"
+    assert main(["continuity", *args.split(), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
     for column in (3, 4):
         assert 3.5 <= float(rows[0][column]) / float(rows[1][column]) <= 4.5
 

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bohm_equilibrium.guidance as guidance
+import bohm_equilibrium.model as model
 from bohm_equilibrium import (
     GaussianMode,
     PhysicalParams,
@@ -393,11 +394,12 @@ def test_worker_failure_stops_the_other_workers():
     assert len(other_calls) == 6
 
 
-def test_overflowing_sum_of_squares_is_not_finite():
+def test_overflowing_sum_of_squares_keeps_its_l2_norm():
     # densities scaled so that each of two leaves sums its squares to a
-    # finite 0.6e308..1.2e308 and their total exceeds the largest float:
-    # math.fsum raises OverflowError there, which must end as the same
-    # FloatingPointError as any other norm that is not finite
+    # finite 0.6e308..1.2e308 and their total exceeds the largest float;
+    # l2_norm must be finite, with the bits of the whole-grid residual scaled
+    # by the power of two that brings its max into [0.5, 1), summed over the
+    # same leaves and scaled back
     state, grid, t = moving_grid(31)
     rows = 32
     residual, _, _ = continuity_residual_reference(state, grid, t)
@@ -413,9 +415,13 @@ def test_overflowing_sum_of_squares_is_not_finite():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(guidance, "_BLOCK_POINTS", rows * grid.n2)
         mp.setattr(guidance, "mode_density", density)
-        not_finite = "^continuity residual is not finite: l2_norm = inf$"
-        with pytest.raises(FloatingPointError, match=not_finite):
-            continuity_residual(state, grid, t)
+        res = continuity_residual(state, grid, t)
+        mp.setattr(model, "mode_density", density)  # the reference's density too
+        residual, max_norm, _ = continuity_residual_reference(state, grid, t)
+    sums = [float(np.sum(leaf * leaf)) for leaf in (residual[:rows], residual[rows:])]
+    assert max(sums) < math.inf and sum(sums) == math.inf
+    assert res.max_norm == max_norm
+    assert res.l2_norm == leaf_l2_norm(residual, grid.h, rows) < math.inf
 
 
 def test_tiny_residual_keeps_its_l2_norm():
@@ -434,7 +440,6 @@ def test_tiny_residual_keeps_its_l2_norm():
         mp.setattr(guidance, "_BLOCK_POINTS", 32 * grid.n2)  # two leaves
         mp.setattr(guidance, "mode_density", density)
         tiny = continuity_residual(state, grid, t)
-    assert tiny.max_norm < guidance._TINY_NORM
     assert tiny.max_norm == math.ldexp(res.max_norm, -700)
     assert tiny.l2_norm == math.ldexp(res.l2_norm, -700)
 
