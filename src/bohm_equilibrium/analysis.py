@@ -48,7 +48,8 @@ def _check_times(times, t_final: float) -> list[float]:
         raise ValueError("times must be non-empty")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
-    if not all(0.0 <= t <= t_final + 1e-12 for t in times):
+    # a relative slack, so that a tiny t_final admits no time far past it
+    if not all(0.0 <= t <= t_final * (1.0 + 1e-12) for t in times):
         raise ValueError(f"times must lie within [0, t_final={t_final}]")
     return times
 

@@ -32,8 +32,8 @@ from .model import (
     _require_finite,
     _require_positive,
     _spread_rate,
+    evolve_mode,
     mode_coordinates,
-    mode_field,
     particle_coordinates,
 )
 
@@ -50,10 +50,10 @@ class EnsembleFailureError(RuntimeError):
 
     Either a trajectory of an ensemble ended in a non-finite state, or a
     recorded rk4 step map is not finite, or the fixed rk4 step is too long
-    for the state (see _check_rk4_step; the experiments and
-    integrate_trajectory refuse it before any step), or a trajectory's state
-    is not finite: an rk4 position at some recorded time, or an rk45 step
-    that shrank to the floor on a non-finite error estimate.
+    for the state (see _check_rk4_step; the experiments, propagate_ensemble
+    and integrate_trajectory refuse it before any step), or a trajectory's
+    state is not finite: an rk4 position at some recorded time, or an rk45
+    step that shrank to the floor on a non-finite error estimate.
     """
 
 
@@ -240,7 +240,7 @@ def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(u)
     for row, mode in enumerate((state.cm_mode, state.rel_mode)):
-        out[row] = mode_field(mode, state.params, t).velocity(u[row])
+        out[row] = evolve_mode(mode, state.params, t).velocity(u[row])
     return out
 
 
@@ -267,9 +267,10 @@ def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=
     with h the step actually taken, rk4 moves the ensemble visibly off |psi|^2
     (KS 0.227 against a noise level of 0.0138 at sigma_narrow = 0.005,
     n = 2e4), so the run raises EnsembleFailureError instead. rk45 passes.
-    With _surface (a run started on the narrow surface, whose narrow mode
-    stays exactly at 0 for any step) only the wide mode is checked, and the
-    message asks for a smaller dt, since recording every step needs rk4.
+    With _surface (a run started on the narrow surface, at the center of a
+    narrow mode at rest, where the narrow field is 0 for any step) only the
+    wide mode is checked, and the message asks for a smaller dt, since
+    recording every step needs rk4.
     """
     if config.method != "rk4":
         return
@@ -306,8 +307,8 @@ def _rk4_maps(
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))
     for row, mode in enumerate((state.cm_mode, state.rel_mode)):
-        stages = [mode_field(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
-        alpha = _rk4_step(lambda field, u: field.rate * u, stages, 1.0, dt)
+        stages = [evolve_mode(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
+        alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
         beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
         # accumulate multiplies left to right, as the recurrence does
         a[:, row] = np.multiply.accumulate(np.append(1.0, alpha))[steps]
@@ -545,9 +546,12 @@ def propagate_ensemble(
     come back as positions; with record_stride > 0 (rk4 only) the Ensemble
     keeps the recorded maps, for Ensemble.frames() to apply. parallel_width
     is validated and kept for compatibility; it does not change the
-    arithmetic. An ensemble is all or nothing: if any trajectory's final
-    state or final position is not finite, EnsembleFailureError names how
-    many of the n failed.
+    arithmetic. An rk4 step too long for the state raises
+    EnsembleFailureError before any step (see _check_rk4_step); for starts
+    on the narrow surface, whose narrow coordinate all equals a resting
+    narrow mode's center0, only the wide mode is judged. An ensemble is all
+    or nothing: if any trajectory's final state or final position is not
+    finite, EnsembleFailureError names how many of the n failed.
     """
     positions = np.asarray(initial_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -557,8 +561,13 @@ def propagate_ensemble(
     _check_parallel_width(parallel_width)
     if config.record_stride > 0 and config.method != "rk4":
         raise ValueError("ensemble recording requires the fixed-step rk4 method")
+    u0 = _mode_starts(positions)
+    narrow_row = 0 if state.correlation is Correlation.SUM_NARROW else 1
+    narrow = state.narrow_mode
+    surface = narrow.wavenumber == 0.0 and bool(np.all(u0[narrow_row] == narrow.center0))
+    _check_rk4_step(state, config, _surface=surface)
 
-    final, times, maps = _transport(state, _mode_starts(positions), config, t0)
+    final, times, maps = _transport(state, u0, config, t0)
     final = _particle_positions(*final)
     _require_finite_columns(final.T)  # Y +- y/2 can overflow where Y and y do not
     return Ensemble(

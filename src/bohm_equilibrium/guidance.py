@@ -26,7 +26,6 @@ from .model import (
     evolve_mode,
     mode_coordinates,
     mode_density,
-    mode_field,
     observable_normal,
     particle_coordinates,
 )
@@ -59,10 +58,9 @@ def velocity(state: TwoParticleState, y1, y2, t: float) -> VelocityPair:
     _require_finite("y1", y1)
     _require_finite("y2", y2)
     _require_finite("t", t)
+    cm, rel = state.evolved(t)
     big_y, small_y = mode_coordinates(y1, y2)
-    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
-    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
-    return VelocityPair(*particle_coordinates(v_cm, v_rel))
+    return VelocityPair(*particle_coordinates(cm.velocity(big_y), rel.velocity(small_y)))
 
 
 @dataclass(frozen=True)
@@ -148,16 +146,15 @@ def _max_grid_tau(state: TwoParticleState, t: float) -> float:
     grid_h's edge does, and a run before the spreading time keeps it at 3.9.
     """
     modes = (state.cm_mode, state.rel_mode)
-    drifts = [abs(mode_field(mode, state.params, t).drift) for mode in modes]
     peaks = [1.0 / _spread_rate(mode, state.params) for mode in modes]
 
     def limit(tau):
         """The quarter rule's tau for the worst motion over [t - tau, t + tau]."""
         near, far = max(0.0, abs(t) - tau), abs(t) + tau
         fastest = 0.0
-        for mode, drift, peak, at_near in zip(modes, drifts, peaks, state.evolved(near)):
+        for mode, peak, at_near in zip(modes, peaks, state.evolved(near)):
             rate = evolve_mode(mode, state.params, min(max(peak, near), far)).stretch_rate
-            fastest = max(fastest, drift / at_near.sigma + _COVER_STDS * rate)
+            fastest = max(fastest, abs(at_near.drift) / at_near.sigma + _COVER_STDS * rate)
         return 0.25 / fastest if fastest > 0.0 else math.inf
 
     return limit(limit(0.0))
@@ -351,7 +348,6 @@ def continuity_residual(
     now = state.evolved(t)
     later = state.evolved(t + grid.tau)
     earlier = state.evolved(t - grid.tau)
-    fields = [mode_field(mode, state.params, t) for mode in (state.cm_mode, state.rel_mode)]
 
     n1, n2 = grid.n1, grid.n2
     rows = max(1, min(n1, _BLOCK_POINTS // n2))
@@ -374,8 +370,8 @@ def continuity_residual(
         # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y
         mode_density(now[0], big_y, out=rho)
         rho *= mode_density(now[1], small_y, out=flux1)
-        v_cm = fields[0].velocity(big_y, out=big_y)
-        v_rel = fields[1].velocity(small_y, out=small_y)
+        v_cm = now[0].velocity(big_y, out=big_y)
+        v_rel = now[1].velocity(small_y, out=small_y)
         particle_coordinates(v_cm, v_rel, out=(flux1, flux2))
         flux1 *= rho
         flux2 *= rho

@@ -102,36 +102,33 @@ class Correlation(enum.Enum):
         raise ValueError(f"unknown correlation {label!r}; expected one of {valid}")
 
 
-@dataclass(frozen=True)
-class EvolvedMode:
-    """Snapshot of a Gaussian mode at the time t given to evolve_mode.
+class EvolvedMode(NamedTuple):
+    """A Gaussian mode at the time t given to evolve_mode: its law and its field.
 
-    sigma and center describe |psi|^2 = N(center, sigma^2); stretch_rate is
-    sigma'(t)/sigma(t), the logarithmic spreading rate that drives the
-    pilot-wave velocity field.
+    |psi|^2 is N(center, sigma^2), and the guidance field is affine,
+    v(u) = drift + stretch_rate * (u - center): stretch_rate is
+    sigma'(t)/sigma(t), the logarithmic spreading rate, and drift the group
+    velocity hbar*k/m_c. center, stretch_rate and spread = beta * t are
+    floats or arrays, matching t; sigma = sigma0 * sqrt(1 + spread^2) is
+    computed only when read, since the integrators read only the field.
     """
 
-    sigma: float
-    center: float
-    stretch_rate: float
-
-
-class ModeField(NamedTuple):
-    """Affine guidance field of one mode: v(u) = drift + rate * (u - center).
-
-    rate is the stretch rate sigma'(t)/sigma(t), center the packet center
-    and drift the group velocity hbar*k/m_c. The entries are floats or
-    arrays, matching the time argument of mode_field.
-    """
-
-    rate: float | np.ndarray
     center: float | np.ndarray
+    stretch_rate: float | np.ndarray
     drift: float
+    sigma0: float
+    spread: float | np.ndarray
+
+    @property
+    def sigma(self):
+        """Width of |psi|^2; math.hypot for a float time, np.hypot for an array."""
+        hypot = math.hypot if isinstance(self.spread, float) else np.hypot
+        return self.sigma0 * hypot(1.0, self.spread)
 
     def velocity(self, u, out=None):
-        """drift + rate * (u - center), written into out if it is given."""
+        """drift + stretch_rate * (u - center), written into out if it is given."""
         v = np.subtract(u, self.center, out=out)
-        v *= self.rate
+        v *= self.stretch_rate
         v += self.drift
         return v
 
@@ -154,17 +151,24 @@ def _spread_rate(mode: GaussianMode, params: PhysicalParams, name: str = "sigma0
     return beta
 
 
-def mode_field(mode: GaussianMode, params: PhysicalParams, t) -> ModeField:
-    """The mode's guidance field at time t, a finite float or array of times.
+def evolve_mode(mode: GaussianMode, params: PhysicalParams, t) -> EvolvedMode:
+    """Evolve one Gaussian mode to time t, a finite float or array of times.
 
-    Every velocity in the package derives from this one definition; array
-    times give elementwise the same bits as scalar calls. The stretch rate
-    beta * sf / (1 + sf^2), sf = beta * t, is taken as beta / sf where sf^2
-    overflows (sf past about 1.3e154): 1 / sf^2 is then far below the
-    rounding of 1, and the first form would read 0 or NaN. A scalar time
-    takes one form in float arithmetic, with no numpy call; array times take
-    both and keep the one whose square is finite.
+    The width follows sigma(t) = sigma0 * sqrt(1 + sf^2), sf = beta * t, and
+    the center translates at the group velocity hbar*k/m_c. Every law and
+    velocity in the package derives from this one definition; array times
+    give elementwise the same bits as scalar calls, sigma apart. The stretch
+    rate beta * sf / (1 + sf^2) is taken as beta / sf where sf^2 overflows
+    (sf past about 1.3e154): 1 / sf^2 is then far below the rounding of 1,
+    and the first form would read 0 or NaN. A scalar time takes one form in
+    float arithmetic, with no numpy call; array times take both and keep the
+    one whose square is finite. A scalar time that is not finite raises
+    ValueError. Array times are not checked: the integrators build them
+    from finite grids, and a check on every right-hand side slowed the
+    rk45 sweep by 2.5% (2 cpus).
     """
+    if np.ndim(t) == 0:
+        _require_finite("t", t)
     beta = _spread_rate(mode, params)
     sf = beta * t
     drift = params.hbar * mode.wavenumber / mode.coord_mass
@@ -177,26 +181,12 @@ def mode_field(mode: GaussianMode, params: PhysicalParams, t) -> ModeField:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             square = sf * sf
             rate = np.where(square < np.inf, beta * sf / (1.0 + square), beta / sf)
-    return ModeField(
-        rate=rate,
-        center=mode.center0 + drift * t,
-        drift=drift,
-    )
-
-
-def evolve_mode(mode: GaussianMode, params: PhysicalParams, t: float) -> EvolvedMode:
-    """Evolve one Gaussian mode to time t under free dynamics.
-
-    Width follows sigma(t) = sigma0 * sqrt(1 + (hbar*t / (2*m_c*sigma0^2))^2)
-    and the center translates at the group velocity hbar*k/m_c.
-    """
-    _require_finite("t", t)
-    sf = _spread_rate(mode, params) * t
-    field = mode_field(mode, params, t)
     return EvolvedMode(
-        sigma=mode.sigma0 * math.hypot(1.0, sf),
-        center=field.center,
-        stretch_rate=field.rate,
+        center=mode.center0 + drift * t,
+        stretch_rate=rate,
+        drift=drift,
+        sigma0=mode.sigma0,
+        spread=sf,
     )
 
 
@@ -208,12 +198,13 @@ def mode_density(evolved: EvolvedMode, u, out=None):
     the square is a normal float; where the square is subnormal both
     exponents give exp = 1, and where it overflows both give exp = 0.
     """
+    sigma = evolved.sigma
     z = np.subtract(u, evolved.center, out=out, dtype=float)
-    z /= evolved.sigma
+    z /= sigma
     z *= z
     z *= -0.5
     density = np.exp(z, out=out)
-    density /= evolved.sigma * _SQRT_2PI
+    density /= sigma * _SQRT_2PI
     return density
 
 
@@ -313,8 +304,8 @@ class TwoParticleState:
         cm, rel = (replace(mode, center0=0.0) for mode in (self.cm_mode, self.rel_mode))
         return replace(self, cm_mode=cm, rel_mode=rel)
 
-    def evolved(self, t: float) -> tuple[EvolvedMode, EvolvedMode]:
-        """(cm, rel) mode snapshots at time t."""
+    def evolved(self, t) -> tuple[EvolvedMode, EvolvedMode]:
+        """(cm, rel) modes at time t, a float or array of times."""
         return (
             evolve_mode(self.cm_mode, self.params, t),
             evolve_mode(self.rel_mode, self.params, t),

@@ -31,7 +31,7 @@ import numpy as np
 
 from bohm_equilibrium import _normal
 from bohm_equilibrium.dynamics import substream_normals
-from bohm_equilibrium.model import eval_density, mode_coordinates, mode_field
+from bohm_equilibrium.model import eval_density, evolve_mode, mode_coordinates
 
 
 def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.0):
@@ -245,8 +245,8 @@ def continuity_residual_reference(state, grid, t):
     yy2 = ext2[None, :]
     rho = eval_density(state, yy1, yy2, t)
     big_y, small_y = mode_coordinates(yy1, yy2)
-    v_cm = mode_field(state.cm_mode, state.params, t).velocity(big_y)
-    v_rel = mode_field(state.rel_mode, state.params, t).velocity(small_y)
+    v_cm = evolve_mode(state.cm_mode, state.params, t).velocity(big_y)
+    v_rel = evolve_mode(state.rel_mode, state.params, t).velocity(small_y)
     flux1 = rho * (v_cm + 0.5 * v_rel)
     flux2 = rho * (v_cm - 0.5 * v_rel)
 

@@ -484,6 +484,18 @@ def test_rk45_failed_trajectories_exit_3_without_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_times_past_a_tiny_t_final_exit_2_without_output(tmp_path, capsys):
+    # an absolute slack of 1e-12 admitted t = 1e-13, 1e7 times past t_final,
+    # and wrote rows there with exit 0
+    config = tmp_path / "run.cfg"
+    config.write_text("t_final = 1e-20\ntimes = 1e-13\nsamples = 2000\n")
+    assert main(["equivariance", "--config", str(config), "--out", str(tmp_path / "e.csv")]) == 2
+    assert "times must lie within" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+    # the slack is relative: at t_final = 2 it is 2e-12
+    assert load_config(None, {"t_final": 2.0, "times": (2.0 + 1e-12,)}).times == (2.0 + 1e-12,)
+
+
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_law_that_overflows_exits_2_at_load(tmp_path, capsys, method):
     # the cm center reaches 1.7e308 at t = 2, so the y1+y2 mean 2 * Y is inf;

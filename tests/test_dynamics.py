@@ -150,6 +150,12 @@ def test_surface_ensemble_stays_exactly_on_surface(
     state = TwoParticleState.from_widths(*widths, correlation=correlation, **wide_mode)
     start = sample_constraint_surface(state, 64, seed)
     config = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=1)
+    # only the wide mode is judged: the narrow field is 0 on the surface
+    wide_beta = 1.0 / (2.0 * state.wide_mode.coord_mass * state.wide_mode.sigma0**2)
+    if 0.5 * wide_beta * config.dt > 0.5:
+        with pytest.raises(EnsembleFailureError, match="^wide mode .*; lower dt"):
+            propagate_ensemble(state, start, config)
+        return
     ensemble = propagate_ensemble(state, start, config)
     frames = np.stack(list(ensemble.frames()))
     assert frames.shape == (101, 64, 2)
@@ -243,6 +249,27 @@ def test_rk4_trajectory_refuses_a_stiff_step():
         integrate_trajectory(state, (0.01, 0.02), config)
     rk45 = integrate_trajectory(state, (0.01, 0.02), dataclasses.replace(config, method="rk45"))
     assert np.all(np.isfinite(rk45.positions))
+
+
+def test_ensemble_refuses_a_stiff_rk4_step():
+    # unrefused, the default rk4 step left y1+y2 at 0.365 of its law's std by
+    # t = 2 (KS 0.2265 against a noise level of 0.0138 at n = 2e4)
+    state = TwoParticleState.from_widths(sigma_narrow=0.005)
+    config = IntegratorConfig()
+    starts = sample_equilibrium(state, 2000, seed=42)
+    with pytest.raises(EnsembleFailureError, match="^narrow mode .* use method = rk45$"):
+        propagate_ensemble(state, starts, config)
+    # surface starts at the center of a narrow mode at rest are judged on the
+    # wide mode alone, and stay exactly on the surface
+    surface = sample_constraint_surface(state, 2000, seed=42)
+    ensemble = propagate_ensemble(state, surface, dataclasses.replace(config, record_stride=50))
+    frames = np.stack(list(ensemble.frames()))
+    assert frames.shape == (41, 2000, 2)
+    assert np.all(frames[:, :, 0] + frames[:, :, 1] == 0.0)
+    # off the narrow center the narrow field is not 0, and the step is refused
+    shifted = TwoParticleState.from_widths(sigma_narrow=0.005, cm_center=1.0)
+    with pytest.raises(EnsembleFailureError, match="^narrow mode .* use method = rk45$"):
+        propagate_ensemble(shifted, sample_constraint_surface(shifted, 2000, seed=42), config)
 
 
 def test_record_stride_times():
@@ -428,7 +455,8 @@ def test_ensemble_no_crossing_in_mode_coordinates():
 
 
 def test_ensemble_recorded_times_grid():
-    state = default_state()
+    # dt = 0.25 is too long for rk4 at the default narrow width; 0.5 admits it
+    state = TwoParticleState.from_widths(sigma_narrow=0.5)
     starts = sample_equilibrium(state, 10, seed=2)
     config = IntegratorConfig(dt=0.25, t_final=1.0, record_stride=2)
     ensemble = propagate_ensemble(state, starts, config)

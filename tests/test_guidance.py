@@ -25,7 +25,7 @@ from bohm_equilibrium import (
     substream_normals,
     velocity,
 )
-from bohm_equilibrium.model import mode_density, mode_field, observable_normal
+from bohm_equilibrium.model import evolve_mode, mode_density, observable_normal
 
 from _oracles import continuity_residual_reference, leaf_l2_norm, state_modes, velocity_fd
 
@@ -74,7 +74,7 @@ def test_velocity_zero_at_t0_without_drift():
 
 def test_single_mode_velocity_spot_value():
     # beta = 1/2, t = 2: stretch rate = beta^2 t/(1+(beta t)^2) = 1/4
-    v = mode_field(GaussianMode(sigma0=1.0, coord_mass=1.0), PARAMS, 2.0).velocity(1.0)
+    v = evolve_mode(GaussianMode(sigma0=1.0, coord_mass=1.0), PARAMS, 2.0).velocity(1.0)
     assert v == pytest.approx(0.25, rel=1e-14)
 
 

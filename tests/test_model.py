@@ -19,7 +19,7 @@ from bohm_equilibrium import (
     particle_coordinates,
     sample_equilibrium,
 )
-from bohm_equilibrium.model import _require_finite, mode_field
+from bohm_equilibrium.model import _require_finite
 
 from _oracles import free_gaussian_amplitude, pair_amplitude, spectral_free_packet, state_modes
 
@@ -78,14 +78,33 @@ def test_stretch_rate_at_late_times():
     # beta * sf / (1 + sf^2) read 0 instead of about 1 / t
     mode = GaussianMode(sigma0=1.0, coord_mass=1.0)
     times = np.array([0.0, 2.0, 1e150, 2.68e154, 2.69e154, 1e155, 1e300, -1e300])
-    rates = mode_field(mode, PARAMS, times).rate
+    rates = evolve_mode(mode, PARAMS, times).stretch_rate
     # rate * t = sf^2 / (1 + sf^2): 0, then 1/2 at sf = 1, then 1 to rounding
     assert (rates * times).tolist() == pytest.approx([0.0, 0.5, 1, 1, 1, 1, 1, 1], rel=1e-15)
     # array times give elementwise the bits of scalar calls, also where no
     # square overflows (the first four)
-    scalar = [mode_field(mode, PARAMS, float(t)).rate for t in times]
+    scalar = [evolve_mode(mode, PARAMS, float(t)).stretch_rate for t in times]
     assert rates.tobytes() == np.array(scalar).tobytes()
-    assert mode_field(mode, PARAMS, times[:4]).rate.tobytes() == rates[:4].tobytes()
+    assert evolve_mode(mode, PARAMS, times[:4]).stretch_rate.tobytes() == rates[:4].tobytes()
+
+
+def test_evolve_mode_array_times_match_scalar_calls():
+    # the rest of the mode beside the stretch rate above: array times, also
+    # where (beta * t)^2 overflows (beta = 0.5), give the bits of scalar calls
+    mode = GaussianMode(sigma0=1.0, center0=0.3, wavenumber=1.7, coord_mass=1.0)
+    times = np.array([0.0, 2.0, 1e150, 2.68e154, 2.69e154, 1e155, 1e300, -1e300])
+    evolved = evolve_mode(mode, PARAMS, times)
+    scalar = [evolve_mode(mode, PARAMS, float(t)) for t in times]
+    expected = np.array([ev.center for ev in scalar])
+    assert evolved.center.tobytes() == expected.tobytes()
+    assert {ev.drift for ev in scalar} == {evolved.drift} == {1.7}
+    u = np.full(times.shape, -0.4)
+    expected = np.array([ev.velocity(-0.4) for ev in scalar])
+    assert evolved.velocity(u).tobytes() == expected.tobytes()
+    assert evolved.velocity(u, out=u) is u and u.tobytes() == expected.tobytes()
+    # a float time keeps the width sigma0 * hypot(1, beta * t) to the bit
+    for t, ev in zip(times.tolist(), scalar):
+        assert ev.sigma == mode.sigma0 * math.hypot(1.0, 0.5 * t)
 
 
 def test_negative_t_is_allowed_and_symmetric():
