@@ -235,8 +235,10 @@ def equivariance_check(
     for _, _, leg in legs:
         if leg is not None:
             _check_rk4_step(state, leg)
-    u = _sample_modes(state.at_origin(), substream_normals(seed, 0, n))
-    return _equivariance_reports(state, u, legs)
+    # no name here holds the start ensemble, so the first leg's transport frees it
+    return _equivariance_reports(
+        state, _sample_modes(state.at_origin(), substream_normals(seed, 0, n)), legs
+    )
 
 
 def _legs(config: IntegratorConfig, times) -> list[tuple[float, float, IntegratorConfig]]:
@@ -249,7 +251,11 @@ def _legs(config: IntegratorConfig, times) -> list[tuple[float, float, Integrato
 
 
 def _equivariance_reports(state: TwoParticleState, u: np.ndarray, legs):
-    """Transport the (2, n) offsets u, drawn at t = 0, along legs; a snapshot ends each."""
+    """Transport the (2, n) offsets u, drawn at t = 0, along legs; a snapshot ends each.
+
+    Each leg's result replaces u, so a caller that keeps no reference of its
+    own to u holds one ensemble between legs and two during a transport.
+    """
     origin = state.at_origin()
     reports = []
     for t0, t, leg in legs:
@@ -386,8 +392,9 @@ def regularization_sweep(
     rows = []
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
-        u = _sample_modes(row_state.at_origin(), z)
-        report = _equivariance_reports(row_state, u, _legs(config, [config.t_final]))[0]
+        report = _equivariance_reports(
+            row_state, _sample_modes(row_state.at_origin(), z), _legs(config, [config.t_final])
+        )[0]
         r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(
             SweepRow(

@@ -366,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bohm-equilibrium",
         description="Pilot-wave ensembles for an entangled two-particle Gaussian state",
     )
+    # the flags every subcommand shares, built once and copied into each
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", metavar="PATH", help="flat key=value settings file")
+    for key, options in _FLAGS.items():
+        flags.add_argument("--" + key.replace("_", "-"), type=_KEY_PARSERS[key], **options)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="flat key=value settings file")
-        for key, options in _FLAGS.items():
-            p.add_argument(
-                "--" + key.replace("_", "-"), type=_KEY_PARSERS[key], **options
-            )
+        sub.add_parser(name, help=help_text, parents=[flags])
     return parser
 
 

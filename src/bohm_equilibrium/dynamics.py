@@ -38,6 +38,9 @@ from .model import (
 )
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
+# counter blocks drawn and converted at a time by the substream samplers: a
+# chunk's words and ndtri temporaries take about 1 MB, whatever n is
+_CHUNK_BLOCKS = 1 << 13
 _MIN_ADAPTIVE_DT = 1e-12
 
 
@@ -71,6 +74,30 @@ def _check_parallel_width(parallel_width: int):
         raise ValueError(f"parallel_width must be a positive integer, got {parallel_width!r}")
 
 
+def _substream(seed: int, first_sample: int, n: int, columns: int, convert) -> np.ndarray:
+    """(n, columns) array of convert(uniforms) for samples [first_sample, first_sample + n).
+
+    Row i holds convert of the first `columns` of the 4 uniforms of counter
+    block first_sample + i. The blocks are drawn _CHUNK_BLOCKS at a time,
+    each chunk converted into its rows of the result, so no temporary is
+    the size of n; Philox's stream continues across the draws, so the bits
+    are those of one draw of all n blocks.
+    """
+    seed = _check_seed(seed)
+    if n < 1 or first_sample < 0:
+        raise ValueError(f"need n >= 1 and first_sample >= 0, got {n} and {first_sample}")
+    if not 1 <= columns <= _WORDS_PER_BLOCK:
+        raise ValueError(f"columns must be in [1, {_WORDS_PER_BLOCK}]")
+    bitgen = Philox(key=seed)
+    bitgen.advance(first_sample)
+    out = np.empty((n, columns))
+    for start in range(0, n, _CHUNK_BLOCKS):
+        rows = out[start : start + _CHUNK_BLOCKS]
+        raw = bitgen.random_raw(_WORDS_PER_BLOCK * len(rows))
+        rows[...] = convert(_uniforms_from_words(raw.reshape(-1, _WORDS_PER_BLOCK)[:, :columns]))
+    return out
+
+
 def substream_uniforms(
     seed: int, first_sample: int, n: int, columns: int = _WORDS_PER_BLOCK
 ) -> np.ndarray:
@@ -80,15 +107,7 @@ def substream_uniforms(
     first_sample + i, so any contiguous chunking of an ensemble reads
     identical bits.
     """
-    seed = _check_seed(seed)
-    if n < 1 or first_sample < 0:
-        raise ValueError(f"need n >= 1 and first_sample >= 0, got {n} and {first_sample}")
-    if not 1 <= columns <= _WORDS_PER_BLOCK:
-        raise ValueError(f"columns must be in [1, {_WORDS_PER_BLOCK}]")
-    bitgen = Philox(key=seed)
-    bitgen.advance(first_sample)
-    raw = bitgen.random_raw(_WORDS_PER_BLOCK * n).reshape(n, _WORDS_PER_BLOCK)[:, :columns]
-    return _uniforms_from_words(raw)
+    return _substream(seed, first_sample, n, columns, convert=lambda u: u)
 
 
 def _uniforms_from_words(raw: np.ndarray) -> np.ndarray:
@@ -109,7 +128,7 @@ def _uniforms_from_words(raw: np.ndarray) -> np.ndarray:
 
 def substream_normals(seed: int, first_sample: int, n: int, columns: int = 2):
     """Standard normals via the inverse CDF, one substream row per sample."""
-    return ndtri(substream_uniforms(seed, first_sample, n, columns))
+    return _substream(seed, first_sample, n, columns, convert=ndtri)
 
 
 def _sample_modes(state: TwoParticleState, z: np.ndarray, surface=False) -> np.ndarray:

@@ -39,7 +39,7 @@ _COVER_STDS = 5.0
 _BLOCK_POINTS = 1 << 16
 
 # most threads that evaluate the continuity residual's leaves: each holds its
-# own leaf's stage buffers (about 4.3 MB at 2877 columns), so this bounds peak
+# own leaf's stage buffers (about 3.2 MB at 2877 columns), so this bounds peak
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
 
@@ -299,7 +299,7 @@ def continuity_residual(
     max(1, _BLOCK_POINTS // n2) whole rows, the last possibly shorter, the
     same cut whatever the CPU count. A leaf's stages (rho, velocities,
     fluxes, rho at t ± tau) are evaluated on its rows plus one ghost row per
-    side, into five ghost-extended and three inner buffers allocated once
+    side, into four ghost-extended and two inner buffers allocated once
     per call and worker. max_norm is the largest of the leaves' maxima. Each
     leaf scales its residual by the power of two that brings its own max
     into [0.5, 1), and returns its np.sum of squares; l2_norm rescales those
@@ -355,24 +355,26 @@ def continuity_residual(
 
     def residual_rows(i0, i1, ghosted, inner_rows):
         """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
-        big_y, small_y, rho, flux1, flux2 = (a[: i1 - i0 + 2] for a in ghosted)
-        out, term, scratch = (a[: i1 - i0] for a in inner_rows)
+        big_y, small_y, rho, flux1 = (a[: i1 - i0 + 2] for a in ghosted)
+        out, term = (a[: i1 - i0] for a in inner_rows)
         mode_coordinates(ext1[i0 : i1 + 2, None], ext2[None, :], out=(big_y, small_y))
 
         # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
         mode_density(later[0], big_y[inner], out=out)
         out *= mode_density(later[1], small_y[inner], out=term)
         mode_density(earlier[0], big_y[inner], out=term)
-        term *= mode_density(earlier[1], small_y[inner], out=scratch)
+        # rho's inner rows are free until the fluxes
+        term *= mode_density(earlier[1], small_y[inner], out=rho[inner])
         out -= term
         out /= 2.0 * grid.tau
 
-        # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y
+        # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y;
+        # rho * v2 overwrites v_rel
         mode_density(now[0], big_y, out=rho)
         rho *= mode_density(now[1], small_y, out=flux1)
         v_cm = now[0].velocity(big_y, out=big_y)
         v_rel = now[1].velocity(small_y, out=small_y)
-        particle_coordinates(v_cm, v_rel, out=(flux1, flux2))
+        flux1, flux2 = particle_coordinates(v_cm, v_rel, out=(flux1, small_y))
         flux1 *= rho
         flux2 *= rho
 
@@ -386,11 +388,11 @@ def continuity_residual(
 
     def new_leaf():
         """leaf(k) -> (m, e, s) over grid rows [k*rows, (k+1)*rows), with its own
-        stage buffers, five ghost-extended and three inner: m is max |r|, and s
+        stage buffers, four ghost-extended and two inner: m is max |r|, and s
         the sum of (r * 2**-e)^2, e being the exponent that puts m * 2**-e in
         [0.5, 1) (0 for an m of 0 or one that is not finite)."""
-        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(5)]
-        inner_rows = [np.empty((rows, n2)) for _ in range(3)]
+        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(4)]
+        inner_rows = [np.empty((rows, n2)) for _ in range(2)]
 
         def leaf(k):
             i0 = k * rows

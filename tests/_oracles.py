@@ -22,12 +22,15 @@ finite-difference velocity differences it. The KS, ndtr and mode-layout
 references are the plain forms of the package's kernels: a
 new array per stage, ndtr's branches picked by masks on |x| rather than by
 slices of sorted values, and the two KS ramps i/n and (i - 1)/n built
-separately; the kernels must match them bit for bit.
+separately; the kernels must match them bit for bit. The normals
+reference draws a substream's Philox words and runs ndtri on all of them at
+once, and the package's chunked sampler must match it bit for bit.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Philox
 
 from bohm_equilibrium import _normal
 from bohm_equilibrium.dynamics import substream_normals
@@ -350,6 +353,16 @@ def mode_positions_reference(a, b, u0):
     """(..., 2) positions of the mode map (a, b) applied to u0, stacked."""
     cm, rel = a[0] * u0[0] + b[0], a[1] * u0[1] + b[1]
     return np.stack([cm + 0.5 * rel, cm - 0.5 * rel], axis=-1)
+
+
+def substream_normals_reference(seed, first_sample, n, columns=2):
+    """(n, columns) normals in one pass: every Philox word of the n counter
+    blocks drawn at once, mapped to uniforms and through ndtri as whole arrays."""
+    bitgen = Philox(key=seed)
+    bitgen.advance(first_sample)
+    raw = bitgen.random_raw(4 * n).reshape(n, 4)[:, :columns]
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _normal.ndtri(np.minimum(u, 1.0 - 2.0**-53))
 
 
 def sample_equilibrium_reference(state, n, seed, first_sample=0):

@@ -1,6 +1,7 @@
 """KS statistic, equivariance, constraint surface, regularization sweep."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -345,6 +346,22 @@ def test_equivariance_parallel_width_invariance():
     for sa, sb in zip(a[0].observables, b[0].observables):
         assert sa.empirical_std == sb.empirical_std
         assert sa.ks == sb.ks
+
+
+def test_equivariance_check_traces_under_48_bytes_per_sample():
+    # the sampler converts its Philox words in chunks, and the start ensemble
+    # is freed at the first transport: about 36 bytes per sample, where the
+    # whole-array sampler and a start kept to the last snapshot took about 83
+    n, times = 200_000, [0.5, 1.0, 1.5, 2.0]
+    state, config = default_state(), default_config()
+    equivariance_check(state, 2000, 42, config, times)  # lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        equivariance_check(state, n, 42, config, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * n
 
 
 # carried as absolute positions, these runs read max KS 0.0266, 0.956,

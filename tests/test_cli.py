@@ -794,20 +794,20 @@ def continuity_peak_rss_mb(tmp_path, grid_h: str) -> float:
 def test_continuity_fine_grid_peak_memory(tmp_path):
     # grid_h = 0.07 gives 1439^2 and 2877^2 grids; whole-grid stage arrays
     # took 877 MB (VmHWM), row blocks 199 MB, and one residual array squared
-    # in place 120 MB; with no array the size of the grid it takes 45 MB
+    # in place 120 MB; with no array the size of the grid it takes 42 MB
     assert continuity_peak_rss_mb(tmp_path, "0.07") < 80
 
 
 def test_continuity_finer_grid_peak_memory(tmp_path):
     # grid_h = 0.05 gives 2015^2 and 4029^2 grids: 181 MB with one residual
-    # array, 45 MB with none, the same as at 0.07
+    # array, 42 MB with none, the same as at 0.07
     assert continuity_peak_rss_mb(tmp_path, "0.05") < 80
 
 
 def test_continuity_fine_grid_peak_memory_on_many_cpus(tmp_path):
-    # each worker holds about 5 MB of stage buffers at 2877 columns; with
+    # each worker holds about 3.2 MB of stage buffers at 2877 columns; with
     # one worker per CPU, 16 CPUs took 123 MB (VmHWM), and _MAX_WORKERS = 4
-    # keeps it to 56 MB
+    # keeps it to 48 MB
     config = tmp_path / "run.cfg"
     config.write_text("grid_h = 0.07\n")
     many_cpus = "import bohm_equilibrium.guidance as g\ng._usable_cpus = lambda: 16\n"
@@ -821,10 +821,18 @@ def test_continuity_fine_grid_peak_memory_on_many_cpus(tmp_path):
     "subcommand", ["equivariance", "ga-constraint", "sweep", "continuity", "trajectory"]
 )
 def test_default_size_peak_memory(tmp_path, subcommand):
-    # each peaked at 37-60 MB (VmHWM); for ga-constraint's n = 1e5 with all
+    # each peaked at 36-42 MB (VmHWM); for ga-constraint's n = 1e5 with all
     # 2001 frames a stacked recording would take 3.2 GB, so its rk4 maps are
     # applied in 16384-start chunks
     assert run_peak_rss_mb([subcommand, "--out", str(tmp_path / "x.csv")]) < 100
+
+
+def test_million_sample_equivariance_peak_memory(tmp_path):
+    # the whole-array sampler's Philox words and ndtri temporaries, with the
+    # start ensemble kept to the last snapshot, took 120 MB (VmHWM); chunked
+    # sampling and a start freed at the first transport take 71 MB
+    argv = ["equivariance", "--samples", "1000000", "--out", str(tmp_path / "e.csv")]
+    assert run_peak_rss_mb(argv) < 95
 
 
 # RLIMIT_AS is set before numpy is imported, so only the run's arrays meet it
@@ -839,7 +847,8 @@ print(main(sys.argv[1:]))
 
 
 def test_impossible_allocation_exits_2_without_output(tmp_path):
-    # 3e8 samples need 8.94 GiB of Philox words at once
+    # 3e8 samples need a 4.47 GiB array of normals; the Philox words are
+    # drawn in chunks
     argv = ["equivariance", "--samples", "300000000", "--out", str(tmp_path / "e.csv")]
     out = run_child(_LOW_MEMORY_CHILD, *argv)
     assert out.startswith("error: not enough memory: Unable to allocate")

@@ -44,6 +44,7 @@ from _oracles import (
     rk45_reference,
     sample_equilibrium_reference,
     state_modes,
+    substream_normals_reference,
 )
 
 
@@ -87,6 +88,27 @@ def test_substreams_are_random_access():
     z_whole = substream_normals(42, 0, 1000)
     z_tail = substream_normals(42, 600, 400)
     assert np.array_equal(z_whole[600:], z_tail)
+
+
+CHUNK = dynamics._CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("first_sample", [0, 12345])
+def test_chunked_normals_match_the_whole_array_form(n, first_sample):
+    # the sampler converts CHUNK counter blocks at a time; its bits are those of one pass
+    for columns in range(1, 5):
+        z = substream_normals(4242, first_sample, n, columns)
+        reference = substream_normals_reference(4242, first_sample, n, columns)
+        assert z.shape == (n, columns)
+        assert np.array_equal(z.view(np.uint64), reference.view(np.uint64))
+
+
+def test_normals_split_inside_a_chunk_stack_to_the_whole():
+    n, k = 3 * CHUNK + 5, CHUNK + 1000
+    whole = substream_normals(99, 0, n)
+    split = np.vstack([substream_normals(99, 0, k), substream_normals(99, k, n - k)])
+    assert whole.tobytes() == split.tobytes()
 
 
 def test_seed_validation():

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,6 +393,25 @@ def test_worker_failure_stops_the_other_workers():
         with pytest.raises(MemoryError, match="stub"):
             continuity_residual(state, grid, t)
     assert len(other_calls) == 6
+
+
+def test_one_worker_traces_six_leaf_buffers():
+    # the CLI's fine grid at grid_h = 0.07 (2877^2 points, 22-row leaves); a
+    # leaf holds four ghost-extended and two inner stage buffers, where five
+    # and three traced 8.05 ghost-extended buffers
+    state, t = default_state(), 2.0
+    grid = grid_for_state(state, t, h=0.07).refined()
+    buffer_bytes = (leaf_rows(grid) + 2) * (grid.n2 + 2) * 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_usable_cpus", lambda: 1)
+        continuity_residual(state, grid_for_state(state, t), t)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            continuity_residual(state, grid, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6.5 * buffer_bytes
 
 
 def test_overflowing_sum_of_squares_keeps_its_l2_norm():
