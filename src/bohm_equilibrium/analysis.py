@@ -291,18 +291,18 @@ def constraint_surface_experiment(
     """Propagate an ensemble started exactly on y1 + y2 = 0.
 
     Requires a sum-narrow state whose cm mode is centered with zero
-    wavenumber, so the surface is invariant under the guidance flow, and
-    method 'rk4', since only fixed steps are recorded. Records every step
-    (or config.record_stride if set) and reports the worst constraint
-    violation together with the width comparison at t_final. The violation
-    is |2Y| over every trajectory at every recorded time, from
-    dynamics._frame_abs_sum_maxima: each recorded map is monotone in Y, so
-    the smallest and largest start bound every other one bit for bit, and
-    the cost is O(n + frames), never a whole frame per recorded time. An rk4
-    step too long for the wide mode raises EnsembleFailureError before
-    sampling; the narrow mode stays exactly at 0 for any step. So does a
-    recorded step map that is not finite. An empirical width that is not
-    finite raises FloatingPointError, as in equivariance_check.
+    wavenumber, so the surface is invariant under the guidance flow. Records
+    every step of either method (or every config.record_stride-th if set)
+    and reports the worst constraint violation together with the width
+    comparison at t_final. The violation is |2Y| over every trajectory at
+    every recorded time, from dynamics._frame_abs_sum_maxima: each recorded
+    map is monotone in Y, so the smallest and largest start bound every
+    other one bit for bit, and the cost is O(n + frames), never a whole
+    frame per recorded time. An rk4 step too long for the wide mode raises
+    EnsembleFailureError before sampling; the narrow mode stays exactly at 0
+    for any step. So does a recorded step map that is not finite. An
+    empirical width that is not finite raises FloatingPointError, as in
+    equivariance_check.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -311,8 +311,6 @@ def constraint_surface_experiment(
         raise ValueError(
             "constraint experiment requires a centered, zero-wavenumber cm mode"
         )
-    if config.method != "rk4":
-        raise ValueError(f"method must be 'rk4' to record every step, got {config.method!r}")
     _check_rk4_step(state, config, _surface=True)
     config = replace(config, record_stride=config.record_stride or 1)
     origin = state.at_origin()

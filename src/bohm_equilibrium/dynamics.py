@@ -2,13 +2,14 @@
 
 Sampling uses the Philox counter-based generator with one 256-bit counter
 block per sample, so sample i sees the same bits no matter how the ensemble
-is chunked. The guidance field is affine in each mode coordinate, so one
-fixed RK4 step is an affine map u -> alpha*u + beta with scalar
-coefficients; the steps are composed once per run and applied to every
-trajectory with elementwise arithmetic, which makes ensembles and single
-trajectories agree to the bit. Adaptive Dormand-Prince runs each trajectory
-as one lane of a single step loop, with its own time and step size, so it
-agrees to the bit as well.
+is chunked. The guidance field is affine in each mode coordinate, so the
+flow of a mode is an affine map u(t) = a(t)*u0 + b(t), and so is every step
+of either integrator: fixed-step RK4 composes its steps' maps, and adaptive
+Dormand-Prince 5(4) steps each mode's (a, b) on one time grid shared by both
+modes, judging each step on the starts that bound the mode's law. Either way
+the maps are built once per run and applied to every trajectory with
+elementwise arithmetic, which makes ensembles and single trajectories agree
+to the bit.
 
 Inside the package an ensemble is one (2, n) array of mode coordinates,
 rows Y and y: _sample_modes draws it and _transport carries it. The
@@ -19,8 +20,8 @@ by the public functions and Ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.random import Philox
@@ -41,22 +42,23 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
 # counter blocks drawn and converted at a time by the substream samplers: a
 # chunk's words and ndtri temporaries take about 1 MB, whatever n is
 _CHUNK_BLOCKS = 1 << 13
-_MIN_ADAPTIVE_DT = 1e-12
+_MIN_STEP = 1e-12  # the rk45 step floor, relative (see _rk45_maps)
+_DRAW_BOUND = 8.3  # no Philox normal draw is farther from 0 (see _uniforms_from_words)
 
 
 class StepUnderflowError(RuntimeError):
-    """Raised when the adaptive controller drives dt below 1e-12."""
+    """Raised when the adaptive controller drives its step below the floor (see _rk45_maps)."""
 
 
 class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully.
 
     Either a trajectory of an ensemble ended in a non-finite state, or a
-    recorded rk4 step map is not finite, or the fixed rk4 step is too long
-    for the state (see _check_rk4_step; the experiments, propagate_ensemble
-    and integrate_trajectory refuse it before any step), or a trajectory's
-    state is not finite: an rk4 position at some recorded time, or an rk45
-    step that shrank to the floor on a non-finite error estimate.
+    recorded step map is not finite, or the fixed rk4 step is too long for
+    the state (see _check_rk4_step; the experiments, propagate_ensemble and
+    integrate_trajectory refuse it before any step), or a trajectory's
+    position is not finite at some recorded time, or an rk45 step map leaves
+    double precision.
     """
 
 
@@ -177,9 +179,11 @@ class IntegratorConfig:
     """Time-stepping controls shared by trajectories and ensembles.
 
     method 'rk4' uses fixed steps of size dt; 'rk45' is the embedded
-    Dormand-Prince adaptive pair with relative tolerance `tolerance`.
-    record_stride = 0 records nothing but the endpoints; k > 0 records
-    every k-th step.
+    Dormand-Prince adaptive pair with relative tolerance `tolerance`: a
+    step's error on the starts that bound each mode's law is at most
+    tolerance times their width (see _rk45_maps). Both step each mode's
+    affine map u -> a*u + b. record_stride = 0 records nothing but the
+    endpoints; k > 0 records every k-th (accepted) step.
     """
 
     method: str = "rk4"
@@ -235,8 +239,8 @@ class Ensemble:
     """Starts and end points of a propagated ensemble, as (n, 2) positions.
 
     The positions are formed at this boundary from the run's mode
-    coordinates. A recorded rk4 run keeps its composed step maps; frames()
-    applies them to the starts' modes and forms each frame's positions.
+    coordinates. A recorded run keeps its step maps; frames() applies them
+    to the starts' modes and forms each frame's positions.
     """
 
     seed: int | None
@@ -252,15 +256,11 @@ class Ensemble:
             yield _particle_positions(*_map_modes(a_j, b_j, u0))
 
 
-def _mode_rhs(state: TwoParticleState, t, u: np.ndarray) -> np.ndarray:
-    """Guidance field on stacked mode coordinates u = [[Y...], [y...]].
-
-    t is one time or one time per column of u.
-    """
-    out = np.empty_like(u)
-    for row, mode in enumerate((state.cm_mode, state.rel_mode)):
-        out[row] = evolve_mode(mode, state.params, t).velocity(u[row])
-    return out
+def _mode_rhs(mode, params, t: float, a, b):
+    """Time derivatives (a', b') of one mode's map u = a*u0 + b at time t: the
+    affine field's homogeneous part rate*a, and the whole field v(b)."""
+    field = evolve_mode(mode, params, t)
+    return field.stretch_rate * a, field.velocity(b)
 
 
 def _rk4_step(rhs, stages, u, dt: float):
@@ -285,11 +285,10 @@ def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=
     A mode's stretch rate peaks at beta/2 at t = 1/beta. Past rate * h = 0.5,
     with h the step actually taken, rk4 moves the ensemble visibly off |psi|^2
     (KS 0.227 against a noise level of 0.0138 at sigma_narrow = 0.005,
-    n = 2e4), so the run raises EnsembleFailureError instead. rk45 passes.
+    n = 2e4), so the run raises EnsembleFailureError instead, naming rk45.
     With _surface (a run started on the narrow surface, at the center of a
     narrow mode at rest, where the narrow field is 0 for any step) only the
-    wide mode is checked, and the message asks for a smaller dt, since
-    recording every step needs rk4.
+    wide mode is checked.
     """
     if config.method != "rk4":
         return
@@ -297,12 +296,11 @@ def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=
     modes = (("narrow", state.narrow_mode), ("wide", state.wide_mode))
     if _surface:
         modes = modes[1:]
-    remedy = "lower dt, since recording needs rk4" if _surface else "use method = rk45"
     for label, mode in modes:
         if 0.5 * _spread_rate(mode, state.params) * step > 0.5:
             raise EnsembleFailureError(
                 f"{label} mode sigma0 = {mode.sigma0:g} makes the guidance field "
-                f"stiff for rk4 with step {step:g}; {remedy}"
+                f"stiff for rk4 with step {step:g}; use method = rk45"
             )
 
 
@@ -399,65 +397,80 @@ _DP_ERR = (
 )
 
 
-def _rk45_lanes(rhs, u: np.ndarray, t0: float, t1: float, tolerance: float, record=False):
-    """Adaptive Dormand-Prince from t0 to t1 on every lane (column) of u.
+def _rk45_maps(
+    state: TwoParticleState, config: IntegratorConfig, t0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive Dormand-Prince 5(4) as affine maps: u_j = a[j] * u_0 + b[j] per mode.
 
-    Each lane keeps its own time, step and accept decision, so it does the
-    arithmetic of a one-lane call, bit for bit; rhs(t, u) gets the lanes'
-    times and states. Error is measured against tolerance*(1 + |u|) per
-    component; steps shrink by at most 5x and grow by at most 5x per
-    attempt; a non-finite error norm shrinks the step 5x. A lane whose step
-    falls below 1e-12 stops: it ends as inf if the error norm of its last
-    attempt was not finite (its state overflows), and as NaN otherwise.
-    Returns the final states and, with record, each iteration's accepted
-    steps as (t, u) of the lanes that took them.
+    Each mode's map is stepped as u = a * (u_0 - c) + m from (a, m) = (1, c),
+    with c the mode's center at t0 and m the center's own trajectory, by DP
+    steps of its variational field (_mode_rhs), so it carries the method's
+    truncation error, never the exact flow; both modes step on one time
+    grid. A step is judged on the lanes that bound every draw of each mode's
+    law at t0, m and m -+ a * reach with reach = _DRAW_BOUND widths: with
+    (e_a, e_m) its error estimate, every start within reach errs by at most
+    |e_m| + |e_a| * reach, and the step is accepted when that is at most
+    tolerance * (sigma0 + a * reach), the width of the lanes, plus 2^-50
+    |m|, the rounding the center's position carries, for both modes (taken
+    divided by reach, so that nothing overflows). A start farther out keeps
+    the relative error of a. The maps depend on the state and config alone,
+    so an ensemble and single trajectories from its starts agree to the
+    bit. Steps shrink by at most 5x and grow by at most 5x per attempt; a
+    map or estimate that is not finite shrinks the step 5x. A step below
+    _MIN_STEP times the stiffest mode's spreading time 1/beta, or times |t|
+    if that is larger, raises EnsembleFailureError if its last attempt was
+    not finite (the map leaves double precision), else StepUnderflowError.
+    Returns (times, a, b), b = m - a * c, as _rk4_maps does, at every
+    record_stride-th accepted step.
     """
-    y = np.array(u, dtype=float)
-    final = np.empty_like(y)
-    lanes = np.arange(y.shape[1])
-    t = np.full(lanes.size, float(t0))
-    dt = np.full(lanes.size, min((t1 - t0) / 100.0, 0.1))
-    overflowed = np.zeros(lanes.size, dtype=bool)
-    steps = []
-    while lanes.size:
-        remaining = t1 - t
-        last = dt >= remaining
-        h = np.where(last, remaining, dt)
-        ok = h >= _MIN_ADAPTIVE_DT
-        if not ok.all():
-            final[:, lanes[~ok]] = np.where(overflowed[~ok], np.inf, np.nan)
-            lanes, y, t, h, last = lanes[ok], y[:, ok], t[ok], h[ok], last[ok]
-            overflowed = overflowed[ok]
-        k = [rhs(t, y)]
-        for stage in range(1, 6):
-            yk = y
-            for coeff, ki in zip(_DP_A[stage], k):
-                yk = yk + (h * coeff) * ki
-            k.append(rhs(t + _DP_C[stage] * h, yk))
-        y5 = y
-        for coeff, ki in zip(_DP_B5, k):
-            y5 = y5 + (h * coeff) * ki
-        k.append(rhs(t + h, y5))
-        err = np.zeros_like(y)
-        for coeff, ki in zip(_DP_ERR, k):
-            err = err + (h * coeff) * ki
-        scale = tolerance * (1.0 + np.abs(y))
-        err_norm = np.max(np.abs(err) / scale, axis=0)
-        overflowed = ~np.isfinite(err_norm)
-        accept = err_norm <= 1.0
-        t = np.where(accept, np.where(last, t1, t + h), t)
-        y = np.where(accept, y5, y)
-        if record and accept.any():
-            steps.append((t[accept], y[:, accept]))
-        # a zero error gives inf and grows the step 5x; a NaN error shrinks it 5x via fmax
-        with np.errstate(divide="ignore"):
-            growth = np.power(err_norm, -0.2)
-        dt = h * np.minimum(np.fmax(0.9 * growth, 0.2), 5.0)
-        live = t < t1
-        final[:, lanes[~live]] = y[:, ~live]
-        lanes, y, t, dt = lanes[live], y[:, live], t[live], dt[live]
-        overflowed = overflowed[live]
-    return final, steps
+    modes, params, tolerance = (state.cm_mode, state.rel_mode), state.params, config.tolerance
+    t1 = t0 + config.t_final
+    lanes = [(ev.center, _DRAW_BOUND * ev.sigma, ev.sigma0) for ev in state.evolved(t0)]
+    center, reach, sigma0 = np.array(lanes).T
+    spreading_time = min(1.0 / _spread_rate(mode, params) for mode in modes)
+
+    def rhs(t, y):
+        return np.array([_mode_rhs(mode, params, t, *row) for mode, row in zip(modes, y.tolist())])
+
+    y = np.column_stack([np.ones(2), center])  # a row (a, m) per mode
+    times, recorded = [t0], [y]
+    t, dt, accepted, finite = t0, min(config.t_final / 100.0, 0.1), 0, True
+    # trial steps may overflow; the checks below judge that
+    with np.errstate(all="ignore"):
+        while t < t1:
+            remaining = t1 - t
+            last = dt >= remaining
+            h = remaining if last else dt
+            floor = _MIN_STEP * max(spreading_time, abs(t))
+            if h < floor:
+                if not finite:
+                    raise EnsembleFailureError(f"step map is not finite after t = {t:.6g}")
+                raise StepUnderflowError(f"adaptive step fell below {floor:.3g} at t = {t:.6g}")
+            k = [rhs(t, y)]
+            for c, row in zip(_DP_C[1:], _DP_A[1:]):
+                k.append(rhs(t + c * h, y + sum((h * a) * k_i for a, k_i in zip(row, k))))
+            y5 = y + sum((h * b) * k_i for b, k_i in zip(_DP_B5, k))
+            k.append(rhs(t + h, y5))
+            error = sum((h * e) * k_i for e, k_i in zip(_DP_ERR, k))
+            finite = bool(np.isfinite(y5).all() and np.isfinite(error).all())
+            (a, m), (e_a, e_m) = np.abs(y.T), np.abs(error.T)
+            scale = tolerance * (sigma0 / reach + a) + 2.0**-50 * m / reach
+            norm = np.max((e_m / reach + e_a) / scale) if finite else math.nan
+            if norm <= 1.0:
+                t, y, accepted = t1 if last else t + h, y5, accepted + 1
+                if config.record_stride and accepted % config.record_stride == 0 and t < t1:
+                    times.append(t)
+                    recorded.append(y)
+            # a zero error grows the step 5x, an infinite or NaN one shrinks it 5x
+            growth = 5.0 if norm == 0.0 else 0.9 * norm**-0.2 if norm < math.inf else 0.0
+            dt = h * min(max(growth, 0.2), 5.0)
+    a, m = np.array([*recorded, y]).transpose(2, 0, 1)
+    return np.array([*times, t1]), a, m - a * center
+
+
+def _step_maps(state: TwoParticleState, config: IntegratorConfig, t0: float):
+    """(times, a, b) of config's method from t0: _rk4_maps or _rk45_maps."""
+    return (_rk4_maps if config.method == "rk4" else _rk45_maps)(state, config, t0)
 
 
 def integrate_trajectory(
@@ -468,50 +481,28 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate one trajectory from configuration `start` at time t0.
 
-    The ODE is solved in mode coordinates where the two components decouple;
+    The ODE is solved in mode coordinates where the two components decouple:
+    the step maps of config's method carry the start's modes, and the
     recorded positions are mapped back to (y1, y2). An rk4 step too long for
     the state (see _check_rk4_step) raises EnsembleFailureError before any
-    step, and so does a state that is not finite; an rk45 step below 1e-12
-    raises StepUnderflowError.
+    step, and so does a position that is not finite; an rk45 step below its
+    floor raises StepUnderflowError.
     """
     _require_finite("start", start)
     _check_rk4_step(state, config)
-    t1 = t0 + config.t_final
-    # a state that overflows is refused by the checks below; numpy's overflow
+    # a state that overflows is refused by the check below; numpy's overflow
     # and invalid-value warnings on the way would only repeat that, or stop
     # the run with a traceback where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = np.vstack(mode_coordinates(float(start[0]), float(start[1])))
-        if config.method == "rk4":
-            times, a, b = _rk4_maps(state, config, t0)
-            positions = _particle_positions(*_map_modes(a.T, b.T, u0))
-        else:
-            final, steps = _rk45_lanes(
-                partial(_mode_rhs, state), u0, t0, t1, config.tolerance, record=True
-            )
-
-    if config.method == "rk4":
-        finite = np.isfinite(positions).all(axis=1)
-        if not finite.all():
-            raise EnsembleFailureError(
-                f"trajectory position is not finite at t = {times[finite.argmin()]:.6g}"
-            )
-        return Trajectory(times=times, positions=positions)
-
-    t_fail = steps[-1][0][0] if steps else t0
-    if np.isinf(final).any():
+        times, a, b = _step_maps(state, config, t0)
+        positions = _particle_positions(*_map_modes(a.T, b.T, u0))
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
         raise EnsembleFailureError(
-            f"trajectory state is not finite after t = {t_fail:.6g}"
+            f"trajectory position is not finite at t = {times[finite.argmin()]:.6g}"
         )
-    if np.isnan(final).any():
-        raise StepUnderflowError(
-            f"adaptive step fell below {_MIN_ADAPTIVE_DT:g} at t = {t_fail:.6g}"
-        )
-    stride = config.record_stride
-    kept = [(t, u) for t, u in steps[stride - 1 :: stride] if t[0] < t1] if stride else []
-    times = np.concatenate([[t0], *(t for t, _ in kept), [t1]])
-    u = np.hstack([u0, *(u for _, u in kept), final])
-    return Trajectory(times=times, positions=_particle_positions(*u))
+    return Trajectory(times=times, positions=positions)
 
 
 def _require_finite_columns(u: np.ndarray):
@@ -526,29 +517,23 @@ def _require_finite_columns(u: np.ndarray):
 def _transport(state: TwoParticleState, u0: np.ndarray, config: IntegratorConfig, t0=0.0):
     """Carry the (2, n) modes u0 from t0 to t0 + t_final: (final, times, maps).
 
-    rk4 applies its composed step maps to every column at once; with
-    record_stride > 0 it also returns the recorded times and maps (a, b),
-    each (len(times), 2), else None for both. rk45 steps every column as a
-    lane of _rk45_lanes. A recorded map or a final column that is not
-    finite raises EnsembleFailureError.
+    The step maps of config's method (_step_maps) are applied to every
+    column at once; with record_stride > 0 the recorded times and maps
+    (a, b), each (len(times), 2), are returned too, else None for both. A
+    recorded map or a final column that is not finite raises
+    EnsembleFailureError.
     """
-    times = maps = None
-    if config.method == "rk4":
-        recorded_times, a, b = _rk4_maps(state, config, t0)
-        if config.record_stride > 0:
-            finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
-            if not finite.all():
-                raise EnsembleFailureError(
-                    f"step map is not finite at t = {recorded_times[finite.argmin()]:.6g}"
-                )
-            times, maps = recorded_times, (a, b)
-        final = _map_modes(a[-1], b[-1], u0)
-    else:
-        final, _ = _rk45_lanes(
-            partial(_mode_rhs, state), u0, t0, t0 + config.t_final, config.tolerance
-        )
+    times, a, b = _step_maps(state, config, t0)
+    recorded = None, None
+    if config.record_stride > 0:
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+        if not finite.all():
+            t = times[finite.argmin()]
+            raise EnsembleFailureError(f"step map is not finite at t = {t:.6g}")
+        recorded = times, (a, b)
+    final = _map_modes(a[-1], b[-1], u0)
     _require_finite_columns(final)
-    return final, times, maps
+    return final, *recorded
 
 
 def propagate_ensemble(
@@ -562,8 +547,8 @@ def propagate_ensemble(
     """Propagate every row of initial_positions from t0 to t0 + t_final.
 
     The rows' mode coordinates go through _transport, and the final modes
-    come back as positions; with record_stride > 0 (rk4 only) the Ensemble
-    keeps the recorded maps, for Ensemble.frames() to apply. parallel_width
+    come back as positions; with record_stride > 0 the Ensemble keeps the
+    recorded maps, for Ensemble.frames() to apply. parallel_width
     is validated and kept for compatibility; it does not change the
     arithmetic. An rk4 step too long for the state raises
     EnsembleFailureError before any step (see _check_rk4_step); for starts
@@ -578,8 +563,6 @@ def propagate_ensemble(
     if not np.all(np.isfinite(positions)):
         raise ValueError("initial_positions must be finite")
     _check_parallel_width(parallel_width)
-    if config.record_stride > 0 and config.method != "rk4":
-        raise ValueError("ensemble recording requires the fixed-step rk4 method")
     u0 = _mode_starts(positions)
     narrow_row = 0 if state.correlation is Correlation.SUM_NARROW else 1
     narrow = state.narrow_mode

@@ -108,22 +108,27 @@ class EvolvedMode(NamedTuple):
     |psi|^2 is N(center, sigma^2), and the guidance field is affine,
     v(u) = drift + stretch_rate * (u - center): stretch_rate is
     sigma'(t)/sigma(t), the logarithmic spreading rate, and drift the group
-    velocity hbar*k/m_c. center, stretch_rate and spread = beta * t are
-    floats or arrays, matching t; sigma = sigma0 * sqrt(1 + spread^2) is
-    computed only when read, since the integrators read only the field.
+    velocity hbar*k/m_c. center, stretch_rate and t are floats or arrays,
+    matching t, and beta is the mode's spreading rate; sigma is computed
+    only when read, since the integrators read only the field.
     """
 
     center: float | np.ndarray
     stretch_rate: float | np.ndarray
     drift: float
     sigma0: float
-    spread: float | np.ndarray
+    beta: float
+    t: float | np.ndarray
 
     @property
     def sigma(self):
-        """Width of |psi|^2; math.hypot for a float time, np.hypot for an array."""
-        hypot = math.hypot if isinstance(self.spread, float) else np.hypot
-        return self.sigma0 * hypot(1.0, self.spread)
+        """Width of |psi|^2, sigma0 * hypot(1, beta * t), and past the overflow of
+        beta * t its limit (hbar / (2 m_c sigma0)) * |t|, as (beta * sigma0) * |t|."""
+        with np.errstate(over="ignore"):
+            spread, late = self.beta * self.t, self.beta * self.sigma0 * abs(self.t)
+        if isinstance(spread, float):
+            return self.sigma0 * math.hypot(1.0, spread) if abs(spread) < math.inf else late
+        return np.where(np.isfinite(spread), self.sigma0 * np.hypot(1.0, spread), late)
 
     def velocity(self, u, out=None):
         """drift + stretch_rate * (u - center), written into out if it is given."""
@@ -158,35 +163,45 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t) -> EvolvedMode:
     the center translates at the group velocity hbar*k/m_c. Every law and
     velocity in the package derives from this one definition; array times
     give elementwise the same bits as scalar calls, sigma apart. The stretch
-    rate beta * sf / (1 + sf^2) is taken as beta / sf where sf^2 overflows
-    (sf past about 1.3e154): 1 / sf^2 is then far below the rounding of 1,
-    and the first form would read 0 or NaN. A scalar time takes one form in
-    float arithmetic, with no numpy call; array times take both and keep the
-    one whose square is finite. A scalar time that is not finite raises
+    rate beta * sf / (1 + sf^2) is taken as beta / (sf + 1 / sf) where that
+    form or sf^2 is not finite: past sf^2 = 2^53 that is beta / sf to the
+    bit, and a numerator beta * sf past double (beta above about 1e154) is
+    avoided. Where sf itself overflows the rate is its limit 1 / t, as sigma
+    is (hbar / (2 m_c sigma0)) * |t|. A scalar time takes one form in float
+    arithmetic, with no numpy call; array times keep, per time, the first
+    form that is finite. A scalar time that is not finite raises
     ValueError. Array times are not checked: the integrators build them
     from finite grids, and a check on every right-hand side slowed the
     rk45 sweep by 2.5% (2 cpus).
     """
     if np.ndim(t) == 0:
         _require_finite("t", t)
+        t = float(t)
     beta = _spread_rate(mode, params)
-    sf = beta * t
     drift = params.hbar * mode.wavenumber / mode.coord_mass
-    if isinstance(sf, float):
+    if isinstance(t, float):
+        sf = beta * t
         square = sf * sf
-        rate = beta * sf / (1.0 + square) if square < math.inf else beta / sf
+        rate = beta * sf / (1.0 + square)
+        if not (square < math.inf and abs(rate) < math.inf):
+            rate = beta / (sf + 1.0 / sf) if abs(sf) < math.inf else 1.0 / t
     else:
-        # both forms are taken on every time; where one of them overflows or
-        # divides by zero the other is kept
+        # the later forms are taken only where the first is not finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sf = beta * t
             square = sf * sf
-            rate = np.where(square < np.inf, beta * sf / (1.0 + square), beta / sf)
+            rate = beta * sf / (1.0 + square)
+            first = (square < np.inf) & np.isfinite(rate)
+            if not first.all():
+                late = np.where(np.isfinite(sf), beta / (sf + 1.0 / sf), 1.0 / t)
+                rate = np.where(first, rate, late)
     return EvolvedMode(
         center=mode.center0 + drift * t,
         stretch_rate=rate,
         drift=drift,
         sigma0=mode.sigma0,
-        spread=sf,
+        beta=beta,
+        t=t,
     )
 
 

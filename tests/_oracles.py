@@ -6,10 +6,9 @@ it shares no code (and no closed-form width law) with the package. The RK4
 reference integrates the mode guidance fields stage by stage on arrays,
 written out from the textbook method rather than the package's step maps.
 The adaptive reference is the scalar Dormand-Prince step loop, one
-trajectory at a time, with its own copy of the tableau; it takes each step
-factor through np.power on a one-element array, and the package's lane loop,
-which takes all lanes' factors in one np.power call, must match it bit for
-bit. The continuity reference evaluates every
+trajectory at a time, with its own copy of the tableau and its own error
+scale; the package's adaptive maps, which step each mode's affine map
+instead, must agree with it within the tolerance. The continuity reference evaluates every
 stage of the residual over the whole grid at once, with no blocking of rows,
 from the package's own density and velocity: it checks the blocking, not
 the physics. Its leaf form adds the whole-grid squares over the package's
@@ -126,14 +125,13 @@ def cdf_sup_distance(cdf_a, cdf_b, lo, hi, n=2_000_001):
     return float(np.max(np.abs(cdf_a(x) - cdf_b(x))))
 
 
-def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
-    """Classical four-stage RK4 on the decoupled mode fields, step by step.
+def guidance_field(modes, hbar):
+    """field(t, u) of the decoupled mode fields, one row of u per mode.
 
     modes holds one (sigma0, coord_mass, center0, wavenumber) tuple per row
-    of u0 (shape (rows, n)). Each row moves in v = hbar*k/m + (u - c(t)) *
+    of u (shape (rows, n)). Each row moves in v = hbar*k/m + (u - c(t)) *
     b^2 t / (1 + b^2 t^2) with b = hbar / (2 m sigma0^2) and c(t) =
-    center0 + hbar*k*t/m. Returns the states at step 0, every
-    record_stride-th step (if record_stride > 0) and step n_steps.
+    center0 + hbar*k*t/m.
     """
     params = np.array(modes, dtype=float)
     sigma0, mass, center0, wavenumber = (params[:, i : i + 1] for i in range(4))
@@ -143,6 +141,16 @@ def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
     def field(t, u):
         return group + (u - (center0 + group * t)) * (b * b * t / (1.0 + (b * t) ** 2))
 
+    return field
+
+
+def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
+    """Classical four-stage RK4 on the decoupled mode fields (guidance_field), step by step.
+
+    Returns the states at step 0, every record_stride-th step (if
+    record_stride > 0) and step n_steps.
+    """
+    field = guidance_field(modes, hbar)
     u = np.array(u0, dtype=float)
     frames = [u]
     for step in range(n_steps):

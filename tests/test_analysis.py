@@ -19,7 +19,6 @@ from bohm_equilibrium import (
     constraint_surface_experiment,
     constraint_width,
     equivariance_check,
-    evolve_mode,
     ks_statistic,
     observable_normal,
     regularization_sweep,
@@ -410,30 +409,27 @@ def test_equivariance_still_integrates_a_fast_drift():
 
 
 def test_equivariance_refuses_a_failed_trajectory(monkeypatch):
-    # lane 6 of 2000 underflows in the first call; the other lanes follow the
-    # exact scaling flow, which keeps the test fast. No row may be dropped:
-    # the failed draws are the outermost ones, so dropping them cuts the tails
+    # the first leg's map is planted so that the outermost of the 2000 draws
+    # ends NaN. No row may be dropped: the failed draws are the outermost
+    # ones, so dropping them cuts the tails
     state = default_state()
-    calls = []
+    map_modes = dynamics._map_modes
+    legs = []
 
-    def exact_or_underflow(rhs, u, t0, t1, tolerance, record=False):
-        calls.append(t0)
-        out = np.empty_like(u)
-        for row, mode in enumerate((state.cm_mode, state.rel_mode)):
-            start = evolve_mode(mode, state.params, t0)
-            end = evolve_mode(mode, state.params, t1)
-            out[row] = end.center + (u[row] - start.center) * (end.sigma / start.sigma)
-        if len(calls) == 1:
-            out[:, 6] = np.nan
-        return out, []
+    def planted(a, b, u0):
+        legs.append(u0)
+        final = map_modes(a, b, u0)
+        if len(legs) == 1:
+            final[:, np.argmax(np.abs(u0[0]))] = np.nan
+        return final
 
-    monkeypatch.setattr(dynamics, "_rk45_lanes", exact_or_underflow)
+    monkeypatch.setattr(dynamics, "_map_modes", planted)
     config = IntegratorConfig(method="rk45", t_final=1.0)
     for times in ([1.0], [0.5, 1.0]):
-        calls.clear()
-        with pytest.raises(EnsembleFailureError, match="1 of 2000 trajectories failed"):
+        legs.clear()
+        with pytest.raises(EnsembleFailureError, match="^1 of 2000 trajectories failed"):
             equivariance_check(state, 2000, 42, config, times)
-        assert calls == [0.0]
+        assert len(legs) == 1
 
 
 FINITE = st.floats(-50.0, 50.0)
@@ -525,19 +521,22 @@ def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
 
     monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.05, 0.02)
-    with pytest.raises(EnsembleFailureError, match="wide mode sigma0 = 0.02 .*; lower dt"):
+    message = "^wide mode sigma0 = 0.02 .*; use method = rk45$"
+    with pytest.raises(EnsembleFailureError, match=message):
         constraint_surface_experiment(state, 100, 42, default_config())
 
 
-def test_constraint_surface_refuses_rk45_before_sampling(monkeypatch):
-    # recording needs fixed steps, so rk45 is refused before any start is drawn
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the method was checked")
-
-    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
+def test_constraint_surface_runs_rk45_past_the_rk4_limit():
+    # the remedy rk4 names: rk45 records its maps as rk4 does, keeps y1+y2
+    # at exactly 0 and the stiff wide mode's width within 5 standard errors
+    n = 20_000
+    state = TwoParticleState.from_widths(0.05, 0.02)
     config = IntegratorConfig(method="rk45", t_final=2.0)
-    with pytest.raises(ValueError, match="method must be 'rk4'.*got 'rk45'"):
-        constraint_surface_experiment(default_state(), 100, 42, config)
+    report = constraint_surface_experiment(state, n, 42, config)
+    assert report.max_abs_sum == 0.0 and report.sum_width_empirical == 0.0
+    standard_error = report.diff_width_analytic / math.sqrt(2 * (n - 1))
+    assert report.diff_width_analytic == pytest.approx(100.00005, rel=1e-6)
+    assert abs(report.diff_width_empirical - report.diff_width_analytic) <= 5 * standard_error
 
 
 def test_constraint_surface_runs_with_stiff_narrow_rk4():

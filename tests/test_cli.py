@@ -447,21 +447,27 @@ def test_record_stride_past_the_step_count_records_the_endpoints(tmp_path):
 
 
 def test_ga_constraint_stiff_wide_mode_exits_3_without_output(tmp_path, capsys):
-    # recording needs rk4, so the remedy is a smaller dt, not rk45
+    # rk45 records its maps too, so the remedy named is rk45, as elsewhere
     out = tmp_path / "ga.csv"
     assert main(["ga-constraint", "--sigma-wide", "0.02", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "wide mode sigma0 = 0.02" in err and "lower dt" in err
+    assert err.startswith("numerical failure: wide mode sigma0 = 0.02 ")
+    assert err.endswith("; use method = rk45\n")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ga_constraint_rk45_exits_2_without_output(tmp_path, capsys):
+def test_ga_constraint_rk45_runs_the_stiff_wide_mode(tmp_path):
+    # the run rk4 refuses above: y1+y2 stays at exactly 0, and the wide
+    # mode's width is within 5 standard errors of its law (it exited 2 with
+    # "method must be 'rk4'" while only fixed steps were recorded)
     config = tmp_path / "run.cfg"
-    config.write_text("method = rk45\n")
+    config.write_text("method = rk45\nsigma_wide = 0.02\nsamples = 20000\n")
     out = tmp_path / "ga.csv"
-    assert main(["ga-constraint", "--config", str(config), "--out", str(out)]) == 2
-    assert "method must be 'rk4'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [config]
+    assert main(["ga-constraint", "--config", str(config), "--out", str(out)]) == 0
+    values = {key: float(value) for key, value in read_csv(out)[1]}
+    assert values["max_abs_sum"] == 0.0
+    standard_error = values["diff_width_analytic"] / np.sqrt(2 * (20000 - 1))
+    assert abs(values["diff_width_empirical"] - values["diff_width_analytic"]) <= 5 * standard_error
 
 
 def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
@@ -473,15 +479,43 @@ def test_stiff_width_in_equilibrium_with_rk45(tmp_path):
     assert max(float(row[4]) for row in rows) < 1.95 / np.sqrt(20000)
 
 
-def test_rk45_failed_trajectories_exit_3_without_output(tmp_path, capsys):
-    # the 3 lanes that fail at tolerance 1e-9 are among the outermost draws,
-    # so statistics over the other 19997 would cut the tails off the sample
+@pytest.mark.parametrize("sigma_narrow", [1e-3, 1e-6, 5e-7, 4.3e-7, 1e-9])
+def test_rk45_narrow_widths_exit_0_in_equilibrium(tmp_path, sigma_narrow):
+    # each trajectory used to be a lane judged against 1e-9 * (1 + |u|), an
+    # absolute floor of 1e-9 for a mode of width 5e-7: max KS read 0.02375
+    # there with exit 0, and at 4.3e-7 3 of 20000 lanes fell below the
+    # absolute step floor of 1e-12 (exit 3)
     config = tmp_path / "run.cfg"
-    config.write_text("method = rk45\nsigma_narrow = 4.3e-7\nsamples = 20000\n")
+    config.write_text(f"method = rk45\nsigma_narrow = {sigma_narrow!r}\nsamples = 20000\n")
     out = tmp_path / "eq.csv"
-    assert main(["equivariance", "--config", str(config), "--out", str(out)]) == 3
-    assert "3 of 20000 trajectories failed to integrate" in capsys.readouterr().err
+    assert main(["equivariance", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert max(float(row[4]) for row in rows) < 1.95 / np.sqrt(20000)
+
+
+def test_width_past_the_overflow_of_beta_t(tmp_path, capsys):
+    # at sigma_narrow = 1e-150 and t = 1e10, beta * t = 2.5e309 overflows but
+    # the narrow width (hbar / (2 m_c sigma0)) * t = 2.5e159 does not: the run
+    # was refused at load ("the law of y1 ... is not finite"). Its rk45 map
+    # a = sigma(t)/sigma0 is past double too, so the trajectory stops there;
+    # at 1e-149, where beta * t = 2.5e307, it ends on the exact flow
+    config = tmp_path / "run.cfg"
+    config.write_text("method = rk45\nsigma_narrow = 1e-150\nt_final = 1e10\n")
+    assert load_config(str(config), {}).sigma_narrow == 1e-150
+    args = ["--config", str(config), "--out", str(tmp_path / "x.csv")]
+    assert main(["trajectory", *args]) == 3
+    message = "numerical failure: step map is not finite after t = 7.19077e+08\n"
+    assert capsys.readouterr() == ("", message)
+    assert main(["continuity", *args]) == 2
+    assert "points an array can index" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
+    config.write_text("method = rk45\nsigma_narrow = 1e-149\nt_final = 1e10\n")
+    assert main(["trajectory", *args]) == 0
+    _, rows = read_csv(tmp_path / "x.csv")
+    (_, y1, y2), (_, end1, end2) = ([float(x) for x in row] for row in (rows[0], rows[-1]))
+    assert y1 + y2 == 0.0  # the narrow cm coordinate starts, and stays, at 0
+    # the relative mode (beta = 1) stretches y1 - y2 by hypot(1, t)
+    np.testing.assert_allclose([end1, end2], np.array([y1, y2]) * np.hypot(1.0, 1e10), rtol=1e-8)
 
 
 def test_times_past_a_tiny_t_final_exit_2_without_output(tmp_path, capsys):
@@ -918,7 +952,7 @@ def test_rk45_trajectory_that_overflows_exits_3_without_output(
     out = tmp_path / "tr.csv"
     assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "state is not finite" in err and "fell below" not in err
+    assert "position is not finite" in err and "fell below" not in err
     assert list(tmp_path.iterdir()) == []
 
 

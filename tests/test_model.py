@@ -19,7 +19,7 @@ from bohm_equilibrium import (
     particle_coordinates,
     sample_equilibrium,
 )
-from bohm_equilibrium.model import _require_finite
+from bohm_equilibrium.model import _require_finite, _spread_rate
 
 from _oracles import free_gaussian_amplitude, pair_amplitude, spectral_free_packet, state_modes
 
@@ -105,6 +105,34 @@ def test_evolve_mode_array_times_match_scalar_calls():
     # a float time keeps the width sigma0 * hypot(1, beta * t) to the bit
     for t, ev in zip(times.tolist(), scalar):
         assert ev.sigma == mode.sigma0 * math.hypot(1.0, 0.5 * t)
+
+
+def test_evolve_mode_past_the_overflow_of_beta_t():
+    # beta = 2.5e299, so beta * t overflows past t = 7.19e8; sigma and the
+    # stretch rate go on as their limits (hbar / (2 m_c sigma0)) * |t| and
+    # 1 / t, where sigma was inf and the rate 0. Short of it both keep the
+    # bits of their first forms; the rate beta * sf / (1 + sf^2) is taken
+    # as beta / (sf + 1 / sf) where its numerator overflows (sf past 7.2e8)
+    mode = GaussianMode(sigma0=1e-150, coord_mass=2.0)
+    beta = _spread_rate(mode, PARAMS)
+    assert beta == pytest.approx(2.5e299, rel=1e-15)
+    times = np.array([1e-300, 1e-291, 7.18e8, 7.19e8, 7.2e8, 1e10, -1e10, 1e300])
+    scalar = [evolve_mode(mode, PARAMS, float(t)) for t in times]
+    spreads = [beta * t for t in times.tolist()]
+    assert all(map(math.isfinite, spreads[:4])) and all(map(math.isinf, spreads[4:]))
+    for t, ev in zip(times[:4].tolist(), scalar):
+        assert ev.sigma == 1e-150 * math.hypot(1.0, beta * t)
+    for t, ev in zip(times[4:].tolist(), scalar[4:]):
+        assert ev.sigma == (beta * 1e-150) * abs(t) and ev.stretch_rate == 1.0 / t
+    assert scalar[0].stretch_rate == beta * (beta * 1e-300) / (1.0 + (beta * 1e-300) ** 2)
+    rates_times = [ev.stretch_rate * t for ev, t in zip(scalar, times)]
+    assert rates_times == pytest.approx([0.0588, *[1] * 7], rel=1e-3)
+    sigmas = [ev.sigma for ev in scalar]
+    assert sigmas[3] < sigmas[4] == pytest.approx(1.8e158, rel=1e-12)
+    # array times give the bits of scalar calls, on both sides, warning-free
+    evolved = evolve_mode(mode, PARAMS, times)
+    assert evolved.stretch_rate.tobytes() == np.array([ev.stretch_rate for ev in scalar]).tobytes()
+    assert evolved.sigma.tobytes() == np.array(sigmas).tobytes()
 
 
 def test_negative_t_is_allowed_and_symmetric():
@@ -225,8 +253,9 @@ def test_observable_normal_composition():
     [
         # the cm center reaches 1.7e308 at t = 2, so the mean 2 * Y is inf
         (TwoParticleState.from_widths(0.05, 1.0, cm_wavenumber=1.7e308), 2.0, "y1+y2"),
-        # beta * t = 1e309 for the narrow mode, so its width is inf
-        (default_state(), 1e307, "y1"),
+        # beta * t = 1e311 for the narrow mode; past that overflow its width
+        # is (hbar / (2 m_c sigma0)) * t = 5e308, past double too
+        (TwoParticleState.from_widths(0.005, 1.0), 1e307, "y1"),
     ],
 )
 def test_observable_normal_that_overflows_raises(state, t, observable):
