@@ -51,15 +51,10 @@ class StepUnderflowError(RuntimeError):
 
 
 class EnsembleFailureError(RuntimeError):
-    """Raised when an ensemble or trajectory cannot be integrated faithfully.
-
-    Either a trajectory of an ensemble ended in a non-finite state, or a
-    recorded step map is not finite, or the fixed rk4 step is too long for
-    the state (see _check_rk4_step; the experiments, propagate_ensemble and
-    integrate_trajectory refuse it before any step), or a trajectory's
-    position is not finite at some recorded time, or an rk45 step map leaves
-    double precision.
-    """
+    """Raised when an ensemble or trajectory cannot be integrated faithfully:
+    a final state, position or recorded step map that is not finite, or an
+    rk4 step too long for the state, refused before any step (see
+    _check_rk4_step)."""
 
 
 def _check_seed(seed: int) -> int:
@@ -247,20 +242,21 @@ class Ensemble:
     initial_positions: np.ndarray
     final_positions: np.ndarray
     times: np.ndarray | None = None
-    maps: tuple[np.ndarray, np.ndarray] | None = None  # (a, b), each (len(times), 2)
+    maps: tuple[np.ndarray, ...] | None = None  # (a, b, scale): see _step_maps
 
     def frames(self):
         """Yield the (n, 2) positions at each recorded time, one frame at a time."""
         u0 = _mode_starts(self.initial_positions)
-        for a_j, b_j in zip(*(self.maps or ())):
-            yield _particle_positions(*_map_modes(a_j, b_j, u0))
+        a, b, scale = self.maps or ((), (), None)
+        for a_j, b_j in zip(a, b):
+            yield _particle_positions(*_map_modes(a_j, b_j, scale, u0))
 
 
-def _mode_rhs(mode, params, t: float, a, b):
-    """Time derivatives (a', b') of one mode's map u = a*u0 + b at time t: the
-    affine field's homogeneous part rate*a, and the whole field v(b)."""
+def _mode_rhs(mode, params, t: float, a: float, b: float) -> tuple[float, float]:
+    """Time derivatives (a', b') of one mode's map u = a*u0 + b at time t, in
+    floats: rate*a, and the field v(b) with the bits of EvolvedMode.velocity."""
     field = evolve_mode(mode, params, t)
-    return field.stretch_rate * a, field.velocity(b)
+    return field.stretch_rate * a, (b - field.center) * field.stretch_rate + field.drift
 
 
 def _rk4_step(rhs, stages, u, dt: float):
@@ -304,19 +300,19 @@ def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=
             )
 
 
-def _rk4_maps(
-    state: TwoParticleState, config: IntegratorConfig, t0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 as affine maps: u_j = a[j] * u_0 + b[j] per mode.
+def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> tuple:
+    """Fixed-step RK4 as affine maps: u_j = (a[j] / scale) * u_0 + b[j] per mode.
 
     One RK4 step of an affine field is itself affine, u -> alpha*u + beta
     for each mode. alpha comes from the RK4 stage formula on the homogeneous
     field at u = 1, beta from the full field at u = 0, so the maps carry the
-    method's truncation error, never the exact flow. Returns (times, a, b)
-    at step 0, every record_stride-th step and the last step; a and b have
-    shape (len(times), 2) and hold the step maps folded up to each of them.
+    method's truncation error, never the exact flow. Returns (times, a, b,
+    scale) at step 0, every record_stride-th step and the last step; a and
+    b have shape (len(times), 2) and hold the step maps folded up to each of
+    them, a times the mode's scale (_map_scales).
     """
     n_steps, dt = _step_grid(config)
+    scale = _map_scales(state)
     # a stride at or past n_steps records only the endpoints
     stride = min(config.record_stride or n_steps, n_steps)
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
@@ -328,12 +324,12 @@ def _rk4_maps(
         alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
         beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
         # accumulate multiplies left to right, as the recurrence does
-        a[:, row] = np.multiply.accumulate(np.append(1.0, alpha))[steps]
+        a[:, row] = np.multiply.accumulate(np.append(scale[row], alpha))[steps]
         prefix = [0.0]
         for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
             prefix.append(alpha_k * prefix[-1] + beta_k)
         b[:, row] = np.array(prefix)[steps]
-    return t0 + steps * dt, a, b
+    return t0 + steps * dt, a, b, scale
 
 
 def _mode_starts(positions: np.ndarray) -> np.ndarray:
@@ -350,12 +346,24 @@ def _particle_positions(cm, rel) -> np.ndarray:
     return out
 
 
-def _map_modes(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """Row i of the (2, n) modes u0 through the mode map: a[i] * u0[i] + b[i].
+def _map_scales(state: TwoParticleState) -> np.ndarray:
+    """Per mode, the power of two in (sigma0, 2 sigma0], or 1 if less: the step maps hold
+    a * scale, finite while the width is, and dividing by it is exact until it overflows."""
+    modes = (state.cm_mode, state.rel_mode)
+    return np.array([min(1.0, math.ldexp(1.0, math.frexp(mode.sigma0)[1])) for mode in modes])
+
+
+def _map_modes(a: np.ndarray, b: np.ndarray, scale: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Row i of the (2, n) modes u0 through the mode map: (a[i] / scale[i]) * u0[i] + b[i].
 
     a and b are (2,) for one map, or (2, k) for k maps of one start, u0 (2, 1).
+    Where a / scale overflows the map is taken as a * (u0 / scale); wherever
+    both forms are finite they are exact and agree to the bit.
     """
-    u = np.reshape(a, (2, -1)) * u0
+    a, scale = np.reshape(a, (2, -1)), np.reshape(scale, (2, 1))
+    with np.errstate(over="ignore"):
+        unscaled = a / scale
+    u = unscaled * u0 if np.isfinite(unscaled).all() else a * (u0 / scale)
     u += np.reshape(b, (2, -1))
     return u
 
@@ -363,15 +371,15 @@ def _map_modes(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
 def _frame_abs_sum_maxima(maps, u0: np.ndarray) -> np.ndarray:
     """max |2Y| over the columns of u0 at each recorded map; 2Y is y1 + y2 about cm 0.
 
-    Map j sends each Y of the (2, n) modes u0 to fl(fl(a[j, 0] * Y) + b[j, 0]).
-    Rounding is monotone, so that is monotone in Y, and its largest |value|
-    over all starts is at the smallest or the largest Y, bit for bit: every
-    start is measured, through the two that bound it. Both are elements of
-    u0, so a NaN start gives NaN on every frame, and an infinite start under
-    a zero a gives NaN. Doubling is exact, so 2 * max|Y| is max|2Y|.
+    Map j sends each Y of the (2, n) modes u0 to fl(fl(a[j, 0] * Y') + b[j, 0]),
+    Y' = Y / scale[0] (exact). Rounding is monotone, so that is monotone in Y,
+    and its largest |value| over all starts is at the smallest or the largest
+    Y, bit for bit: every start is measured, through the two that bound it.
+    Both are elements of u0, so a NaN start gives NaN on every frame, and an
+    infinite start under a zero a gives NaN. Doubling is exact.
     """
-    a, b = maps
-    ends = np.array([np.min(u0[0]), np.max(u0[0])])
+    a, b, scale = maps
+    ends = np.array([np.min(u0[0]), np.max(u0[0])]) / scale[0]
     return 2.0 * np.max(np.abs(a[:, :1] * ends + b[:, :1]), axis=1)
 
 
@@ -397,79 +405,79 @@ _DP_ERR = (
 )
 
 
-def _rk45_maps(
-    state: TwoParticleState, config: IntegratorConfig, t0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive Dormand-Prince 5(4) as affine maps: u_j = a[j] * u_0 + b[j] per mode.
+def _rk45_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> tuple:
+    """Adaptive Dormand-Prince 5(4) as affine maps, returned as _rk4_maps returns them.
 
-    Each mode's map is stepped as u = a * (u_0 - c) + m from (a, m) = (1, c),
-    with c the mode's center at t0 and m the center's own trajectory, by DP
-    steps of its variational field (_mode_rhs), so it carries the method's
-    truncation error, never the exact flow; both modes step on one time
-    grid. A step is judged on the lanes that bound every draw of each mode's
-    law at t0, m and m -+ a * reach with reach = _DRAW_BOUND widths: with
-    (e_a, e_m) its error estimate, every start within reach errs by at most
-    |e_m| + |e_a| * reach, and the step is accepted when that is at most
-    tolerance * (sigma0 + a * reach), the width of the lanes, plus 2^-50
-    |m|, the rounding the center's position carries, for both modes (taken
-    divided by reach, so that nothing overflows). A start farther out keeps
-    the relative error of a. The maps depend on the state and config alone,
-    so an ensemble and single trajectories from its starts agree to the
-    bit. Steps shrink by at most 5x and grow by at most 5x per attempt; a
-    map or estimate that is not finite shrinks the step 5x. A step below
-    _MIN_STEP times the stiffest mode's spreading time 1/beta, or times |t|
-    if that is larger, raises EnsembleFailureError if its last attempt was
-    not finite (the map leaves double precision), else StepUnderflowError.
-    Returns (times, a, b), b = m - a * c, as _rk4_maps does, at every
-    record_stride-th accepted step.
+    Each mode's map is stepped in floats as u = a * (u_0 - c) + m from
+    (a, m) = (scale, c), with c the mode's center at t0, by DP steps of its
+    variational field (_mode_rhs), both modes on one time grid. A step is
+    judged on the lanes that bound every draw of each mode's law at t0, m
+    and m -+ a * reach with reach = _DRAW_BOUND widths: with (e_a, e_m) its
+    error estimate, every start within reach errs by at most
+    |e_m| + |e_a| * reach, which must be at most tolerance * (sigma0 +
+    a * reach), the lanes' width, plus 2^-50 |m|, the rounding of the
+    center's position (all divided by reach, so nothing overflows). The maps
+    depend on the state and config alone, so an ensemble and single
+    trajectories from its starts agree to the bit. Steps shrink or grow by
+    at most 5x per attempt (shrink 5x where not finite), and the first stage
+    of an attempt is the last of the accepted step before it, or that of the
+    rejected one. A step below _MIN_STEP times the stiffest mode's spreading
+    time 1/beta (at most t_final), or times |t| if larger, raises
+    EnsembleFailureError if its last attempt was not finite, else
+    StepUnderflowError. b = m - a * c / scale.
     """
     modes, params, tolerance = (state.cm_mode, state.rel_mode), state.params, config.tolerance
-    t1 = t0 + config.t_final
-    lanes = [(ev.center, _DRAW_BOUND * ev.sigma, ev.sigma0) for ev in state.evolved(t0)]
-    center, reach, sigma0 = np.array(lanes).T
-    spreading_time = min(1.0 / _spread_rate(mode, params) for mode in modes)
+    t0 = float(t0)
+    t1, scale, evolved = t0 + config.t_final, _map_scales(state), state.evolved(t0)
+    # per mode, reach in the units of its scaled a, so sigma0 / reach is scaled as a is
+    lanes = [(_DRAW_BOUND * ev.sigma / s, ev.sigma0) for ev, s in zip(evolved, scale.tolist())]
+    horizon = min(config.t_final, *(1.0 / _spread_rate(mode, params) for mode in modes))
 
-    def rhs(t, y):
-        return np.array([_mode_rhs(mode, params, t, *row) for mode, row in zip(modes, y.tolist())])
+    def rhs(t, y):  # y = [a, m] of the cm mode, then of the rel mode
+        return [*_mode_rhs(modes[0], params, t, *y[:2]), *_mode_rhs(modes[1], params, t, *y[2:])]
 
-    y = np.column_stack([np.ones(2), center])  # a row (a, m) per mode
-    times, recorded = [t0], [y]
+    def advance(y, h, weights, k):
+        return [y_i + sum((h * w) * k_j[i] for w, k_j in zip(weights, k)) for i, y_i in enumerate(y)]
+
+    center = np.array([ev.center for ev in evolved])
+    y = np.column_stack([scale, center]).ravel().tolist()
+    times, recorded, first = [t0], [y], rhs(t0, y)
     t, dt, accepted, finite = t0, min(config.t_final / 100.0, 0.1), 0, True
-    # trial steps may overflow; the checks below judge that
-    with np.errstate(all="ignore"):
-        while t < t1:
-            remaining = t1 - t
-            last = dt >= remaining
-            h = remaining if last else dt
-            floor = _MIN_STEP * max(spreading_time, abs(t))
-            if h < floor:
-                if not finite:
-                    raise EnsembleFailureError(f"step map is not finite after t = {t:.6g}")
-                raise StepUnderflowError(f"adaptive step fell below {floor:.3g} at t = {t:.6g}")
-            k = [rhs(t, y)]
-            for c, row in zip(_DP_C[1:], _DP_A[1:]):
-                k.append(rhs(t + c * h, y + sum((h * a) * k_i for a, k_i in zip(row, k))))
-            y5 = y + sum((h * b) * k_i for b, k_i in zip(_DP_B5, k))
-            k.append(rhs(t + h, y5))
-            error = sum((h * e) * k_i for e, k_i in zip(_DP_ERR, k))
-            finite = bool(np.isfinite(y5).all() and np.isfinite(error).all())
-            (a, m), (e_a, e_m) = np.abs(y.T), np.abs(error.T)
-            scale = tolerance * (sigma0 / reach + a) + 2.0**-50 * m / reach
-            norm = np.max((e_m / reach + e_a) / scale) if finite else math.nan
-            if norm <= 1.0:
-                t, y, accepted = t1 if last else t + h, y5, accepted + 1
-                if config.record_stride and accepted % config.record_stride == 0 and t < t1:
-                    times.append(t)
-                    recorded.append(y)
-            # a zero error grows the step 5x, an infinite or NaN one shrinks it 5x
-            growth = 5.0 if norm == 0.0 else 0.9 * norm**-0.2 if norm < math.inf else 0.0
-            dt = h * min(max(growth, 0.2), 5.0)
-    a, m = np.array([*recorded, y]).transpose(2, 0, 1)
-    return np.array([*times, t1]), a, m - a * center
+    while t < t1:
+        remaining = t1 - t
+        last = dt >= remaining
+        h = remaining if last else dt
+        floor = _MIN_STEP * max(horizon, abs(t))
+        if h < floor:
+            if not finite:
+                raise EnsembleFailureError(f"step map is not finite after t = {t:.6g}")
+            raise StepUnderflowError(f"adaptive step fell below {floor:.3g} at t = {t:.6g}")
+        k = [first]
+        for c, row in zip(_DP_C[1:], _DP_A[1:]):
+            k.append(rhs(t + c * h, advance(y, h, row, k)))
+        y5 = advance(y, h, _DP_B5, k)
+        k.append(rhs(t + h, y5))
+        error = advance([0.0] * 4, h, _DP_ERR, k)
+        finite = all(map(math.isfinite, y5 + error))
+        norm = math.nan if not finite else max(
+            (abs(e_m) / reach + abs(e_a))
+            / (tolerance * (sigma0 / reach + abs(a)) + 2.0**-50 * abs(m) / reach)
+            for a, m, e_a, e_m, (reach, sigma0) in zip(y[::2], y[1::2], error[::2], error[1::2], lanes)
+        )
+        if norm <= 1.0:
+            t, y, first, accepted = t1 if last else t + h, y5, k[-1], accepted + 1
+            if config.record_stride and accepted % config.record_stride == 0 and t < t1:
+                times.append(t)
+                recorded.append(y)
+        # a zero error grows the step 5x, an infinite or NaN one shrinks it 5x
+        growth = 5.0 if norm == 0.0 else 0.9 * norm**-0.2 if norm < math.inf else 0.0
+        dt = h * min(max(growth, 0.2), 5.0)
+    a, m = np.array([*recorded, y]).reshape(-1, 2, 2).transpose(2, 0, 1)
+    return np.array([*times, t1]), a, m - a * (center / scale), scale
 
 
 def _step_maps(state: TwoParticleState, config: IntegratorConfig, t0: float):
-    """(times, a, b) of config's method from t0: _rk4_maps or _rk45_maps."""
+    """(times, a, b, scale) of config's method from t0: _rk4_maps or _rk45_maps."""
     return (_rk4_maps if config.method == "rk4" else _rk45_maps)(state, config, t0)
 
 
@@ -495,8 +503,8 @@ def integrate_trajectory(
     # the run with a traceback where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = np.vstack(mode_coordinates(float(start[0]), float(start[1])))
-        times, a, b = _step_maps(state, config, t0)
-        positions = _particle_positions(*_map_modes(a.T, b.T, u0))
+        times, a, b, scale = _step_maps(state, config, t0)
+        positions = _particle_positions(*_map_modes(a.T, b.T, scale, u0))
     finite = np.isfinite(positions).all(axis=1)
     if not finite.all():
         raise EnsembleFailureError(
@@ -519,19 +527,18 @@ def _transport(state: TwoParticleState, u0: np.ndarray, config: IntegratorConfig
 
     The step maps of config's method (_step_maps) are applied to every
     column at once; with record_stride > 0 the recorded times and maps
-    (a, b), each (len(times), 2), are returned too, else None for both. A
-    recorded map or a final column that is not finite raises
-    EnsembleFailureError.
+    (a, b, scale) are returned too, else None for both. A recorded map or a
+    final column that is not finite raises EnsembleFailureError.
     """
-    times, a, b = _step_maps(state, config, t0)
+    times, a, b, scale = _step_maps(state, config, t0)
     recorded = None, None
     if config.record_stride > 0:
         finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
         if not finite.all():
             t = times[finite.argmin()]
             raise EnsembleFailureError(f"step map is not finite at t = {t:.6g}")
-        recorded = times, (a, b)
-    final = _map_modes(a[-1], b[-1], u0)
+        recorded = times, (a, b, scale)
+    final = _map_modes(a[-1], b[-1], scale, u0)
     _require_finite_columns(final)
     return final, *recorded
 
@@ -572,10 +579,4 @@ def propagate_ensemble(
     final, times, maps = _transport(state, u0, config, t0)
     final = _particle_positions(*final)
     _require_finite_columns(final.T)  # Y +- y/2 can overflow where Y and y do not
-    return Ensemble(
-        seed=seed,
-        initial_positions=positions,
-        final_positions=final,
-        times=times,
-        maps=maps,
-    )
+    return Ensemble(seed, positions, final, times, maps)

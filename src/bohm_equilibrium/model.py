@@ -124,10 +124,13 @@ class EvolvedMode(NamedTuple):
     def sigma(self):
         """Width of |psi|^2, sigma0 * hypot(1, beta * t), and past the overflow of
         beta * t its limit (hbar / (2 m_c sigma0)) * |t|, as (beta * sigma0) * |t|."""
+        if isinstance(self.t, float):
+            spread = self.beta * self.t
+            if abs(spread) < math.inf:
+                return self.sigma0 * math.hypot(1.0, spread)
+            return self.beta * self.sigma0 * abs(self.t)
         with np.errstate(over="ignore"):
-            spread, late = self.beta * self.t, self.beta * self.sigma0 * abs(self.t)
-        if isinstance(spread, float):
-            return self.sigma0 * math.hypot(1.0, spread) if abs(spread) < math.inf else late
+            spread, late = self.beta * self.t, self.beta * self.sigma0 * np.abs(self.t)
         return np.where(np.isfinite(spread), self.sigma0 * np.hypot(1.0, spread), late)
 
     def velocity(self, u, out=None):
@@ -171,8 +174,7 @@ def evolve_mode(mode: GaussianMode, params: PhysicalParams, t) -> EvolvedMode:
     arithmetic, with no numpy call; array times keep, per time, the first
     form that is finite. A scalar time that is not finite raises
     ValueError. Array times are not checked: the integrators build them
-    from finite grids, and a check on every right-hand side slowed the
-    rk45 sweep by 2.5% (2 cpus).
+    from finite grids.
     """
     if np.ndim(t) == 0:
         _require_finite("t", t)

@@ -416,9 +416,9 @@ def test_equivariance_refuses_a_failed_trajectory(monkeypatch):
     map_modes = dynamics._map_modes
     legs = []
 
-    def planted(a, b, u0):
+    def planted(a, b, scale, u0):
         legs.append(u0)
-        final = map_modes(a, b, u0)
+        final = map_modes(a, b, scale, u0)
         if len(legs) == 1:
             final[:, np.argmax(np.abs(u0[0]))] = np.nan
         return final
@@ -503,9 +503,9 @@ def test_constraint_surface_refuses_a_nan_map(monkeypatch, column):
     rk4_maps = dynamics._rk4_maps
 
     def planted(*args):
-        times, a, b = rk4_maps(*args)
+        times, a, b, scale = rk4_maps(*args)
         b[3, column] = np.nan
-        return times, a, b
+        return times, a, b, scale
 
     monkeypatch.setattr(dynamics, "_rk4_maps", planted)
     config = IntegratorConfig(dt=1e-2, t_final=0.1)

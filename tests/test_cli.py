@@ -21,6 +21,8 @@ from bohm_equilibrium import (
     TwoParticleState,
     constraint_surface_experiment,
     equivariance_check,
+    mode_coordinates,
+    particle_coordinates,
     propagate_ensemble,
     regularization_sweep,
     sample_equilibrium,
@@ -493,29 +495,52 @@ def test_rk45_narrow_widths_exit_0_in_equilibrium(tmp_path, sigma_narrow):
     assert max(float(row[4]) for row in rows) < 1.95 / np.sqrt(20000)
 
 
+@pytest.mark.parametrize(
+    "settings", ["hbar = 1e-13", "mass = 1e13", "sigma_narrow = 1e6\nsigma_wide = 1e6"]
+)
+def test_rk45_trajectory_of_slowly_spreading_states(tmp_path, capsys, settings):
+    # spreading times of 1e11 and more once set the rk45 step floor at 0.1
+    # or above, past the first trial step of 0.02: exit 3 at t = 0
+    config = tmp_path / "run.cfg"
+    config.write_text(f"method = rk45\n{settings}\n")
+    out = tmp_path / "x.csv"
+    assert main(["trajectory", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    (_, *start), (t, *end) = ([float(x) for x in row] for row in (rows[0], rows[-1]))
+    # centered modes at rest: each mode coordinate is stretched by sigma(t)/sigma0
+    state = load_config(str(config), {}).state()
+    stretch = [ev.sigma / ev.sigma0 for ev in state.evolved(t)]
+    expected = particle_coordinates(*(s * u for s, u in zip(stretch, mode_coordinates(*start))))
+    np.testing.assert_allclose(end, expected, rtol=1e-8)
+
+
 def test_width_past_the_overflow_of_beta_t(tmp_path, capsys):
     # at sigma_narrow = 1e-150 and t = 1e10, beta * t = 2.5e309 overflows but
     # the narrow width (hbar / (2 m_c sigma0)) * t = 2.5e159 does not: the run
     # was refused at load ("the law of y1 ... is not finite"). Its rk45 map
-    # a = sigma(t)/sigma0 is past double too, so the trajectory stops there;
-    # at 1e-149, where beta * t = 2.5e307, it ends on the exact flow
+    # a = sigma(t)/sigma0 = 2.5e309 is past double too, but the maps hold
+    # a * 2^-498, a power of two near sigma0, so the run ends on the exact flow
     config = tmp_path / "run.cfg"
-    config.write_text("method = rk45\nsigma_narrow = 1e-150\nt_final = 1e10\n")
-    assert load_config(str(config), {}).sigma_narrow == 1e-150
     args = ["--config", str(config), "--out", str(tmp_path / "x.csv")]
-    assert main(["trajectory", *args]) == 3
-    message = "numerical failure: step map is not finite after t = 7.19077e+08\n"
-    assert capsys.readouterr() == ("", message)
+    for sigma_narrow in (1e-150, 1e-149):
+        config.write_text(f"method = rk45\nsigma_narrow = {sigma_narrow!r}\nt_final = 1e10\n")
+        assert load_config(str(config), {}).sigma_narrow == sigma_narrow
+        assert main(["trajectory", *args]) == 0
+        _, rows = read_csv(tmp_path / "x.csv")
+        (_, y1, y2), (t, end1, end2) = ([float(x) for x in row] for row in (rows[0], rows[-1]))
+        assert t == 1e10 and y1 + y2 == 0.0  # the narrow cm coordinate starts, and stays, at 0
+        # the relative mode (beta = 1) stretches y1 - y2 by hypot(1, t)
+        expected = np.array([y1, y2]) * np.hypot(1.0, 1e10)
+        np.testing.assert_allclose([end1, end2], expected, rtol=1e-8)
+        assert end1 + end2 == 0.0
+    capsys.readouterr()
+    config.write_text("method = rk45\nsigma_narrow = 1e-150\nt_final = 1e10\n")
+    (tmp_path / "x.csv").unlink()
+    (tmp_path / "x.csv.meta.json").unlink()
     assert main(["continuity", *args]) == 2
     assert "points an array can index" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
-    config.write_text("method = rk45\nsigma_narrow = 1e-149\nt_final = 1e10\n")
-    assert main(["trajectory", *args]) == 0
-    _, rows = read_csv(tmp_path / "x.csv")
-    (_, y1, y2), (_, end1, end2) = ([float(x) for x in row] for row in (rows[0], rows[-1]))
-    assert y1 + y2 == 0.0  # the narrow cm coordinate starts, and stays, at 0
-    # the relative mode (beta = 1) stretches y1 - y2 by hypot(1, t)
-    np.testing.assert_allclose([end1, end2], np.array([y1, y2]) * np.hypot(1.0, 1e10), rtol=1e-8)
 
 
 def test_times_past_a_tiny_t_final_exit_2_without_output(tmp_path, capsys):

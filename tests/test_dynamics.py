@@ -12,6 +12,7 @@ import bohm_equilibrium.dynamics as dynamics
 from bohm_equilibrium import (
     EnsembleFailureError,
     IntegratorConfig,
+    PhysicalParams,
     StepUnderflowError,
     TwoParticleState,
     evolve_mode,
@@ -412,9 +413,9 @@ def test_rk45_trajectory_that_overflows_raises():
     # position, reported at its first recorded time, not a stiff field
     state = default_state()
     config = IntegratorConfig(method="rk45", t_final=2.0, record_stride=1)
-    times, a, b = dynamics._rk45_maps(state, config, 0.0)
+    times, a, b, scale = dynamics._rk45_maps(state, config, 0.0)
     assert np.isfinite(a).all() and np.isfinite(b).all()
-    crossed = np.argmax(a[:, 0] * 1e307 == np.inf)
+    crossed = np.argmax(a[:, 0] / scale[0] * 1e307 == np.inf)
     assert times[crossed - 1] < 0.18 < times[crossed]
     message = f"^trajectory position is not finite at t = {times[crossed]:.6g}$"
     with pytest.raises(EnsembleFailureError, match=message):
@@ -520,8 +521,8 @@ def test_ensemble_frames_rebuild_recording_from_maps():
     starts = sample_equilibrium(state, 50, seed=4)
     config = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=7)
     ensemble = propagate_ensemble(state, starts, config)
-    a, b = ensemble.maps
-    assert a.shape == b.shape == (len(ensemble.times), 2)
+    a, b, scale = ensemble.maps
+    assert a.shape == b.shape == (len(ensemble.times), 2) and scale.shape == (2,)
     frames = list(ensemble.frames())
     assert len(frames) == len(ensemble.times) == 16
     # the first frame is the start, up to the trip through mode coordinates
@@ -550,7 +551,8 @@ def test_frame_abs_sum_maxima_match_frames(n, surface):
     _, _, maps = dynamics._transport(state, u0, config)
     maxima = _frame_abs_sum_maxima(maps, u0)
     # |2Y| of each frame's modes, formed as a new array per stage
-    expected = np.array([np.max(np.abs(2.0 * (a[0] * u0[0] + b[0]))) for a, b in zip(*maps)])
+    a, b, scale = maps
+    expected = np.array([np.max(np.abs(2.0 * (a_j[0] / scale[0] * u0[0] + b_j[0]))) for a_j, b_j in zip(a, b)])
     assert maxima.shape == (6,)
     assert maxima.tobytes() == expected.tobytes()
     if surface == "on":
@@ -568,7 +570,7 @@ ANY_A = st.one_of(EDGE_A, ANY_FINITE)
 def _maxima_and_frame_scan(a_cm, b_cm, big_y):
     """_frame_abs_sum_maxima and max |2Y| over every start of each frame, for one cm row."""
     k, n = len(a_cm), len(big_y)
-    maps = (np.column_stack([a_cm, np.ones(k)]), np.column_stack([b_cm, np.zeros(k)]))
+    maps = (np.column_stack([a_cm, np.ones(k)]), np.column_stack([b_cm, np.zeros(k)]), np.ones(2))
     u0 = np.vstack([big_y, np.ones(n)])
     with np.errstate(over="ignore", invalid="ignore"):
         maxima = _frame_abs_sum_maxima(maps, u0)
@@ -641,9 +643,9 @@ def test_rk45_zero_error_grows_steps_like_reference(monkeypatch):
     rk45_reference(still, np.ones((2, 1)), 0.0, 2.0, 1e-9, lambda t, u: taken.append(t))
     monkeypatch.setattr(dynamics, "_mode_rhs", lambda mode, params, t, a, b: (0.0, 0.0))
     config = IntegratorConfig(method="rk45", t_final=2.0, record_stride=1)
-    times, a, b = dynamics._rk45_maps(default_state(), config, 0.0)
+    times, a, b, scale = dynamics._rk45_maps(default_state(), config, 0.0)
     assert times.tolist() == [0.0, *taken]
-    assert a.tolist() == [[1.0, 1.0]] * len(times) and b.tolist() == [[0.0, 0.0]] * len(times)
+    assert a.tolist() == [scale.tolist()] * len(times) and b.tolist() == [[0.0, 0.0]] * len(times)
     assert np.allclose(np.diff(times), [0.02, 0.1, 0.5, 1.38])
 
 
@@ -675,8 +677,8 @@ def test_ensemble_failure_counts_failed_rows(monkeypatch, value, cells, failed):
     starts = sample_equilibrium(state, 20, seed=1)
     map_modes = dynamics._map_modes
 
-    def planted(a, b, u0):
-        final = map_modes(a, b, u0)
+    def planted(a, b, scale, u0):
+        final = map_modes(a, b, scale, u0)
         for trajectory, mode in cells:
             final[mode, trajectory] = value
         return final
@@ -705,8 +707,8 @@ def test_ensemble_failure_counts_mixed_non_finite_rows(monkeypatch):
     starts = sample_equilibrium(state, 20, seed=1)
     map_modes = dynamics._map_modes
 
-    def planted(a, b, u0):
-        final = map_modes(a, b, u0)
+    def planted(a, b, scale, u0):
+        final = map_modes(a, b, scale, u0)
         final[0, 2] = np.nan  # Y: both particle columns
         final[1, 5] = np.inf  # y: y1 = +inf, y2 = -inf
         final[0, 11] = -np.inf  # Y: y1 = y2 = -inf
@@ -732,7 +734,9 @@ def test_mode_maps_match_stacked_reference_bitwise(n):
     assert u0.shape == (2, n) and u0.tobytes() == reference.tobytes()
     a = np.array([1.7, 0.3])
     b = np.array([-0.0, 2.5])
-    final = dynamics._particle_positions(*dynamics._map_modes(a, b, u0))
+    # a map holds a times a power of two at most 1, which it divides out exactly
+    scale = np.array([2.0**-4, 1.0])
+    final = dynamics._particle_positions(*dynamics._map_modes(a * scale, b, scale, u0))
     assert final.shape == (n, 2)
     assert final.tobytes() == mode_positions_reference(a, b, reference).tobytes()
     assert positions.tobytes() == before and u0.tobytes() == reference.tobytes()
@@ -742,13 +746,14 @@ def test_mode_positions_broadcast_over_times_matches_reference_bitwise():
     # integrate_trajectory maps one start through every recorded time at once
     state = default_state()
     config = IntegratorConfig(t_final=0.5, record_stride=7)
-    times, a, b = dynamics._rk4_maps(state, config, 0.0)
+    times, a, b, scale = dynamics._rk4_maps(state, config, 0.0)
     for start in ((0.3, -1.1), (0.0, -0.0), (1e300, -1e300)):
         u0 = mode_coordinates(*start)
-        modes = dynamics._map_modes(a.T, b.T, np.vstack(u0))
+        modes = dynamics._map_modes(a.T, b.T, scale, np.vstack(u0))
         positions = dynamics._particle_positions(*modes)
         assert positions.shape == (len(times), 2)
-        assert positions.tobytes() == mode_positions_reference(a.T, b.T, u0).tobytes()
+        reference = mode_positions_reference((a / scale).T, b.T, u0)
+        assert positions.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 100_000])
@@ -825,17 +830,21 @@ def test_composed_rk4_keeps_truncation_error():
 def exact_flow_error(state, times, maps, t0, reach):
     """Worst (|a/a* - 1| * reach + |b - b*|) / sigma(t) over the recorded maps and both modes.
 
-    a* = sigma(t)/sigma(t0) and b* = c(t) - a* c(t0) are the exact flow's
-    map; reach * sigma(t0) is the largest offset of a start from c(t0).
+    The maps are (a, b, scale) as the integrators return them, a held times
+    scale. a* = sigma(t)/sigma(t0) and b* = c(t) - a* c(t0) are the exact
+    flow's map, a / a* is taken as a * (sigma(t0) / scale) / sigma(t), so
+    that nothing overflows where the width does not, and reach * sigma(t0)
+    is the largest offset of a start from c(t0).
     """
     worst = 0.0
+    a, b, scale = maps
     for row, (mode, start) in enumerate(zip((state.cm_mode, state.rel_mode), state.evolved(t0))):
-        for t, a, b in zip(times, *maps):
-            end = evolve_mode(mode, state.params, float(t))
-            a_exact = end.sigma / start.sigma
-            b_exact = end.center - a_exact * start.center
+        for t, a_t, b_t in zip(times.tolist(), a[:, row].tolist(), b[:, row].tolist()):
+            end = evolve_mode(mode, state.params, t)
+            ratio = a_t * (start.sigma / scale[row]) / end.sigma
+            b_exact = end.center - end.sigma * (start.center / start.sigma)
             offset = reach * start.sigma
-            error = abs(a[row] / a_exact - 1.0) * offset + abs(b[row] - b_exact)
+            error = abs(ratio - 1.0) * offset + abs(b_t - b_exact)
             worst = max(worst, error / end.sigma)
     return worst
 
@@ -851,11 +860,39 @@ def test_rk45_maps_follow_the_exact_flow(sigma0, wavenumber):
         sigma0, 1.0, cm_wavenumber=wavenumber, rel_wavenumber=-wavenumber
     )
     config = IntegratorConfig(method="rk45", t_final=2.0, record_stride=1)
-    times, a, b = dynamics._rk45_maps(state, config, 0.0)
-    assert exact_flow_error(state, times, (a, b), 0.0, 8.3) <= 10 * config.tolerance
+    times, *maps = dynamics._rk45_maps(state, config, 0.0)
+    assert exact_flow_error(state, times, maps, 0.0, 8.3) <= 10 * config.tolerance
     # and from a start time past the narrow mode's spreading time
-    times, a, b = dynamics._rk45_maps(state, config, 0.5)
-    assert exact_flow_error(state, times, (a, b), 0.5, 8.3) <= 10 * config.tolerance
+    times, *maps = dynamics._rk45_maps(state, config, 0.5)
+    assert exact_flow_error(state, times, maps, 0.5, 8.3) <= 10 * config.tolerance
+
+
+@pytest.mark.parametrize(
+    "sigma_narrow, sigma_wide, params, t_final",
+    [
+        (0.05, 1.0, PhysicalParams(hbar=1e-13), 2.0),
+        (0.05, 1.0, PhysicalParams(mass=1e13), 2.0),
+        (0.05, 1.0, PhysicalParams(hbar=1e-11), 0.05),
+        (1e6, 1e6, None, 2.0),
+        (1e-150, 1.0, None, 1e10),
+        (1e-150, 1e-150, None, 1e10),
+    ],
+)
+def test_rk45_maps_follow_the_exact_flow_at_extreme_scales(
+    sigma_narrow, sigma_wide, params, t_final
+):
+    # the step floor is 1e-12 of the stiffest mode's spreading time, capped
+    # at t_final: uncapped, the nearly classical hbar = 1e-13 (spreading
+    # times 1e11 and 4e13) set a floor of 0.1 above the first trial step of
+    # 0.02 and was refused at t = 0. At sigma0 = 1e-150 and t = 1e10 the map
+    # sigma(t)/sigma0 = 2.5e309 is past double, and is held times 2^-498
+    state = TwoParticleState.from_widths(
+        sigma_narrow, sigma_wide, params=params, cm_wavenumber=3.0
+    )
+    config = IntegratorConfig(method="rk45", t_final=t_final, record_stride=1)
+    times, *maps = dynamics._rk45_maps(state, config, 0.0)
+    assert times[-1] == t_final and np.isfinite(maps[0]).all() and np.isfinite(maps[1]).all()
+    assert exact_flow_error(state, times, maps, 0.0, 8.3) <= 10 * config.tolerance
 
 
 CENTER = st.floats(-3.0, 3.0)
@@ -897,8 +934,8 @@ def test_rk45_lanes_match_scalar_reference(
     u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
     field = guidance_field(state_modes(state), state.params.hbar)
     expected = rk45_reference(field, u0, t0, t0 + 1.0, 1e-3 * tolerance)
-    times, a, b = dynamics._rk45_maps(state, every, t0)
-    final = dynamics._map_modes(a[-1], b[-1], u0)
+    times, a, b, scale = dynamics._rk45_maps(state, every, t0)
+    final = dynamics._map_modes(a[-1], b[-1], scale, u0)
     widths = np.array([[mode.sigma] for mode in state.evolved(t0 + 1.0)])
     steps = len(times) - 1
     assert np.all(np.abs(final - expected) <= 10 * steps * tolerance * widths)
@@ -909,7 +946,8 @@ def test_rk45_lanes_match_scalar_reference(
     traj = integrate_trajectory(state, tuple(starts[0]), config, t0=t0)
     kept = [0, *range(stride, steps, stride), steps] if stride else [0, steps]
     assert traj.times.tobytes() == times[kept].tobytes()
-    positions = dynamics._particle_positions(*dynamics._map_modes(a[kept].T, b[kept].T, u0[:, :1]))
+    modes = dynamics._map_modes(a[kept].T, b[kept].T, scale, u0[:, :1])
+    positions = dynamics._particle_positions(*modes)
     assert traj.positions.tobytes() == positions.tobytes()
 
 
