@@ -19,7 +19,6 @@ from ._normal import _SQRT1_2, _ndtr_sorted
 from .dynamics import (
     IntegratorConfig,
     _check_parallel_width,
-    _check_rk4_step,
     _frame_abs_sum_maxima,
     _sample_modes,
     _transport,
@@ -224,43 +223,32 @@ def equivariance_check(
     their exact normal laws. Equivariance predicts every KS statistic stays
     at the sampling-noise level no matter how far the ensemble is pushed.
     Every statistic covers all n samples: a trajectory that fails to
-    integrate raises EnsembleFailureError, and an rk4 step too long for the
-    state, on any leg between report times, raises it before sampling. The
-    ensemble is carried as offsets from the start centers, so far centers
-    cost no precision in transport.
+    integrate raises EnsembleFailureError, and so does an rk4 step too long
+    for the state on any leg between report times. The ensemble is carried
+    as offsets from the start centers, so far centers cost no precision.
     """
     _require_samples(n)
-    legs = _legs(config, _check_times(times, config.t_final))
+    times = _check_times(times, config.t_final)
     _check_parallel_width(parallel_width)
-    for _, _, leg in legs:
-        if leg is not None:
-            _check_rk4_step(state, leg)
     # no name here holds the start ensemble, so the first leg's transport frees it
     return _equivariance_reports(
-        state, _sample_modes(state.at_origin(), substream_normals(seed, 0, n)), legs
+        state, _sample_modes(state.at_origin(), substream_normals(seed, 0, n)), config, times
     )
 
 
-def _legs(config: IntegratorConfig, times) -> list[tuple[float, float, IntegratorConfig]]:
-    """(t0, t, leg) per report time t: leg runs config on its own step grid from
-    the previous report time t0 (or 0) to t, and is None for a report at 0."""
-    return [
-        (t0, t, replace(config, t_final=t - t0, record_stride=0) if t > t0 else None)
-        for t0, t in zip((0.0, *times), times)
-    ]
+def _equivariance_reports(state: TwoParticleState, u: np.ndarray, config: IntegratorConfig, times):
+    """Transport the (2, n) offsets u, drawn at t = 0, to each report time; a snapshot at each.
 
-
-def _equivariance_reports(state: TwoParticleState, u: np.ndarray, legs):
-    """Transport the (2, n) offsets u, drawn at t = 0, along legs; a snapshot ends each.
-
-    Each leg's result replaces u, so a caller that keeps no reference of its
-    own to u holds one ensemble between legs and two during a transport.
+    Each leg runs config on its own step grid from the previous report time
+    (or 0) to the next, none for a report at 0. Its result replaces u, so a
+    caller that keeps no reference of its own to u holds one ensemble
+    between legs and two during a transport.
     """
     origin = state.at_origin()
     reports = []
-    for t0, t, leg in legs:
-        if leg is not None:
-            u = _transport(origin, u, leg, t0)[0]
+    for t0, t in zip((0.0, *times), times):
+        if t > t0:
+            u = _transport(origin, u, replace(config, t_final=t - t0, record_stride=0), t0)[0]
         reports.append(_snapshot(state, u, t))
     return reports
 
@@ -295,14 +283,12 @@ def constraint_surface_experiment(
     every step of either method (or every config.record_stride-th if set)
     and reports the worst constraint violation together with the width
     comparison at t_final. The violation is |2Y| over every trajectory at
-    every recorded time, from dynamics._frame_abs_sum_maxima: each recorded
-    map is monotone in Y, so the smallest and largest start bound every
-    other one bit for bit, and the cost is O(n + frames), never a whole
-    frame per recorded time. An rk4 step too long for the wide mode raises
-    EnsembleFailureError before sampling; the narrow mode stays exactly at 0
-    for any step. So does a recorded step map that is not finite. An
-    empirical width that is not finite raises FloatingPointError, as in
-    equivariance_check.
+    every recorded time, bit for bit in O(n + frames), never a whole frame
+    per recorded time (see dynamics._frame_abs_sum_maxima). An rk4 step too
+    long for the wide mode (the narrow one stays at 0 for any step; see
+    dynamics._check_rk4_step), or a recorded step map that is not finite,
+    raises EnsembleFailureError. An empirical width that is not finite
+    raises FloatingPointError.
     """
     _require_samples(n)
     if state.correlation is not Correlation.SUM_NARROW:
@@ -311,7 +297,6 @@ def constraint_surface_experiment(
         raise ValueError(
             "constraint experiment requires a centered, zero-wavenumber cm mode"
         )
-    _check_rk4_step(state, config, _surface=True)
     config = replace(config, record_stride=config.record_stride or 1)
     origin = state.at_origin()
     u0 = _sample_modes(origin, substream_normals(seed, 0, n, columns=1), surface=True)
@@ -377,13 +362,9 @@ def regularization_sweep(
     column certifies the ensemble stayed in equilibrium. The normals are
     drawn once from the seed and scaled for each row (common random
     numbers); each row then runs equivariance_check's transport and
-    snapshot. With rk4, every row state is checked against _check_rk4_step
-    before the draw, and a width too narrow for dt raises
-    EnsembleFailureError.
+    snapshot, and with rk4 a width too narrow for dt raises EnsembleFailureError.
     """
     row_states = _sweep_states(state, widths)
-    for _, row_state in row_states:
-        _check_rk4_step(row_state, config)
     _require_samples(n)
     z = substream_normals(seed, 0, n)
     narrow_name = "y1+y2" if state.correlation is Correlation.SUM_NARROW else "y1-y2"
@@ -391,7 +372,7 @@ def regularization_sweep(
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
         report = _equivariance_reports(
-            row_state, _sample_modes(row_state.at_origin(), z), _legs(config, [config.t_final])
+            row_state, _sample_modes(row_state.at_origin(), z), config, [config.t_final]
         )[0]
         r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(

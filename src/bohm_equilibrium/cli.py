@@ -285,17 +285,25 @@ def _run_continuity(config: RunConfig):
     state = config.state().at_origin()
     t = config.t_final
     coarse = grid_for_state(state, t, h=config.grid_h, tau=config.grid_tau)
-    fine = coarse.refined()
-    res_coarse = continuity_residual(state, coarse, t)
-    res_fine = continuity_residual(state, fine, t)
-    rows = [
-        ("coarse", coarse.h, coarse.tau, res_coarse.max_norm, res_coarse.l2_norm),
-        ("fine", fine.h, fine.tau, res_fine.max_norm, res_fine.l2_norm),
-    ]
-    ratio = res_coarse.max_norm / res_fine.max_norm if res_fine.max_norm else math.inf
+    grids = {"coarse": coarse, "fine": coarse.refined()}
+    # the fine grid's halved tau, or a default tau where none is reliable
+    for level, grid in grids.items():
+        verdict = guidance._coarse_grid_verdict(state, t, grid.h, grid.tau)
+        if verdict is not None:
+            raise ConfigError(f"{verdict} at t_final on the {level} grid")
+    rows = []
+    for level, grid in grids.items():
+        res = continuity_residual(state, grid, t)
+        if res.max_norm < sys.float_info.min:  # its bits lost to underflow
+            raise FloatingPointError(
+                f"continuity residual underflows: the {level} grid's max_norm = "
+                f"{res.max_norm:g} is below {sys.float_info.min:g}, the smallest normal double"
+            )
+        rows.append((level, grid.h, grid.tau, res.max_norm, res.l2_norm))
+    peak_coarse, peak_fine = (row[3] for row in rows)
     return ("level", "h", "tau", "max_norm", "l2_norm"), rows, (
-        f"continuity: max-norm {res_coarse.max_norm:.4g} -> {res_fine.max_norm:.4g} "
-        f"under grid halving (ratio {ratio:.3g}, expect ~4)"
+        f"continuity: max-norm {peak_coarse:.4g} -> {peak_fine:.4g} "
+        f"under grid halving (ratio {peak_coarse / peak_fine:.3g}, expect ~4)"
     )
 
 

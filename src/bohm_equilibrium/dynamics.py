@@ -53,8 +53,7 @@ class StepUnderflowError(RuntimeError):
 class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully:
     a final state, position or recorded step map that is not finite, or an
-    rk4 step too long for the state, refused before any step (see
-    _check_rk4_step)."""
+    rk4 step too long for the state and starts (see _check_rk4_step)."""
 
 
 def _check_seed(seed: int) -> int:
@@ -275,25 +274,25 @@ def _step_grid(config: IntegratorConfig) -> tuple[int, float]:
     return n_steps, config.t_final / n_steps
 
 
-def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, _surface=False):
-    """Refuse an rk4 step too long for either mode of the state.
+def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, u0: np.ndarray):
+    """Refuse an rk4 step too long for either mode of the state, on the (2, n) starts u0.
 
     A mode's stretch rate peaks at beta/2 at t = 1/beta. Past rate * h = 0.5,
     with h the step actually taken, rk4 moves the ensemble visibly off |psi|^2
     (KS 0.227 against a noise level of 0.0138 at sigma_narrow = 0.005,
-    n = 2e4), so the run raises EnsembleFailureError instead, naming rk45.
-    With _surface (a run started on the narrow surface, at the center of a
-    narrow mode at rest, where the narrow field is 0 for any step) only the
-    wide mode is checked.
+    n = 2e4), so the run raises EnsembleFailureError instead, naming rk45,
+    the narrow mode first. A mode at rest whose every start is its center0,
+    as on the narrow surface, is not judged: its field there is exactly 0.
     """
     if config.method != "rk4":
         return
     step = _step_grid(config)[1]
-    modes = (("narrow", state.narrow_mode), ("wide", state.wide_mode))
-    if _surface:
-        modes = modes[1:]
-    for label, mode in modes:
-        if 0.5 * _spread_rate(mode, state.params) * step > 0.5:
+    narrow = 0 if state.correlation is Correlation.SUM_NARROW else 1
+    for label, row in (("narrow", narrow), ("wide", 1 - narrow)):
+        mode = (state.cm_mode, state.rel_mode)[row]
+        if 0.5 * _spread_rate(mode, state.params) * step > 0.5 and not (
+            mode.wavenumber == 0.0 and np.all(u0[row] == mode.center0)
+        ):
             raise EnsembleFailureError(
                 f"{label} mode sigma0 = {mode.sigma0:g} makes the guidance field "
                 f"stiff for rk4 with step {step:g}; use method = rk45"
@@ -492,17 +491,17 @@ def integrate_trajectory(
     The ODE is solved in mode coordinates where the two components decouple:
     the step maps of config's method carry the start's modes, and the
     recorded positions are mapped back to (y1, y2). An rk4 step too long for
-    the state (see _check_rk4_step) raises EnsembleFailureError before any
-    step, and so does a position that is not finite; an rk45 step below its
-    floor raises StepUnderflowError.
+    the state and start (_check_rk4_step) or a position that is not finite
+    raises EnsembleFailureError; an rk45 step below its floor raises
+    StepUnderflowError.
     """
     _require_finite("start", start)
-    _check_rk4_step(state, config)
     # a state that overflows is refused by the check below; numpy's overflow
     # and invalid-value warnings on the way would only repeat that, or stop
     # the run with a traceback where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = np.vstack(mode_coordinates(float(start[0]), float(start[1])))
+        _check_rk4_step(state, config, u0)
         times, a, b, scale = _step_maps(state, config, t0)
         positions = _particle_positions(*_map_modes(a.T, b.T, scale, u0))
     finite = np.isfinite(positions).all(axis=1)
@@ -527,9 +526,11 @@ def _transport(state: TwoParticleState, u0: np.ndarray, config: IntegratorConfig
 
     The step maps of config's method (_step_maps) are applied to every
     column at once; with record_stride > 0 the recorded times and maps
-    (a, b, scale) are returned too, else None for both. A recorded map or a
-    final column that is not finite raises EnsembleFailureError.
+    (a, b, scale) are returned too, else None for both. An rk4 step too long
+    for the state and the starts (_check_rk4_step), a recorded map or a final
+    column that is not finite raises EnsembleFailureError.
     """
+    _check_rk4_step(state, config, u0)
     times, a, b, scale = _step_maps(state, config, t0)
     recorded = None, None
     if config.record_stride > 0:
@@ -557,12 +558,11 @@ def propagate_ensemble(
     come back as positions; with record_stride > 0 the Ensemble keeps the
     recorded maps, for Ensemble.frames() to apply. parallel_width
     is validated and kept for compatibility; it does not change the
-    arithmetic. An rk4 step too long for the state raises
-    EnsembleFailureError before any step (see _check_rk4_step); for starts
-    on the narrow surface, whose narrow coordinate all equals a resting
-    narrow mode's center0, only the wide mode is judged. An ensemble is all
-    or nothing: if any trajectory's final state or final position is not
-    finite, EnsembleFailureError names how many of the n failed.
+    arithmetic. An rk4 step too long for the state and starts raises
+    EnsembleFailureError before any step (_check_rk4_step judges surface
+    starts on the wide mode alone). An ensemble is all or nothing: if any
+    trajectory's final state or final position is not finite,
+    EnsembleFailureError names how many of the n failed.
     """
     positions = np.asarray(initial_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -570,13 +570,7 @@ def propagate_ensemble(
     if not np.all(np.isfinite(positions)):
         raise ValueError("initial_positions must be finite")
     _check_parallel_width(parallel_width)
-    u0 = _mode_starts(positions)
-    narrow_row = 0 if state.correlation is Correlation.SUM_NARROW else 1
-    narrow = state.narrow_mode
-    surface = narrow.wavenumber == 0.0 and bool(np.all(u0[narrow_row] == narrow.center0))
-    _check_rk4_step(state, config, _surface=surface)
-
-    final, times, maps = _transport(state, u0, config, t0)
+    final, times, maps = _transport(state, _mode_starts(positions), config, t0)
     final = _particle_positions(*final)
     _require_finite_columns(final.T)  # Y +- y/2 can overflow where Y and y do not
     return Ensemble(seed, positions, final, times, maps)

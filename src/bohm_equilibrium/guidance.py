@@ -22,7 +22,6 @@ from .model import (
     TwoParticleState,
     _require_finite,
     _require_positive,
-    _spread_rate,
     evolve_mode,
     mode_coordinates,
     mode_density,
@@ -135,53 +134,72 @@ def _max_grid_tau(state: TwoParticleState, t: float) -> float:
     v * tau <= sigma / 4 at every time of the window [t - tau, t + tau]
     that the difference spans. Before the spreading time 1/beta the rate at
     t is near 0, but within a window that long it reaches beta / 2. So
-    limit(tau) takes |drift| / sigma at the window point nearest 0, where
-    sigma is smallest, and the rate at the window's |s| nearest 1/beta,
-    since the rate is odd in s and its size rises until s = 1/beta; limit
-    falls as tau grows. limit(0), the rule at t alone, is at least every
-    tau that the rule admits over its own window, and the result is the
-    rule over that widest window, limit(limit(0)): it is at most limit(0),
+    _quarter_time(tau) takes |drift| / sigma at the window point nearest 0,
+    where sigma is smallest, and the rate at the window's |s| nearest
+    1/beta, since the rate is odd in s and its size rises until s = 1/beta;
+    it falls as tau grows. q = _quarter_time(0), the rule at t alone, is at
+    least every tau that the rule admits over its own window, and the result
+    is the rule over that widest window, _quarter_time(q): it is at most q,
     so the rule holds over its own window too. At that edge a drifting cm
     or relative mode at t = 2 keeps the coarse/fine ratio at 3.95, as
     grid_h's edge does, and a run before the spreading time keeps it at 3.9.
     """
-    modes = (state.cm_mode, state.rel_mode)
-    peaks = [1.0 / _spread_rate(mode, state.params) for mode in modes]
+    return _quarter_time(state, t, _quarter_time(state, t, 0.0))
 
-    def limit(tau):
-        """The quarter rule's tau for the worst motion over [t - tau, t + tau]."""
-        near, far = max(0.0, abs(t) - tau), abs(t) + tau
-        fastest = 0.0
-        for mode, peak, at_near in zip(modes, peaks, state.evolved(near)):
-            rate = evolve_mode(mode, state.params, min(max(peak, near), far)).stretch_rate
-            fastest = max(fastest, abs(at_near.drift) / at_near.sigma + _COVER_STDS * rate)
-        return 0.25 / fastest if fastest > 0.0 else math.inf
 
-    return limit(limit(0.0))
+def _quarter_time(state: TwoParticleState, t: float, tau: float) -> float:
+    """The quarter rule's tau for the worst motion over [t - tau, t + tau] (see _max_grid_tau)."""
+    near, far = max(0.0, abs(t) - tau), abs(t) + tau
+    fastest = 0.0
+    for mode, at_near in zip((state.cm_mode, state.rel_mode), state.evolved(near)):
+        peak = 1.0 / at_near.beta
+        rate = evolve_mode(mode, state.params, min(max(peak, near), far)).stretch_rate
+        fastest = max(fastest, abs(at_near.drift) / at_near.sigma + _COVER_STDS * rate)
+    return 0.25 / fastest if fastest > 0.0 else math.inf
+
+
+def _min_grid_tau(state: TwoParticleState, t: float) -> float:
+    """Shortest time step tau whose residual norms are reliable at time t: 2^-35 q.
+
+    The central time difference subtracts densities rounded to parts in 1e16
+    that differ by about tau / q, q = _quarter_time at t alone, so rounding
+    swamps the truncation error as q / tau grows: late, q is t / 20, and at
+    tau = 1e-3 the ratio read 2.44 at t = 3e9. Pairs whose fine tau was
+    2^-35 q read max-norm ratios of 3.92-4.12 from t = 1e9 to 1e20 and
+    widths down to 1e-120, 2^-36 q 3.53-4.08 and 2^-38 q 2.86-4.43. A
+    density at rest at t (q infinite) admits any tau.
+    """
+    q = _quarter_time(state, t, 0.0)
+    return 2.0**-35 * q if q < math.inf else 0.0
 
 
 def _default_grid_tau(state: TwoParticleState, t: float) -> float:
-    """1e-3, or _max_grid_tau where the density moves too fast for that."""
-    return min(1e-3, _max_grid_tau(state, t))
+    """1e-3, or _max_grid_tau where the density moves too fast for that, or
+    twice _min_grid_tau, which the refined grid's tau meets, where too slowly."""
+    return max(2.0 * _min_grid_tau(state, t), min(1e-3, _max_grid_tau(state, t)))
 
 
 def _coarse_grid_verdict(state: TwoParticleState, t: float, h, tau) -> str | None:
     """Why a grid of spacing h and time half-step tau is too coarse at time t, or None.
 
-    The one home of the rule that h is at most _max_grid_spacing and tau at
-    most _max_grid_tau. The text names h and tau by the CLI's keys, grid_h
-    and grid_tau, and leaves the time to the caller: the CLI refuses with
-    it and " at t_final", continuity_residual warns with it and " at t = t".
-    h or tau None is grid_for_state's default, which fits.
+    The one home of the rule that h is at most _max_grid_spacing and tau
+    between _min_grid_tau and _max_grid_tau. The text names h and tau by the
+    CLI's keys, grid_h and grid_tau, and leaves the time to the caller: the
+    CLI refuses with it and " at t_final", continuity_residual warns with it
+    and " at t = t". h or tau None is grid_for_state's default, which fits
+    unless no tau is reliable.
     """
     feature = "a quarter of the narrowest density feature"
     motion = "the time in which the density moves a quarter of its width"
+    rounding = "the shortest time in which the density changes by more than its rounding"
     for key, value, limit_of, meaning in (
         ("grid_h", h, _max_grid_spacing, feature),
         ("grid_tau", tau, _max_grid_tau, motion),
     ):
         if value is not None and value > (limit := limit_of(state, t)):
             return f"{key} = {value:g} exceeds {limit:.4g}, {meaning}"
+    if tau is not None and tau < (limit := _min_grid_tau(state, t)):
+        return f"grid_tau = {tau:g} is below {limit:.4g}, {rounding}"
     return None
 
 
@@ -218,7 +236,7 @@ class ContinuityResidual:
 
     The defect d_t rho + d_1(rho v1) + d_2(rho v2) is taken at every grid
     point; max_norm is its sup, l2_norm its area-weighted L2 norm.
-    too_coarse flags a grid that _coarse_grid_verdict finds too coarse.
+    too_coarse flags a grid that _coarse_grid_verdict refuses.
     """
 
     max_norm: float
@@ -308,14 +326,12 @@ def continuity_residual(
     Every scaling is by a power of two, so wherever the unscaled squares
     and sums are normal floats l2_norm has their bits, and where they would
     underflow or overflow it still has its value. Both norms keep their bits
-    on any number of workers. The leaves run on up to _MAX_WORKERS threads,
-    no more than the CPUs this process may use (see _map_leaves); a grid of
-    one leaf runs on the calling thread alone. Peak memory is a leaf's
+    on any number of workers (see _map_leaves). Peak memory is a leaf's
     stages per worker, whatever the number of grid rows.
 
     A norm that is not finite raises FloatingPointError naming it: the
     fluxes of a density too tall for double precision, for one, overflow. A
-    too-coarse grid warns with _coarse_grid_verdict's text, which names
+    grid that _coarse_grid_verdict refuses warns with its text, which names
     grid_h and grid_tau.
     """
     _require_finite("t", t)

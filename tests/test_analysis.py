@@ -19,9 +19,13 @@ from bohm_equilibrium import (
     constraint_surface_experiment,
     constraint_width,
     equivariance_check,
+    integrate_trajectory,
     ks_statistic,
     observable_normal,
+    propagate_ensemble,
     regularization_sweep,
+    sample_constraint_surface,
+    sample_equilibrium,
     substream_normals,
 )
 from bohm_equilibrium import _normal
@@ -313,24 +317,16 @@ def test_experiments_reject_single_sample_before_work(monkeypatch):
         constraint_surface_experiment(default_state(), 1, 42, default_config())
 
 
-def test_equivariance_check_refuses_stiff_rk4_before_sampling(monkeypatch):
+def test_equivariance_check_refuses_stiff_rk4():
     # sigma_narrow = 0.005: beta = 1e4, so rate * step peaks at 5 for dt = 1e-3
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the rk4 step was checked")
-
-    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.005, 1.0)
     with pytest.raises(EnsembleFailureError, match="step 0.001; use method = rk45"):
         equivariance_check(state, 100, 42, default_config(), [1.0])
 
 
-def test_equivariance_check_judges_each_legs_step_before_sampling(monkeypatch):
+def test_equivariance_check_judges_each_legs_step():
     # sigma_narrow = 0.1: beta = 25, so rate * step peaks at 0.625 on the first
     # leg, one step of 0.05; the whole run's step, 2 / 59 = 0.0339, scores 0.42
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before each leg's rk4 step was checked")
-
-    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.1, 1.0)
     config = IntegratorConfig(dt=0.034, t_final=2.0)
     with pytest.raises(EnsembleFailureError, match="^narrow mode .* step 0.05; use method = rk45$"):
@@ -513,13 +509,9 @@ def test_constraint_surface_refuses_a_nan_map(monkeypatch, column):
         constraint_surface_experiment(default_state(), 40000, 42, config)
 
 
-def test_constraint_surface_refuses_stiff_wide_rk4_before_sampling(monkeypatch):
+def test_constraint_surface_refuses_stiff_wide_rk4():
     # sigma_wide = 0.02: rk4 at dt = 1e-3 read diff_width_empirical 92.16
     # against the analytic 100.0 at n = 1e5, 35 standard errors off
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the rk4 step was checked")
-
-    monkeypatch.setattr(analysis, "substream_normals", no_sampling)
     state = TwoParticleState.from_widths(0.05, 0.02)
     message = "^wide mode sigma0 = 0.02 .*; use method = rk45$"
     with pytest.raises(EnsembleFailureError, match=message):
@@ -603,20 +595,14 @@ def test_regularization_sweep_difference_orientation():
     assert row.delta_y_f_empirical == pytest.approx(row.delta_y_f, rel=0.1)
 
 
-def test_regularization_sweep_rejects_stiff_rk4(monkeypatch):
-    # the guard checks every width before the first row runs: rk4 would
-    # print a wrong-physics row, so the sweep fails and names rk45 instead
+def test_regularization_sweep_rejects_stiff_rk4():
+    # rk4 would print a wrong-physics row for the second width, so the sweep
+    # fails and names rk45 instead of returning any row
     state = default_state()
     config = IntegratorConfig(dt=1e-3, t_final=0.05)
-
-    def no_rows(*args, **kwargs):
-        raise AssertionError("sampled before every width was checked")
-
-    monkeypatch.setattr(analysis, "substream_normals", no_rows)
     with pytest.raises(EnsembleFailureError, match="method = rk45"):
         regularization_sweep(state, (0.4, 0.028), 100, 42, config)
     # the same widths are fine for the adaptive method
-    monkeypatch.undo()
     rk45 = IntegratorConfig(method="rk45", t_final=0.05)
     result = regularization_sweep(state, (0.4, 0.028), 100, 42, rk45)
     assert len(result.rows) == 2
@@ -628,6 +614,77 @@ def test_regularization_sweep_guard_uses_effective_step():
     config = IntegratorConfig(dt=0.034, t_final=0.05)
     with pytest.raises(EnsembleFailureError, match="step 0.05; use method = rk45"):
         regularization_sweep(default_state(), (0.19,), 100, 42, config)
+
+
+def _stiff_rk4_paths():
+    """Per path: (a run the rk4 rule refuses, its mode and sigma0, a run from
+    fixed-point starts that it admits, or None). At dt = 1e-3 rate * step
+    peaks at 5 for sigma_narrow = 0.005 (beta = 1e4) and at 1.25 for
+    sigma_wide = 0.02 (beta = 2500)."""
+    narrow = TwoParticleState.from_widths(0.005, 1.0)
+    wide = TwoParticleState.from_widths(0.05, 0.02)
+    config = IntegratorConfig(dt=1e-3, t_final=0.5)
+    recorded = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=1)
+
+    def surface_experiment():
+        report = constraint_surface_experiment(narrow, 200, 42, config)
+        return report.max_abs_sum, report.sum_width_empirical
+
+    def surface_ensemble():
+        ensemble = propagate_ensemble(narrow, sample_constraint_surface(narrow, 200, 42), recorded)
+        frames = np.stack(list(ensemble.frames()))
+        assert frames.shape == (501, 200, 2)
+        return frames[..., 0] + frames[..., 1]
+
+    def surface_trajectory():
+        # the rel mode (beta = 1) spreads y1 - y2 = 0.6 by sqrt(1 + 0.5^2)
+        trajectory = integrate_trajectory(narrow, (0.3, -0.3), recorded)
+        assert trajectory.positions[-1, 0] == pytest.approx(0.3 * math.sqrt(1.25), rel=1e-12)
+        return trajectory.positions[:, 0] + trajectory.positions[:, 1]
+
+    return {
+        "equivariance_check": (
+            lambda: equivariance_check(narrow, 200, 42, config, [0.25, 0.5]),
+            ("narrow", 0.005),
+            None,
+        ),
+        "regularization_sweep": (
+            lambda: regularization_sweep(default_state(), (0.4, 0.01), 200, 42, config),
+            ("narrow", 0.005),
+            None,
+        ),
+        "constraint_surface_experiment": (
+            lambda: constraint_surface_experiment(wide, 200, 42, config),
+            ("wide", 0.02),
+            surface_experiment,
+        ),
+        "propagate_ensemble": (
+            lambda: propagate_ensemble(narrow, sample_equilibrium(narrow, 200, 42), config),
+            ("narrow", 0.005),
+            surface_ensemble,
+        ),
+        "integrate_trajectory": (
+            lambda: integrate_trajectory(narrow, (0.01, 0.02), config),
+            ("narrow", 0.005),
+            surface_trajectory,
+        ),
+    }
+
+
+@pytest.mark.parametrize("path", list(_stiff_rk4_paths()))
+def test_every_path_refuses_a_stiff_rk4_step_with_the_same_text(path):
+    # the rule is judged once, where each run's step maps meet its starts;
+    # starts at the center of a stiff mode at rest are admitted, and that
+    # mode's coordinate, y1 + y2 here, stays exactly 0 at every step
+    refused, (mode, sigma0), admitted = _stiff_rk4_paths()[path]
+    with pytest.raises(EnsembleFailureError) as refusal:
+        refused()
+    assert str(refusal.value) == (
+        f"{mode} mode sigma0 = {sigma0} makes the guidance field stiff for rk4 "
+        "with step 0.001; use method = rk45"
+    )
+    if admitted is not None:
+        assert np.all(np.asarray(admitted()) == 0.0)
 
 
 def test_regularization_sweep_validates_widths():

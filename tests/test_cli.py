@@ -175,7 +175,6 @@ def _accepts(call, *args) -> bool:
 def _rule_owners(monkeypatch):
     """The library calls that own each setting's rule, stopped before any work."""
     monkeypatch.setattr(analysis, "substream_normals", _stop)
-    monkeypatch.setattr(analysis, "_check_rk4_step", _stop)
     state, config = TwoParticleState.from_widths(), IntegratorConfig()
     return {
         "times": [lambda v: equivariance_check(state, 2, 42, config, v)],
@@ -786,6 +785,12 @@ def test_continuity_converges_past_the_stretch_rates_square_overflow(tmp_path):
         # a residual near 6e259, whose squares are past the largest double:
         # summed unscaled, l2_norm read inf and the run exited 3
         "--sigma-narrow 1e-78 --sigma-wide 1e-60 --t-final 1e-140",
+        # late runs, where tau = 1e-3 left the time difference mostly
+        # rounding: max-norm ratios 2.91 and 2.35 (see guidance._min_grid_tau)
+        "--t-final 1e10",
+        "--sigma-narrow 1e-120 --sigma-wide 1e-120 --t-final 1e10",
+        # a slowly spreading state at t = 2, for the same reason: ratio 1.05
+        "--sigma-narrow 1e3 --sigma-wide 1e4",
     ],
 )
 def test_continuity_converges_on_both_norms(tmp_path, args):
@@ -794,6 +799,78 @@ def test_continuity_converges_on_both_norms(tmp_path, args):
     _, rows = read_csv(out)
     for column in (3, 4):
         assert 3.5 <= float(rows[0][column]) / float(rows[1][column]) <= 4.5
+
+
+@pytest.mark.parametrize("t_final", [1e9, 1e10, 1e15])
+def test_late_default_grid_tau_is_twice_the_shortest_reliable_tau(tmp_path, t_final):
+    # the fine grid's tau, half the default, is the shortest the rule admits
+    out = tmp_path / "c.csv"
+    assert main(["continuity", "--t-final", repr(t_final), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    shortest = guidance._min_grid_tau(RunConfig().state(), t_final)
+    assert [float(row[2]) for row in rows] == [2.0 * shortest, shortest]
+    assert json.loads(out.with_name("c.csv.meta.json").read_text())["config"]["grid_tau"] == (
+        2.0 * shortest
+    )
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        # load refuses a grid_tau below the rule
+        (
+            "t_final = 1e10\ngrid_tau = 1e-3\n",
+            "error: grid_tau = 0.001 is below 0.01455, the shortest time in which the "
+            "density changes by more than its rounding at t_final\n",
+        ),
+        # one at or above it whose half, the fine grid's tau, is below
+        (
+            "t_final = 1e10\ngrid_tau = 0.02\n",
+            "error: grid_tau = 0.01 is below 0.01455, the shortest time in which the "
+            "density changes by more than its rounding at t_final on the fine grid\n",
+        ),
+        # long before the spreading time no tau is both long enough to outweigh
+        # rounding and short enough for the motion: tau = 1e-3 read ratio 3.42
+        (
+            "t_final = 1e-13\n",
+            "error: grid_tau = 0.00291038 exceeds 0.001, the time in which the density "
+            "moves a quarter of its width at t_final on the coarse grid\n",
+        ),
+    ],
+)
+def test_grid_tau_too_short_for_rounding_exits_2_without_output(tmp_path, setting, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(setting)
+    argv = ["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    script = "import sys\nfrom bohm_equilibrium.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(bohm_equilibrium.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "width, level, norm",
+    # the first printed "0 -> 0 (ratio inf)", the second a subnormal fine norm
+    # and ratio 2.26, both with exit 0
+    [("1e-149", "coarse", "0"), ("1e-138", "coarse", "1.23855e-308")],
+)
+def test_continuity_residual_that_underflows_exits_3_without_output(
+    tmp_path, capsys, width, level, norm
+):
+    argv = ["--sigma-narrow", width, "--sigma-wide", width, "--t-final", "1e10"]
+    assert main(["continuity", *argv, "--out", str(tmp_path / "c.csv")]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"numerical failure: continuity residual underflows: the {level} grid's max_norm = "
+        f"{norm} is below 2.22507e-308, the smallest normal double\n",
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsys):

@@ -251,12 +251,15 @@ def test_mode_center_is_fixed_point():
 
 def test_rk4_step_guard_checks_both_modes():
     config = IntegratorConfig(dt=1e-3)
-    dynamics._check_rk4_step(default_state(), config)
+    starts = np.array([[0.1], [-0.2]])
+    dynamics._check_rk4_step(default_state(), config, starts)
     # rel mode: beta = hbar / (2 (m/2) 0.02^2) = 2500, rate * step peaks at 1.25
     wide_too_narrow = TwoParticleState.from_widths(0.05, 0.02)
     with pytest.raises(EnsembleFailureError, match="^wide mode .* use method = rk45$"):
-        dynamics._check_rk4_step(wide_too_narrow, config)
-    dynamics._check_rk4_step(wide_too_narrow, dataclasses.replace(config, method="rk45"))
+        dynamics._check_rk4_step(wide_too_narrow, config, starts)
+    dynamics._check_rk4_step(wide_too_narrow, dataclasses.replace(config, method="rk45"), starts)
+    # starts at the center of the stiff mode at rest are not judged
+    dynamics._check_rk4_step(wide_too_narrow, config, np.array([[0.1], [0.0]]))
 
 
 def test_rk4_trajectory_refuses_a_stiff_step():
@@ -975,13 +978,13 @@ def test_composed_rk4_frames_match_stage_by_stage_reference(
         rel_wavenumber=wavenumbers[1],
     )
     config = IntegratorConfig(dt=1e-3, t_final=n_steps * 1e-3, record_stride=stride)
+    starts = sample_equilibrium(state, 5, seed=seed)
+    u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
     try:
-        dynamics._check_rk4_step(state, config)
+        dynamics._check_rk4_step(state, config, u0)
     except EnsembleFailureError:
         assume(False)
-    starts = sample_equilibrium(state, 5, seed=seed)
     ensemble = propagate_ensemble(state, starts, config, t0=t0)
-    u0 = np.vstack(mode_coordinates(starts[:, 0], starts[:, 1]))
     steps, dt = dynamics._step_grid(config)
     frames = rk4_reference(state_modes(state), state.params.hbar, u0, dt, steps, stride, t0)
     assert len(frames) == len(ensemble.times)

@@ -500,6 +500,27 @@ def test_continuity_tau_just_inside_its_bound_converges(wavenumbers):
         assert continuity_residual(state, grid_for_state(state, t, tau=1.01 * limit), t).too_coarse
 
 
+@pytest.mark.parametrize("widths", [(0.05, 1.0), (1e-120, 1e-120)])
+def test_continuity_tau_at_its_lower_bound_converges(widths):
+    # at t = 1e10 tau = 1e-3 read coarse/fine ratios of 2.91 and 2.35: the
+    # rounding of the densities swamped their change over the window
+    state = TwoParticleState.from_widths(*widths)
+    t = 1e10
+    shortest = guidance._min_grid_tau(state, t)
+    grid = grid_for_state(state, t)
+    # past the spreading time the rate is 1/t, so q = 0.25 / (5 / t)
+    assert grid.tau == 2.0 * shortest == pytest.approx(2.0**-34 * 0.25 * t / 5.0, rel=1e-12)
+    coarse = continuity_residual(state, grid, t)
+    fine = continuity_residual(state, grid.refined(), t)
+    assert not coarse.too_coarse and not fine.too_coarse
+    for norm in ("max_norm", "l2_norm"):
+        assert 3.5 <= getattr(coarse, norm) / getattr(fine, norm) <= 4.5
+    with pytest.warns(RuntimeWarning, match=r"^grid_tau = .* is below .* at t = 1e\+10;"):
+        assert continuity_residual(state, grid_for_state(state, t, tau=0.99 * shortest), t).too_coarse
+    # a density at rest has no change for rounding to swamp
+    assert guidance._min_grid_tau(state, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
 def test_grid_for_state_rejects_bad_spacing(h):
     with pytest.raises(ValueError, match="h must be positive"):
