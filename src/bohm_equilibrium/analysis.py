@@ -31,6 +31,7 @@ from .model import (
     _require_positive,
     constraint_width,
     evolve_mode,
+    narrow_observable,
     observable_normal,
 )
 
@@ -56,7 +57,7 @@ def _check_times(times, t_final: float) -> list[float]:
 def _sweep_states(state: TwoParticleState, widths) -> list[tuple[float, TwoParticleState]]:
     """(width, state) per sweep row; a width is the narrow combination's initial std.
 
-    For a sum-narrow state y1+y2 = 2Y, so the cm mode gets half the width.
+    The narrow mode gets the width over its weight there: half for y1+y2 = 2Y.
     """
     widths = [float(w) for w in widths]
     if not widths:
@@ -65,11 +66,11 @@ def _sweep_states(state: TwoParticleState, widths) -> list[tuple[float, TwoParti
         _require_positive("widths", width)
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly decreasing")
-    scale = 0.5 if state.correlation is Correlation.SUM_NARROW else 1.0
+    weight = narrow_observable(state.correlation)[1]
     rows = []
     for width in widths:
         try:
-            rows.append((width, state.with_narrow_sigma(scale * width)))
+            rows.append((width, state.with_narrow_sigma(width / weight)))
         except ValueError as exc:
             raise ValueError(f"widths entry {width!r}: {exc}") from exc
     return rows
@@ -302,9 +303,11 @@ def constraint_surface_experiment(
     u0 = _sample_modes(origin, substream_normals(seed, 0, n, columns=1), surface=True)
     final, _, maps = _transport(origin, u0, config)
     max_abs_sum = float(np.max(_frame_abs_sum_maxima(maps, u0)))
-    # widths do not see the start centers, so they are taken on the offsets:
-    # y1 + y2 is 2Y and y1 - y2 is y
-    sum_width_empirical = _empirical_std(2.0 * final[0], "y1+y2", config.t_final)
+
+    def offset_width(name):  # widths do not see the start centers: as in _snapshot
+        return _empirical_std(np.array(OBSERVABLES[name]) @ final, name, config.t_final)
+
+    sum_width_empirical = offset_width("y1+y2")
     sum_width_equilibrium = constraint_width(state, config.t_final, "sum")
     if sum_width_empirical == 0.0:
         ratio = math.inf
@@ -317,7 +320,7 @@ def constraint_surface_experiment(
         sum_width_empirical=sum_width_empirical,
         sum_width_equilibrium=sum_width_equilibrium,
         width_mismatch_ratio=ratio,
-        diff_width_empirical=_empirical_std(final[1], "y1-y2", config.t_final),
+        diff_width_empirical=offset_width("y1-y2"),
         diff_width_analytic=constraint_width(state, config.t_final, "difference"),
     )
 
@@ -367,7 +370,7 @@ def regularization_sweep(
     row_states = _sweep_states(state, widths)
     _require_samples(n)
     z = substream_normals(seed, 0, n)
-    narrow_name = "y1+y2" if state.correlation is Correlation.SUM_NARROW else "y1-y2"
+    narrow_name = narrow_observable(state.correlation)[0]
     rows = []
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)

@@ -28,7 +28,6 @@ from numpy.random import Philox
 
 from ._normal import ndtri
 from .model import (
-    Correlation,
     TwoParticleState,
     _require_finite,
     _require_positive,
@@ -135,13 +134,10 @@ def _sample_modes(state: TwoParticleState, z: np.ndarray, surface=False) -> np.n
     feeds the wide row.
     """
     u = np.zeros((2, len(z)))
-    columns = (0, 1)
-    if surface:
-        columns = (None, 0) if state.correlation is Correlation.SUM_NARROW else (0, None)
-    for row, mode, column in zip(u, (state.cm_mode, state.rel_mode), columns):
-        if column is not None:
-            np.multiply(z[:, column], mode.sigma0, out=row)
-            row += mode.center0
+    for row, mode in enumerate(state.modes):
+        if not (surface and row == state.correlation.narrow_row):
+            np.multiply(z[:, 0 if surface else row], mode.sigma0, out=u[row])
+            u[row] += mode.center0
     return u
 
 
@@ -253,9 +249,9 @@ class Ensemble:
 
 def _mode_rhs(mode, params, t: float, a: float, b: float) -> tuple[float, float]:
     """Time derivatives (a', b') of one mode's map u = a*u0 + b at time t, in
-    floats: rate*a, and the field v(b) with the bits of EvolvedMode.velocity."""
+    floats: rate*a, and the field at b."""
     field = evolve_mode(mode, params, t)
-    return field.stretch_rate * a, (b - field.center) * field.stretch_rate + field.drift
+    return field.stretch_rate * a, field.velocity(b)
 
 
 def _rk4_step(rhs, stages, u, dt: float):
@@ -287,9 +283,9 @@ def _check_rk4_step(state: TwoParticleState, config: IntegratorConfig, u0: np.nd
     if config.method != "rk4":
         return
     step = _step_grid(config)[1]
-    narrow = 0 if state.correlation is Correlation.SUM_NARROW else 1
+    narrow = state.correlation.narrow_row
     for label, row in (("narrow", narrow), ("wide", 1 - narrow)):
-        mode = (state.cm_mode, state.rel_mode)[row]
+        mode = state.modes[row]
         if 0.5 * _spread_rate(mode, state.params) * step > 0.5 and not (
             mode.wavenumber == 0.0 and np.all(u0[row] == mode.center0)
         ):
@@ -318,7 +314,7 @@ def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> t
     t = t0 + np.arange(n_steps) * dt
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))
-    for row, mode in enumerate((state.cm_mode, state.rel_mode)):
+    for row, mode in enumerate(state.modes):
         stages = [evolve_mode(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
         alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
         beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
@@ -348,8 +344,7 @@ def _particle_positions(cm, rel) -> np.ndarray:
 def _map_scales(state: TwoParticleState) -> np.ndarray:
     """Per mode, the power of two in (sigma0, 2 sigma0], or 1 if less: the step maps hold
     a * scale, finite while the width is, and dividing by it is exact until it overflows."""
-    modes = (state.cm_mode, state.rel_mode)
-    return np.array([min(1.0, math.ldexp(1.0, math.frexp(mode.sigma0)[1])) for mode in modes])
+    return np.array([min(1.0, math.ldexp(1.0, math.frexp(m.sigma0)[1])) for m in state.modes])
 
 
 def _map_modes(a: np.ndarray, b: np.ndarray, scale: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -425,7 +420,7 @@ def _rk45_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> 
     EnsembleFailureError if its last attempt was not finite, else
     StepUnderflowError. b = m - a * c / scale.
     """
-    modes, params, tolerance = (state.cm_mode, state.rel_mode), state.params, config.tolerance
+    modes, params, tolerance = state.modes, state.params, config.tolerance
     t0 = float(t0)
     t1, scale, evolved = t0 + config.t_final, _map_scales(state), state.evolved(t0)
     # per mode, reach in the units of its scaled a, so sigma0 / reach is scaled as a is

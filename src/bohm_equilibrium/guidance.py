@@ -151,7 +151,7 @@ def _quarter_time(state: TwoParticleState, t: float, tau: float) -> float:
     """The quarter rule's tau for the worst motion over [t - tau, t + tau] (see _max_grid_tau)."""
     near, far = max(0.0, abs(t) - tau), abs(t) + tau
     fastest = 0.0
-    for mode, at_near in zip((state.cm_mode, state.rel_mode), state.evolved(near)):
+    for mode, at_near in zip(state.modes, state.evolved(near)):
         peak = 1.0 / at_near.beta
         rate = evolve_mode(mode, state.params, min(max(peak, near), far)).stretch_rate
         fastest = max(fastest, abs(at_near.drift) / at_near.sigma + _COVER_STDS * rate)
@@ -251,11 +251,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_count(leaves: int) -> int:
+    """W = min(usable CPUs, _MAX_WORKERS, leaves), the workers of _map_leaves."""
+    return min(_usable_cpus(), _MAX_WORKERS, leaves)
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def _map_leaves(leaves: int, new_leaf) -> list:
     """[leaf(0), leaf(1), ..., leaf(leaves - 1)], each leaf evaluated once.
 
-    The leaves are dealt round-robin to W = min(usable CPUs, _MAX_WORKERS,
-    leaves) workers, worker 0 on the calling thread; worker j evaluates
+    The leaves are dealt round-robin to W = _worker_count(leaves) workers,
+    worker 0 on the calling thread; worker j evaluates
     leaves j, j + W, ... with its own leaf from new_leaf(). Each result
     lands in its leaf's slot, so the list does not depend on W or on the
     order in which the workers finish; one worker starts no thread. A
@@ -263,7 +276,7 @@ def _map_leaves(leaves: int, new_leaf) -> list:
     worker is joined before this returns or raises, and the first failure,
     in worker order, is re-raised.
     """
-    workers = min(_usable_cpus(), _MAX_WORKERS, leaves)
+    workers = _worker_count(leaves)
     results = [None] * leaves
     errors = [None] * workers
     failed = threading.Event()
@@ -327,7 +340,9 @@ def continuity_residual(
     and sums are normal floats l2_norm has their bits, and where they would
     underflow or overflow it still has its value. Both norms keep their bits
     on any number of workers (see _map_leaves). Peak memory is a leaf's
-    stages per worker, whatever the number of grid rows.
+    stages per worker and the ghost y2 axis, whatever the number of grid
+    rows; where that exceeds physical memory, MemoryError is raised before
+    any of it is allocated.
 
     A norm that is not finite raises FloatingPointError naming it: the
     fluxes of a density too tall for double precision, for one, overflow. A
@@ -337,43 +352,53 @@ def continuity_residual(
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
     mean2 = observable_normal(state, t, "y2")[0]
-    y1_axis = grid.y1_axis
-    y2_axis = grid.y2_axis
+    n1, n2, h = grid.n1, grid.n2, grid.h
     reach = _COVER_STDS * std
+    # the axis ends y_min + h * (n - 1), with the bits of y1_axis[-1] and y2_axis[-1]
     if (
-        y1_axis[0] > mean1 - reach
-        or y1_axis[-1] < mean1 + reach
-        or y2_axis[0] > mean2 - reach
-        or y2_axis[-1] < mean2 + reach
+        grid.y1_min > mean1 - reach
+        or grid.y1_min + h * (n1 - 1) < mean1 + reach
+        or grid.y2_min > mean2 - reach
+        or grid.y2_min + h * (n2 - 1) < mean2 + reach
     ):
         raise ValueError(
             f"grid must cover at least ±{_COVER_STDS:g} marginal stds of the density"
         )
+    rows = max(1, min(n1, _BLOCK_POINTS // n2))
+    leaves = -(-n1 // rows)
+    workers, memory = _worker_count(leaves), _physical_memory()
+    # each worker's four ghost-extended and two inner stage buffers, and the ghost y2 axis
+    need = 8 * (workers * (4 * (rows + 2) * (n2 + 2) + 2 * rows * n2) + n2 + 2)
+    if need > memory:
+        raise MemoryError(
+            f"the continuity residual on a grid of {n1:.6g} x {n2:.6g} points needs "
+            f"{need / 1e9:.3g} GB of stage buffers on {workers} worker thread(s), more than "
+            f"the {memory / 1e9:.3g} GB of physical memory"
+        )
 
-    verdict = _coarse_grid_verdict(state, t, grid.h, grid.tau)
+    verdict = _coarse_grid_verdict(state, t, h, grid.tau)
     if verdict is not None:
         warnings.warn(
             f"{verdict} at t = {t:g}; residual norms are unreliable", RuntimeWarning, stacklevel=2
         )
 
-    # extended axes add one ghost point per side for the flux derivative
-    ext1 = (grid.y1_min - grid.h) + grid.h * np.arange(grid.n1 + 2)
-    ext2 = (grid.y2_min - grid.h) + grid.h * np.arange(grid.n2 + 2)
-    _require_finite("y1", ext1)
-    _require_finite("y2", ext2)
+    # the extended axes low + h * k, k = 0 .. n + 1, add one ghost point per side for
+    # the flux derivative; they rise with k, so they are finite where their ends are
+    low1, low2 = grid.y1_min - h, grid.y2_min - h
+    _require_finite("y1", [low1, low1 + h * (n1 + 1)])
+    _require_finite("y2", [low2, low2 + h * (n2 + 1)])
+    ext2 = low2 + h * np.arange(n2 + 2)
     now = state.evolved(t)
     later = state.evolved(t + grid.tau)
     earlier = state.evolved(t - grid.tau)
-
-    n1, n2 = grid.n1, grid.n2
-    rows = max(1, min(n1, _BLOCK_POINTS // n2))
     inner = (slice(1, -1), slice(1, -1))
 
     def residual_rows(i0, i1, ghosted, inner_rows):
         """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
         big_y, small_y, rho, flux1 = (a[: i1 - i0 + 2] for a in ghosted)
         out, term = (a[: i1 - i0] for a in inner_rows)
-        mode_coordinates(ext1[i0 : i1 + 2, None], ext2[None, :], out=(big_y, small_y))
+        ext1 = low1 + h * np.arange(i0, i1 + 2)  # this leaf's rows of the y1 axis
+        mode_coordinates(ext1[:, None], ext2[None, :], out=(big_y, small_y))
 
         # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
         mode_density(later[0], big_y[inner], out=out)
@@ -395,10 +420,10 @@ def continuity_residual(
         flux2 *= rho
 
         np.subtract(flux1[2:, 1:-1], flux1[:-2, 1:-1], out=term)
-        term /= 2.0 * grid.h
+        term /= 2.0 * h
         out += term
         np.subtract(flux2[1:-1, 2:], flux2[1:-1, :-2], out=term)
-        term /= 2.0 * grid.h
+        term /= 2.0 * h
         out += term
         return out
 
@@ -426,10 +451,10 @@ def continuity_residual(
     # run with a traceback where warnings are errors. Each leaf sum is rescaled
     # to the largest exponent, so the total stays below the number of points
     with np.errstate(over="ignore", invalid="ignore"):
-        peaks, exponents, sums = zip(*_map_leaves(-(-n1 // rows), new_leaf))
+        peaks, exponents, sums = zip(*_map_leaves(leaves, new_leaf))
         top = max(exponents)
         sum_sq = math.fsum(np.ldexp(sums, [2 * (e - top) for e in exponents]))
-        l2_norm = np.ldexp(math.sqrt(sum_sq * grid.h * grid.h), top)
+        l2_norm = np.ldexp(math.sqrt(sum_sq * h * h), top)
     norms = {"max_norm": float(np.max(peaks)), "l2_norm": float(l2_norm)}
     broken = [f"{name} = {norm}" for name, norm in norms.items() if not math.isfinite(norm)]
     if broken:

@@ -91,6 +91,11 @@ class Correlation(enum.Enum):
     SUM_NARROW = "sum"
     DIFFERENCE_NARROW = "difference"
 
+    @property
+    def narrow_row(self) -> int:
+        """The narrow mode's row of (cm, rel): 0 for y1+y2 = 2Y, 1 for y1-y2 = y."""
+        return 0 if self is Correlation.SUM_NARROW else 1
+
     @classmethod
     def from_label(cls, label):
         if isinstance(label, cls):
@@ -134,7 +139,9 @@ class EvolvedMode(NamedTuple):
         return np.where(np.isfinite(spread), self.sigma0 * np.hypot(1.0, spread), late)
 
     def velocity(self, u, out=None):
-        """drift + stretch_rate * (u - center), written into out if it is given."""
+        """drift + stretch_rate * (u - center): into out if given, else in u's arithmetic."""
+        if out is None:
+            return (u - self.center) * self.stretch_rate + self.drift
         v = np.subtract(u, self.center, out=out)
         v *= self.stretch_rate
         v += self.drift
@@ -275,42 +282,29 @@ class TwoParticleState:
         """
         params = params or PhysicalParams()
         correlation = Correlation.from_label(correlation)
-        if correlation is Correlation.SUM_NARROW:
-            sigma_cm, sigma_rel = sigma_narrow, sigma_wide
-        else:
-            sigma_cm, sigma_rel = sigma_wide, sigma_narrow
-        cm = GaussianMode(
-            sigma0=sigma_cm,
-            center0=cm_center,
-            wavenumber=cm_wavenumber,
-            coord_mass=params.cm_mass,
-        )
-        rel = GaussianMode(
-            sigma0=sigma_rel,
-            center0=rel_center,
-            wavenumber=rel_wavenumber,
-            coord_mass=params.rel_mass,
-        )
+        sigma0 = [sigma_wide, sigma_wide]
+        sigma0[correlation.narrow_row] = sigma_narrow
+        cm = GaussianMode(sigma0[0], cm_center, cm_wavenumber, params.cm_mass)
+        rel = GaussianMode(sigma0[1], rel_center, rel_wavenumber, params.rel_mass)
         return cls(params=params, cm_mode=cm, rel_mode=rel, correlation=correlation)
 
     @property
+    def modes(self) -> tuple[GaussianMode, GaussianMode]:
+        """(cm, rel): the rows Y and y of a mode-coordinate array."""
+        return self.cm_mode, self.rel_mode
+
+    @property
     def narrow_mode(self) -> GaussianMode:
-        if self.correlation is Correlation.SUM_NARROW:
-            return self.cm_mode
-        return self.rel_mode
+        return self.modes[self.correlation.narrow_row]
 
     @property
     def wide_mode(self) -> GaussianMode:
-        if self.correlation is Correlation.SUM_NARROW:
-            return self.rel_mode
-        return self.cm_mode
+        return self.modes[1 - self.correlation.narrow_row]
 
     def with_narrow_sigma(self, sigma0: float) -> "TwoParticleState":
         """Copy of this state with the narrow mode's initial width replaced."""
-        new_mode = replace(self.narrow_mode, sigma0=sigma0)
-        if self.correlation is Correlation.SUM_NARROW:
-            return replace(self, cm_mode=new_mode)
-        return replace(self, rel_mode=new_mode)
+        field = ("cm_mode", "rel_mode")[self.correlation.narrow_row]
+        return replace(self, **{field: replace(self.narrow_mode, sigma0=sigma0)})
 
     def at_origin(self) -> "TwoParticleState":
         """This state translated so that both modes start at 0.0, wavenumbers kept.
@@ -318,15 +312,12 @@ class TwoParticleState:
         Free evolution commutes with translation: each mode coordinate of the
         original is this state's plus its center0, at every time.
         """
-        cm, rel = (replace(mode, center0=0.0) for mode in (self.cm_mode, self.rel_mode))
+        cm, rel = (replace(mode, center0=0.0) for mode in self.modes)
         return replace(self, cm_mode=cm, rel_mode=rel)
 
     def evolved(self, t) -> tuple[EvolvedMode, EvolvedMode]:
         """(cm, rel) modes at time t, a float or array of times."""
-        return (
-            evolve_mode(self.cm_mode, self.params, t),
-            evolve_mode(self.rel_mode, self.params, t),
-        )
+        return tuple(evolve_mode(mode, self.params, t) for mode in self.modes)
 
 
 def mode_coordinates(y1, y2, out=(None, None)):
@@ -364,8 +355,7 @@ def eval_density(state: TwoParticleState, y1, y2, t: float):
 
 def constraint_width(state: TwoParticleState, t: float, which: str = "sum") -> float:
     """Standard deviation of y1+y2 (which='sum') or y1-y2 (which='difference')."""
-    is_sum = Correlation.from_label(which) is Correlation.SUM_NARROW
-    return observable_normal(state, t, "y1+y2" if is_sum else "y1-y2")[1]
+    return observable_normal(state, t, narrow_observable(Correlation.from_label(which))[0])[1]
 
 
 # each observable is a*Y + b*y, with y1 = Y + y/2 and y2 = Y - y/2
@@ -375,6 +365,12 @@ OBSERVABLES = {
     "y1+y2": (2.0, 0.0),
     "y1-y2": (0.0, 1.0),
 }
+
+
+def narrow_observable(correlation: Correlation) -> tuple[str, float]:
+    """(name, weight) of the OBSERVABLES entry that reads the narrow mode alone."""
+    row = correlation.narrow_row
+    return next((name, w[row]) for name, w in OBSERVABLES.items() if w[1 - row] == 0.0)
 
 
 def observable_normal(state: TwoParticleState, t: float, observable: str):

@@ -889,6 +889,15 @@ def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_continuity_grid_past_physical_memory_exits_2_without_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(guidance, "_physical_memory", lambda: 1e6)
+    assert main(["continuity", "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: the continuity residual on a grid of 363 x")
+    assert err.endswith(" more than the 0.001 GB of physical memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ru_maxrss would carry the parent's peak over through fork and exec, so the
 # child reports its own high-water mark, VmHWM
 _PEAK_RSS_CHILD = """

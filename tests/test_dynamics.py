@@ -260,6 +260,17 @@ def test_rk4_step_guard_checks_both_modes():
     dynamics._check_rk4_step(wide_too_narrow, dataclasses.replace(config, method="rk45"), starts)
     # starts at the center of the stiff mode at rest are not judged
     dynamics._check_rk4_step(wide_too_narrow, config, np.array([[0.1], [0.0]]))
+    # difference-narrow, the narrow mode is row 1: rel beta = hbar / (2 (m/2)
+    # 0.005^2) = 4e4, rate * step peaks at 20
+    narrow_rel = TwoParticleState.from_widths(0.005, correlation="difference")
+    with pytest.raises(EnsembleFailureError, match="^narrow mode sigma0 = 0.005 .* rk45$"):
+        dynamics._check_rk4_step(narrow_rel, config, starts)
+    # starts with y1 = y2 sit at the resting relative center, which is not judged
+    dynamics._check_rk4_step(narrow_rel, config, np.array([[0.1], [0.0]]))
+    # cm beta = hbar / (2 (2m) 0.01^2) = 2500, rate * step peaks at 1.25
+    wide_cm_too_narrow = TwoParticleState.from_widths(0.05, 0.01, correlation="difference")
+    with pytest.raises(EnsembleFailureError, match="^wide mode sigma0 = 0.01 .* rk45$"):
+        dynamics._check_rk4_step(wide_cm_too_narrow, config, starts)
 
 
 def test_rk4_trajectory_refuses_a_stiff_step():

@@ -414,6 +414,40 @@ def test_one_worker_traces_six_leaf_buffers():
     assert peak < 6.5 * buffer_bytes
 
 
+def test_grid_past_physical_memory_is_refused_before_allocating():
+    # the default grid (363^2 points, three leaves of up to 180 rows) needs
+    # about 6.4 MB of stage buffers on two workers. With 1 MB of memory it is
+    # refused before any buffer or axis is built; with all of it the run
+    # allocates what the refusal counted, plus numpy's ufunc buffers of about
+    # 0.1-0.2 MB per worker
+    state, t = default_state(), 2.0
+    grid = grid_for_state(state, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_usable_cpus", lambda: 2)
+        continuity_residual(state, grid, t)  # lazy set-up outside the trace
+        mp.setattr(guidance, "_physical_memory", lambda: 1e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as info:
+                continuity_residual(state, grid, t)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+            mp.setattr(guidance, "_physical_memory", lambda: math.inf)
+            tracemalloc.reset_peak()
+            continuity_residual(state, grid, t)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert refused_peak < 1 << 20
+    message = str(info.value)
+    assert re.fullmatch(
+        r"the continuity residual on a grid of 363 x 363 points needs (\S+) GB of stage "
+        r"buffers on 2 worker thread\(s\), more than the 0.001 GB of physical memory",
+        message,
+    )
+    need = float(re.search(r"needs (\S+) GB", message)[1]) * 1e9
+    assert run_peak < need + (1 << 20)
+
+
 def test_overflowing_sum_of_squares_keeps_its_l2_norm():
     # densities scaled so that each of two leaves sums its squares to a
     # finite 0.6e308..1.2e308 and their total exceeds the largest float;

@@ -100,6 +100,7 @@ def test_evolve_mode_array_times_match_scalar_calls():
     assert {ev.drift for ev in scalar} == {evolved.drift} == {1.7}
     u = np.full(times.shape, -0.4)
     expected = np.array([ev.velocity(-0.4) for ev in scalar])
+    assert all(type(ev.velocity(-0.4)) is float for ev in scalar)  # a float stays a float
     assert evolved.velocity(u).tobytes() == expected.tobytes()
     assert evolved.velocity(u, out=u) is u and u.tobytes() == expected.tobytes()
     # a float time keeps the width sigma0 * hypot(1, beta * t) to the bit
