@@ -51,8 +51,8 @@ class StepUnderflowError(RuntimeError):
 
 class EnsembleFailureError(RuntimeError):
     """Raised when an ensemble or trajectory cannot be integrated faithfully:
-    a final state, position or recorded step map that is not finite, or an
-    rk4 step too long for the state and starts (see _check_rk4_step)."""
+    a final state, position or step map that is not finite, or an rk4 step
+    too long for the state and starts (see _step_maps)."""
 
 
 def _check_seed(seed: int) -> int:
@@ -470,9 +470,17 @@ def _rk45_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> 
     return np.array([*times, t1]), a, m - a * (center / scale), scale
 
 
-def _step_maps(state: TwoParticleState, config: IntegratorConfig, t0: float):
-    """(times, a, b, scale) of config's method from t0: _rk4_maps or _rk45_maps."""
-    return (_rk4_maps if config.method == "rk4" else _rk45_maps)(state, config, t0)
+def _step_maps(state: TwoParticleState, config: IntegratorConfig, u0: np.ndarray, t0: float):
+    """(times, a, b, scale) of _rk4_maps or _rk45_maps from t0, for the (2, n) starts u0.
+
+    The one gate between maps and starts: an rk4 step too long for the state
+    and starts (_check_rk4_step) or a map that is not finite raises EnsembleFailureError."""
+    _check_rk4_step(state, config, u0)
+    times, a, b, scale = (_rk4_maps if config.method == "rk4" else _rk45_maps)(state, config, t0)
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        raise EnsembleFailureError(f"step map is not finite at t = {times[finite.argmin()]:.6g}")
+    return times, a, b, scale
 
 
 def integrate_trajectory(
@@ -485,10 +493,9 @@ def integrate_trajectory(
 
     The ODE is solved in mode coordinates where the two components decouple:
     the step maps of config's method carry the start's modes, and the
-    recorded positions are mapped back to (y1, y2). An rk4 step too long for
-    the state and start (_check_rk4_step) or a position that is not finite
-    raises EnsembleFailureError; an rk45 step below its floor raises
-    StepUnderflowError.
+    recorded positions are mapped back to (y1, y2). A position that is not
+    finite raises EnsembleFailureError, as _step_maps's refusals do; an rk45
+    step below its floor raises StepUnderflowError.
     """
     _require_finite("start", start)
     # a state that overflows is refused by the check below; numpy's overflow
@@ -496,8 +503,7 @@ def integrate_trajectory(
     # the run with a traceback where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = np.vstack(mode_coordinates(float(start[0]), float(start[1])))
-        _check_rk4_step(state, config, u0)
-        times, a, b, scale = _step_maps(state, config, t0)
+        times, a, b, scale = _step_maps(state, config, u0, t0)
         positions = _particle_positions(*_map_modes(a.T, b.T, scale, u0))
     finite = np.isfinite(positions).all(axis=1)
     if not finite.all():
@@ -521,22 +527,13 @@ def _transport(state: TwoParticleState, u0: np.ndarray, config: IntegratorConfig
 
     The step maps of config's method (_step_maps) are applied to every
     column at once; with record_stride > 0 the recorded times and maps
-    (a, b, scale) are returned too, else None for both. An rk4 step too long
-    for the state and the starts (_check_rk4_step), a recorded map or a final
-    column that is not finite raises EnsembleFailureError.
+    (a, b, scale) are returned too, else None for both. A final column that
+    is not finite raises EnsembleFailureError, as _step_maps's refusals do.
     """
-    _check_rk4_step(state, config, u0)
-    times, a, b, scale = _step_maps(state, config, t0)
-    recorded = None, None
-    if config.record_stride > 0:
-        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
-        if not finite.all():
-            t = times[finite.argmin()]
-            raise EnsembleFailureError(f"step map is not finite at t = {t:.6g}")
-        recorded = times, (a, b, scale)
+    times, a, b, scale = _step_maps(state, config, u0, t0)
     final = _map_modes(a[-1], b[-1], scale, u0)
     _require_finite_columns(final)
-    return final, *recorded
+    return final, *((times, (a, b, scale)) if config.record_stride > 0 else (None, None))
 
 
 def propagate_ensemble(
@@ -556,7 +553,7 @@ def propagate_ensemble(
     arithmetic. An rk4 step too long for the state and starts raises
     EnsembleFailureError before any step (_check_rk4_step judges surface
     starts on the wide mode alone). An ensemble is all or nothing: if any
-    trajectory's final state or final position is not finite,
+    trajectory's start modes, final state or final position is not finite,
     EnsembleFailureError names how many of the n failed.
     """
     positions = np.asarray(initial_positions, dtype=float)
@@ -565,7 +562,9 @@ def propagate_ensemble(
     if not np.all(np.isfinite(positions)):
         raise ValueError("initial_positions must be finite")
     _check_parallel_width(parallel_width)
-    final, times, maps = _transport(state, _mode_starts(positions), config, t0)
-    final = _particle_positions(*final)
+    # overflow is refused by the checks, as in integrate_trajectory
+    with np.errstate(over="ignore", invalid="ignore"):
+        final, times, maps = _transport(state, _mode_starts(positions), config, t0)
+        final = _particle_positions(*final)
     _require_finite_columns(final.T)  # Y +- y/2 can overflow where Y and y do not
     return Ensemble(seed, positions, final, times, maps)
