@@ -409,7 +409,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        # numpy names the array it could not allocate; a bare MemoryError names nothing
+        reason = str(exc) or f"{args.subcommand} could not allocate its working memory"
+        print(f"error: not enough memory: {reason}", file=sys.stderr)
         return 2
     except (StepUnderflowError, EnsembleFailureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

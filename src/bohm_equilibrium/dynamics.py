@@ -42,6 +42,9 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 counter advances one block per advance(1)
 # chunk's words and ndtri temporaries take about 1 MB, whatever n is
 _CHUNK_BLOCKS = 1 << 13
 _MIN_STEP = 1e-12  # the rk45 step floor, relative (see _rk45_maps)
+# rk4 steps evaluated at a time by _rk4_maps: a chunk's times, stages and
+# step maps take about 4 MB, whatever the step count is
+_MAP_CHUNK = 1 << 14
 _DRAW_BOUND = 8.3  # no Philox normal draw is farther from 0 (see _uniforms_from_words)
 
 
@@ -304,26 +307,40 @@ def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> t
     method's truncation error, never the exact flow. Returns (times, a, b,
     scale) at step 0, every record_stride-th step and the last step; a and
     b have shape (len(times), 2) and hold the step maps folded up to each of
-    them, a times the mode's scale (_map_scales).
+    them, a times the mode's scale (_map_scales). The steps are evaluated
+    _MAP_CHUNK at a time, each chunk's folds starting from the last chunk's
+    (a, b), so memory is one chunk and the recorded rows, and the bits are
+    those of one pass over every step.
     """
     n_steps, dt = _step_grid(config)
     scale = _map_scales(state)
     # a stride at or past n_steps records only the endpoints
     stride = min(config.record_stride or n_steps, n_steps)
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    t = t0 + np.arange(n_steps) * dt
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))
-    for row, mode in enumerate(state.modes):
-        stages = [evolve_mode(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
-        alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
-        beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
-        # accumulate multiplies left to right, as the recurrence does
-        a[:, row] = np.multiply.accumulate(np.append(scale[row], alpha))[steps]
-        prefix = [0.0]
-        for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
-            prefix.append(alpha_k * prefix[-1] + beta_k)
-        b[:, row] = np.array(prefix)[steps]
+    folded = [scale.tolist(), [0.0, 0.0]]  # (a, b) per mode after the steps so far
+    first = 0  # the first row of a and b at or past the chunk's first step
+    for i0 in range(0, n_steps, _MAP_CHUNK):
+        i1 = min(i0 + _MAP_CHUNK, n_steps)
+        # rows first..last-1 (steps j * stride) lie in [i0, i1), the last chunk's in [i0, i1]
+        last = len(steps) if i1 == n_steps else -(-i1 // stride)
+        kept = steps[first:last] - i0
+        t = t0 + np.arange(i0, i1) * dt
+        stage_times = t, t + 0.5 * dt, t + dt
+        for row, mode in enumerate(state.modes):
+            stages = [evolve_mode(mode, state.params, s) for s in stage_times]
+            alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
+            beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
+            # accumulate multiplies left to right, as the recurrence does
+            products = np.multiply.accumulate(np.concatenate(([folded[0][row]], alpha)))
+            prefix = [folded[1][row]]
+            for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
+                prefix.append(alpha_k * prefix[-1] + beta_k)
+            a[first:last, row] = products[kept]
+            b[first:last, row] = np.array(prefix)[kept]
+            folded[0][row], folded[1][row] = float(products[-1]), prefix[-1]
+        first = last
     return t0 + steps * dt, a, b, scale
 
 

@@ -14,6 +14,7 @@ import pytest
 import bohm_equilibrium
 import bohm_equilibrium.analysis as analysis
 import bohm_equilibrium.cli as cli
+import bohm_equilibrium.dynamics as dynamics
 import bohm_equilibrium.guidance as guidance
 from bohm_equilibrium import (
     IntegratorConfig,
@@ -886,6 +887,18 @@ def test_worker_memory_error_exits_2_without_output(tmp_path, monkeypatch, capsy
     assert main(["continuity", "--out", str(tmp_path / "c.csv")]) == 2
     assert threading.active_count() == before
     assert capsys.readouterr().err == "error: not enough memory: stub\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bare_memory_error_says_what_ran_out(tmp_path, monkeypatch, capsys):
+    # a MemoryError with no text, as an allocation that fails outside numpy raises
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(dynamics, "_rk4_maps", no_memory)
+    assert main(["equivariance", "--out", str(tmp_path / "e.csv")]) == 2
+    err = "error: not enough memory: equivariance could not allocate its working memory\n"
+    assert capsys.readouterr().err == err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,12 @@ def test_seed_validation():
         substream_uniforms(2**64, 0, 10)
     with pytest.raises(ValueError):
         substream_uniforms(1.5, 0, 10)
+
+
+@pytest.mark.parametrize("columns", [0, 5])
+def test_substream_columns_outside_a_block_are_refused(columns):
+    with pytest.raises(ValueError, match=r"^columns must be in \[1, 4\]$"):
+        substream_uniforms(1, 0, 10, columns)
 
 
 def test_sample_equilibrium_statistics():
@@ -399,10 +406,41 @@ def test_rk45_step_floor_follows_the_spreading_time(monkeypatch):
     assert str(refused.value) == f"adaptive step fell below {floor} at t = 1e-15"
 
 
+def test_rk45_step_floor_after_a_map_that_is_not_finite(monkeypatch):
+    # the field is 0 up to t = 0.5 and infinite past it: each attempt that
+    # reaches past 0.5 is not finite and shrinks the step 5x, until it falls
+    # below the floor just short of 0.5; the refusal names the map
+    def infinite_late(mode, params, t, a, b):
+        return (math.inf, math.inf) if t > 0.5 else (0.0, 0.0)
+
+    monkeypatch.setattr(dynamics, "_mode_rhs", infinite_late)
+    config = IntegratorConfig(method="rk45", t_final=2.0)
+    message = "^step map is not finite after t = 0.5$"
+    with pytest.raises(EnsembleFailureError, match=message):
+        integrate_trajectory(default_state(), (0.3, -0.2), config)
+    with pytest.raises(EnsembleFailureError, match=message):
+        propagate_ensemble(default_state(), sample_equilibrium(default_state(), 20, seed=1), config)
+
+
 def test_trajectory_rejects_bad_start():
     state = default_state()
     with pytest.raises(ValueError):
         integrate_trajectory(state, (float("inf"), 0.0), IntegratorConfig())
+
+
+@pytest.mark.parametrize(
+    "times, positions, message",
+    [
+        ([0.0, 1.0], np.zeros((3, 2)), r"^positions must have shape \(len\(times\), 2\)$"),
+        ([[0.0, 1.0]], np.zeros((2, 2)), r"^positions must have shape \(len\(times\), 2\)$"),
+        ([], np.zeros((0, 2)), "^trajectory needs at least one sample$"),
+        ([0.0, 1.0, 1.0], np.zeros((3, 2)), "^times must be strictly increasing$"),
+    ],
+    ids=["rows", "2-d-times", "empty", "repeated-time"],
+)
+def test_trajectory_refuses_a_malformed_record(times, positions, message):
+    with pytest.raises(ValueError, match=message):
+        dynamics.Trajectory(times=times, positions=positions)
 
 
 @pytest.mark.parametrize(
@@ -716,6 +754,36 @@ def test_ensemble_refuses_positions_that_overflow_from_finite_modes():
             propagate_ensemble(default_state(), start, config)
 
 
+@pytest.mark.parametrize("start", [(1e307, 1e307), (1e308, -1e308)], ids=["cm", "rel"])
+def test_ensemble_whose_start_modes_overflow_is_refused(start):
+    # Y = (y1 + y2)/2 overflows in its sum, y = y1 - y2 in its difference;
+    # under pyproject's error::RuntimeWarning a numpy overflow warning would
+    # stop the run before the refusal
+    starts = np.array([start, (0.1, 0.2)])
+    with pytest.raises(EnsembleFailureError, match="^1 of 2 trajectories failed to integrate$"):
+        propagate_ensemble(default_state(), starts, IntegratorConfig())
+
+
+@pytest.mark.parametrize("run", ["ensemble", "trajectory"])
+def test_unrecorded_runs_refuse_an_end_map_that_is_not_finite(monkeypatch, run):
+    # a run that records nothing keeps its endpoint maps, and _step_maps
+    # judges those as it judges recorded ones
+    rk4_maps = dynamics._rk4_maps
+
+    def planted(*args):
+        times, a, b, scale = rk4_maps(*args)
+        b[-1, 1] = np.nan
+        return times, a, b, scale
+
+    monkeypatch.setattr(dynamics, "_rk4_maps", planted)
+    state, config = default_state(), IntegratorConfig(t_final=0.1)
+    with pytest.raises(EnsembleFailureError, match="^step map is not finite at t = 0.1$"):
+        if run == "ensemble":
+            propagate_ensemble(state, sample_equilibrium(state, 20, seed=1), config)
+        else:
+            integrate_trajectory(state, (0.3, -0.2), config)
+
+
 def test_ensemble_failure_counts_mixed_non_finite_rows(monkeypatch):
     state = default_state()
     starts = sample_equilibrium(state, 20, seed=1)
@@ -825,6 +893,35 @@ def test_composed_rk4_matches_stage_by_stage_reference(sigma_narrow):
     ]:
         composed = np.vstack(mode_coordinates(positions[:, 0], positions[:, 1]))
         assert np.all(np.abs(composed - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+@pytest.mark.parametrize("stride", [0, 1, 7, 64, 100, 5000])
+def test_chunked_rk4_maps_match_one_chunk_bitwise(monkeypatch, stride, t0):
+    # 5000 steps in chunks of 64: the (a, b) carried from chunk to chunk and
+    # each chunk's own times give the bits of one pass over every step; the
+    # moving centers make every b nonzero
+    state = TwoParticleState.from_widths(
+        cm_center=0.3, rel_center=-1.1, cm_wavenumber=0.7, rel_wavenumber=-2.3
+    )
+    config = IntegratorConfig(dt=2.0 / 5000, record_stride=stride)
+    whole = dynamics._rk4_maps(state, config, t0)
+    monkeypatch.setattr(dynamics, "_MAP_CHUNK", 64)
+    chunked = dynamics._rk4_maps(state, config, t0)
+    for part, reference in zip(chunked, whole, strict=True):
+        assert part.tobytes() == reference.tobytes()
+
+
+def test_rk4_maps_memory_does_not_grow_with_the_step_count(monkeypatch):
+    # 2e4 steps in chunks of 256 trace 0.07 MB; in one chunk, 4.0 MB
+    monkeypatch.setattr(dynamics, "_MAP_CHUNK", 256)
+    tracemalloc.start()
+    try:
+        dynamics._rk4_maps(default_state(), IntegratorConfig(dt=1e-4), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_composed_rk4_keeps_truncation_error():

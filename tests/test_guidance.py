@@ -395,6 +395,37 @@ def test_worker_failure_stops_the_other_workers():
     assert len(other_calls) == 6
 
 
+def test_worker_thread_that_cannot_start_is_reraised_after_every_join():
+    # four workers on 8 leaves; the second thread fails to start while the
+    # first is in its first leaf: that worker is joined before the error
+    # reaches the caller, and skips its second leaf, 5
+    start = threading.Thread.start
+    started, evaluated = [], []
+
+    def flaky_start(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def new_leaf():
+        def leaf(k):
+            evaluated.append(k)
+            time.sleep(0.2)
+            return k
+
+        return leaf
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_usable_cpus", lambda: 4)
+        mp.setattr(threading.Thread, "start", flaky_start)
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            guidance._map_leaves(8, new_leaf)
+        assert threading.active_count() == before
+    assert not started[0].is_alive() and 5 not in evaluated
+
+
 def test_one_worker_traces_six_leaf_buffers():
     # the CLI's fine grid at grid_h = 0.07 (2877^2 points, 22-row leaves); a
     # leaf holds four ghost-extended and two inner stage buffers, where five

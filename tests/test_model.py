@@ -359,6 +359,13 @@ def test_coordinate_masses_enforced():
         )
 
 
+def test_relative_coordinate_mass_enforced():
+    cm = GaussianMode(sigma0=0.05, coord_mass=2.0)
+    rel = GaussianMode(sigma0=1.0, coord_mass=1.0)
+    with pytest.raises(ValueError, match=r"^rel_mode.coord_mass must equal mass/2 = 0.5, got 1.0$"):
+        TwoParticleState(params=PhysicalParams(), cm_mode=cm, rel_mode=rel)
+
+
 @pytest.mark.parametrize(
     "widths, mode",
     [((1e-200, 1.0), "narrow"), ((1e-160, 1.0), "narrow"), ((0.05, 1e200), "wide")],
