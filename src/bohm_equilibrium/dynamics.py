@@ -319,7 +319,7 @@ def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> t
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
     a = np.empty((len(steps), 2))
     b = np.empty((len(steps), 2))
-    folded = [scale.tolist(), [0.0, 0.0]]  # (a, b) per mode after the steps so far
+    a_end, b_end = scale.tolist(), [0.0, 0.0]  # per mode, the map after the steps so far
     first = 0  # the first row of a and b at or past the chunk's first step
     for i0 in range(0, n_steps, _MAP_CHUNK):
         i1 = min(i0 + _MAP_CHUNK, n_steps)
@@ -333,13 +333,13 @@ def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> t
             alpha = _rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
             beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
             # accumulate multiplies left to right, as the recurrence does
-            products = np.multiply.accumulate(np.concatenate(([folded[0][row]], alpha)))
-            prefix = [folded[1][row]]
+            products = np.multiply.accumulate(np.concatenate(([a_end[row]], alpha)))
+            prefix = [b_end[row]]
             for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
                 prefix.append(alpha_k * prefix[-1] + beta_k)
             a[first:last, row] = products[kept]
             b[first:last, row] = np.array(prefix)[kept]
-            folded[0][row], folded[1][row] = float(products[-1]), prefix[-1]
+            a_end[row], b_end[row] = float(products[-1]), prefix[-1]
         first = last
     return t0 + steps * dt, a, b, scale
 
