@@ -754,11 +754,13 @@ def test_ensemble_refuses_positions_that_overflow_from_finite_modes():
             propagate_ensemble(default_state(), start, config)
 
 
-@pytest.mark.parametrize("start", [(1e307, 1e307), (1e308, -1e308)], ids=["cm", "rel"])
-def test_ensemble_whose_start_modes_overflow_is_refused(start):
-    # Y = (y1 + y2)/2 overflows in its sum, y = y1 - y2 in its difference;
-    # under pyproject's error::RuntimeWarning a numpy overflow warning would
-    # stop the run before the refusal
+@pytest.mark.parametrize(
+    "start", [(1e307, 1e307), (1e308, -1e308)], ids=["cm-on-the-way", "rel-at-start"]
+)
+def test_ensemble_that_overflows_is_refused_where_warnings_are_errors(start):
+    # the trajectory starts that overflow, one of two starts here; under
+    # pyproject's error::RuntimeWarning a numpy overflow warning on the way
+    # would stop the run before the refusal
     starts = np.array([start, (0.1, 0.2)])
     with pytest.raises(EnsembleFailureError, match="^1 of 2 trajectories failed to integrate$"):
         propagate_ensemble(default_state(), starts, IntegratorConfig())
