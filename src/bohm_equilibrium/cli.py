@@ -373,15 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bohm-equilibrium",
         description="Pilot-wave ensembles for an entangled two-particle Gaussian state",
+        epilog="subcommands:\n"
+        + "".join(f"  {name:16}{help_text}\n" for name, (_, help_text) in _SUBCOMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # the flags every subcommand shares, built once and copied into each
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", metavar="PATH", help="flat key=value settings file")
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS, help="one of the subcommands below")
+    parser.add_argument("--config", metavar="PATH", help="flat key=value settings file")
     for key, options in _FLAGS.items():
-        flags.add_argument("--" + key.replace("_", "-"), type=_KEY_PARSERS[key], **options)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, parents=[flags])
+        parser.add_argument("--" + key.replace("_", "-"), type=_KEY_PARSERS[key], **options)
     return parser
 
 

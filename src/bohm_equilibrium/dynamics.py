@@ -334,12 +334,19 @@ def _rk4_maps(state: TwoParticleState, config: IntegratorConfig, t0: float) -> t
             beta = _rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
             # accumulate multiplies left to right, as the recurrence does
             products = np.multiply.accumulate(np.concatenate(([a_end[row]], alpha)))
+            a[first:last, row] = products[kept]
+            a_end[row] = float(products[-1])
+            # +0.0 is the one double whose bits are all 0, and a*(+0) + (+0) is +0 for
+            # every finite a: a mode at rest folds no b (where an alpha is not finite,
+            # so is the folded a, and _step_maps refuses that row as the fold would)
+            if not np.append(beta, b_end[row]).view(np.int64).any():
+                b[first:last, row] = 0.0
+                continue
             prefix = [b_end[row]]
             for alpha_k, beta_k in zip(alpha.tolist(), beta.tolist()):
                 prefix.append(alpha_k * prefix[-1] + beta_k)
-            a[first:last, row] = products[kept]
             b[first:last, row] = np.array(prefix)[kept]
-            a_end[row], b_end[row] = float(products[-1]), prefix[-1]
+            b_end[row] = prefix[-1]
         first = last
     return t0 + steps * dt, a, b, scale
 

@@ -4,7 +4,9 @@ The spectral propagator evolves a sampled Gaussian packet with the exact
 free kinetic phase in momentum space and measures moments by quadrature;
 it shares no code (and no closed-form width law) with the package. The RK4
 reference integrates the mode guidance fields stage by stage on arrays,
-written out from the textbook method rather than the package's step maps.
+written out from the textbook method rather than the package's step maps;
+the affine fold composes given per-step maps one step at a time, as a
+plain loop over every step, with no chunks and no shortcut for any mode.
 The adaptive reference is the scalar Dormand-Prince step loop, one
 trajectory at a time, with its own copy of the tableau and its own error
 scale; the package's adaptive maps, which step each mode's affine map
@@ -164,6 +166,18 @@ def rk4_reference(modes, hbar, u0, dt, n_steps, record_stride=0, t0=0.0):
         if done == n_steps or (record_stride > 0 and done % record_stride == 0):
             frames.append(u)
     return frames
+
+
+def affine_fold_reference(a0, b0, alpha, beta):
+    """Compose the steps u -> alpha[k] * u + beta[k] one at a time from the map (a0, b0).
+
+    Returns lists a and b of len(alpha) + 1 floats, entry j the map after j steps.
+    """
+    a, b = [a0], [b0]
+    for alpha_k, beta_k in zip(alpha, beta):
+        a.append(a[-1] * alpha_k)
+        b.append(alpha_k * b[-1] + beta_k)
+    return a, b
 
 
 # Dormand & Prince (1980) 5(4) tableau

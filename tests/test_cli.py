@@ -341,6 +341,45 @@ def test_cli_unknown_subcommand_exits_2():
     assert info.value.code == 2
 
 
+def test_flags_before_the_subcommand_write_the_same_bytes(tmp_path, monkeypatch):
+    flags = ["--samples", "2000", "--t-final", "0.5", "--out", "e.csv"]
+    for where, argv in (("after", ["equivariance", "--seed", "3", *flags]),
+                        ("before", ["--seed", "3", "equivariance", *flags])):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert main(argv) == 0
+    for name in ("e.csv", "e.csv.meta.json"):
+        assert (tmp_path / "before" / name).read_bytes() == (tmp_path / "after" / name).read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", [[], *([name] for name in cli._SUBCOMMANDS)])
+def test_help_names_every_subcommand(capsys, subcommand):
+    with pytest.raises(SystemExit) as info:
+        main([*subcommand, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_text) in cli._SUBCOMMANDS.items():
+        assert f"  {name} " in out and help_text in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["equivariance", "--samples", "x"],
+        ["equivariance", "--record-stride", "3"],  # a config-file key, not a flag
+    ],
+)
+def test_argparse_refusals_exit_2_without_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", "x.csv"])
+    assert info.value.code == 2
+    assert "bohm-equilibrium: error: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise StepUnderflowError("forced")

@@ -31,6 +31,7 @@ from bohm_equilibrium.dynamics import _frame_abs_sum_maxima, _uniforms_from_word
 
 from _oracles import (
     ReferenceOverflow,
+    affine_fold_reference,
     ReferenceUnderflow,
     guidance_field,
     mode_positions_reference,
@@ -912,6 +913,98 @@ def test_chunked_rk4_maps_match_one_chunk_bitwise(monkeypatch, stride, t0):
     chunked = dynamics._rk4_maps(state, config, t0)
     for part, reference in zip(chunked, whole, strict=True):
         assert part.tobytes() == reference.tobytes()
+
+
+def rk4_maps_fold_reference(state, config, t0):
+    """(times, a, b) of _rk4_maps from each step's (alpha, beta), the package's own
+    stage formula over every step at once, composed by a plain per-step fold."""
+    n_steps, dt = dynamics._step_grid(config)
+    stride = min(config.record_stride or n_steps, n_steps)
+    steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    t = t0 + np.arange(n_steps) * dt
+    a, b = np.empty((len(steps), 2)), np.empty((len(steps), 2))
+    for row, (mode, scale) in enumerate(zip(state.modes, dynamics._map_scales(state))):
+        stages = [evolve_mode(mode, state.params, s) for s in (t, t + 0.5 * dt, t + dt)]
+        alpha = dynamics._rk4_step(lambda field, u: field.stretch_rate * u, stages, 1.0, dt)
+        beta = dynamics._rk4_step(lambda field, u: field.velocity(u), stages, 0.0, dt)
+        folded = affine_fold_reference(float(scale), 0.0, alpha.tolist(), beta.tolist())
+        a[:, row], b[:, row] = (np.array(column)[steps] for column in folded)
+    return t0 + steps * dt, a, b
+
+
+FOLD_STATES = {
+    "at rest, sum": TwoParticleState.from_widths(0.05, 1.0),
+    "at rest, difference": TwoParticleState.from_widths(0.05, 1.0, correlation="difference"),
+    "at rest, -0.0": TwoParticleState.from_widths(
+        cm_center=-0.0, rel_center=-0.0, cm_wavenumber=-0.0, rel_wavenumber=-0.0
+    ),
+    "cm drifting": TwoParticleState.from_widths(cm_wavenumber=1.5),
+    "rel off center": TwoParticleState.from_widths(rel_center=-1.1, correlation="difference"),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+@pytest.mark.parametrize("stride", [0, 1, 7, 64, 5000])
+@pytest.mark.parametrize("name", FOLD_STATES)
+def test_rk4_maps_match_a_plain_fold_bitwise(monkeypatch, name, stride, t0, chunk):
+    # a mode at rest has every beta +0.0 and skips the fold; its b column must
+    # still hold the fold's bits, +0.0 with the sign, beside a mode that folds
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "_MAP_CHUNK", chunk)
+    state, config = FOLD_STATES[name], IntegratorConfig(dt=2.0 / 5000, record_stride=stride)
+    maps = dynamics._rk4_maps(state, config, t0)
+    for part, reference in zip(maps, rk4_maps_fold_reference(state, config, t0)):
+        assert part.tobytes() == reference.tobytes()
+
+
+def plant_rk4_step(monkeypatch, planted_u, values):
+    """Make dynamics._rk4_step return values[k] at step k of the step maps' alpha
+    (planted_u = 1.0) or beta (planted_u = 0.0) instead of the computed number."""
+    rk4_step = dynamics._rk4_step
+
+    def planted(rhs, stages, u, dt):
+        out = rk4_step(rhs, stages, u, dt)
+        if u == planted_u:
+            steps = np.rint(stages[0].t / dt).astype(int)
+            for step, value in values.items():
+                out[steps == step] = value
+        return out
+
+    monkeypatch.setattr(dynamics, "_rk4_step", planted)
+
+
+@pytest.mark.parametrize("step", [0, 63, 64, 100, 4999])
+def test_rk4_maps_fold_a_planted_beta_bitwise(monkeypatch, step):
+    # one nonzero beta in a chunk of a mode at rest makes that chunk fold,
+    # and every later b carries it
+    plant_rk4_step(monkeypatch, 0.0, {step: 1e-3})
+    monkeypatch.setattr(dynamics, "_MAP_CHUNK", 64)
+    state, config = default_state(), IntegratorConfig(dt=2.0 / 5000, record_stride=1)
+    maps = dynamics._rk4_maps(state, config, 0.0)
+    reference = rk4_maps_fold_reference(state, config, 0.0)
+    assert np.count_nonzero(reference[2]) == 2 * (5000 - step)
+    for part, expected in zip(maps, reference):
+        assert part.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("values", [{100: np.inf}, {100: 1e300, 101: 1e300}, {130: np.nan}])
+def test_rk4_maps_refuse_a_planted_alpha_where_the_fold_does(monkeypatch, values, stride):
+    # the skipped b stays +0.0 where the fold's turns NaN (inf * 0), but the
+    # folded a is not finite from the same step, so the refusal is the fold's
+    plant_rk4_step(monkeypatch, 1.0, values)
+    monkeypatch.setattr(dynamics, "_MAP_CHUNK", 64)
+    state, config = default_state(), IntegratorConfig(dt=2.0 / 5000, record_stride=stride)
+    times, a, b = rk4_maps_fold_reference(state, config, 0.0)
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+    t_fail = f"{times[finite.argmin()]:.6g}"
+    u0 = np.vstack(mode_coordinates(*sample_equilibrium(state, 20, seed=1).T))
+    # overflow on the way is the refusal's to report, as in the callers of _step_maps
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        EnsembleFailureError, match=f"^step map is not finite at t = {t_fail}$"
+    ):
+        dynamics._step_maps(state, config, u0, 0.0)
 
 
 def test_rk4_maps_memory_does_not_grow_with_the_step_count(monkeypatch):
