@@ -960,7 +960,7 @@ def test_rk4_maps_match_a_plain_fold_bitwise(monkeypatch, name, stride, t0, chun
 
 def plant_rk4_step(monkeypatch, planted_u, values):
     """Make dynamics._rk4_step return values[k] at step k of the step maps' alpha
-    (planted_u = 1.0) or beta (planted_u = 0.0) instead of the computed number."""
+    (planted_u = 1.0) or beta (planted_u = 0.0) from t0 = 0, in place of the computed one."""
     rk4_step = dynamics._rk4_step
 
     def planted(rhs, stages, u, dt):
