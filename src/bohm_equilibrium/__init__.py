@@ -37,6 +37,7 @@ from .guidance import (
     ContinuityResidual,
     ResidualGrid,
     VelocityPair,
+    continuity_convergence,
     continuity_residual,
     grid_for_state,
     velocity,

@@ -32,7 +32,7 @@ from .dynamics import (
     integrate_trajectory,
     sample_equilibrium,
 )
-from .guidance import continuity_residual, grid_for_state
+from .guidance import continuity_convergence
 from .model import (
     OBSERVABLES,
     Correlation,
@@ -49,8 +49,10 @@ class ConfigError(ValueError):
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in text.split(",")]
-    return tuple(float(part) for part in items if part)
+    items = [part.strip() for part in text.split(",")] if text else []
+    if "" in items:
+        raise ValueError(f"empty entry in {text!r}")
+    return tuple(float(part) for part in items)
 
 
 @dataclass
@@ -280,26 +282,9 @@ def _run_sweep(config: RunConfig):
 
 
 def _run_continuity(config: RunConfig):
-    # the residual is translation invariant, and at the origin the grid points
-    # keep the precision that far centers would round away
-    state = config.state().at_origin()
-    t = config.t_final
-    coarse = grid_for_state(state, t, h=config.grid_h, tau=config.grid_tau)
-    grids = {"coarse": coarse, "fine": coarse.refined()}
-    # the fine grid's halved tau, or a default tau where none is reliable
-    for level, grid in grids.items():
-        verdict = guidance._coarse_grid_verdict(state, t, grid.h, grid.tau)
-        if verdict is not None:
-            raise ConfigError(f"{verdict} at t_final on the {level} grid")
-    rows = []
-    for level, grid in grids.items():
-        res = continuity_residual(state, grid, t)
-        if res.max_norm < sys.float_info.min:  # its bits lost to underflow
-            raise FloatingPointError(
-                f"continuity residual underflows: the {level} grid's max_norm = "
-                f"{res.max_norm:g} is below {sys.float_info.min:g}, the smallest normal double"
-            )
-        rows.append((level, grid.h, grid.tau, res.max_norm, res.l2_norm))
+    levels = continuity_convergence(config.state(), config.t_final, config.grid_h, config.grid_tau)
+    rows = [(level, grid.h, grid.tau, res.max_norm, res.l2_norm)
+            for level, (grid, res) in levels.items()]
     peak_coarse, peak_fine = (row[3] for row in rows)
     return ("level", "h", "tau", "max_norm", "l2_norm"), rows, (
         f"continuity: max-norm {peak_coarse:.4g} -> {peak_fine:.4g} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -185,9 +186,9 @@ def _coarse_grid_verdict(state: TwoParticleState, t: float, h, tau) -> str | Non
     The one home of the rule that h is at most _max_grid_spacing and tau
     between _min_grid_tau and _max_grid_tau. The text names h and tau by the
     CLI's keys, grid_h and grid_tau, and leaves the time to the caller: the
-    CLI refuses with it and " at t_final", continuity_residual warns with it
-    and " at t = t". h or tau None is grid_for_state's default, which fits
-    unless no tau is reliable.
+    CLI's load check and continuity_convergence refuse with it and " at
+    t_final", continuity_residual warns with it and " at t = t". h or tau
+    None is grid_for_state's default, which fits unless no tau is reliable.
     """
     feature = "a quarter of the narrowest density feature"
     motion = "the time in which the density moves a quarter of its width"
@@ -213,7 +214,8 @@ def grid_for_state(
     that continuity_residual requires.
 
     Default spacing is half of _max_grid_spacing, so the narrowest feature
-    spans 8 points; the default tau is _default_grid_tau.
+    spans 8 points; the default tau is _default_grid_tau. The points round
+    like the center, so a far-centered state goes through continuity_convergence.
     """
     if tau is None:
         tau = _default_grid_tau(state, t)
@@ -347,7 +349,7 @@ def continuity_residual(
     A norm that is not finite raises FloatingPointError naming it: the
     fluxes of a density too tall for double precision, for one, overflow. A
     grid that _coarse_grid_verdict refuses warns with its text, which names
-    grid_h and grid_tau.
+    grid_h and grid_tau. A far-centered state goes through continuity_convergence.
     """
     _require_finite("t", t)
     mean1, std = observable_normal(state, t, "y1")
@@ -460,3 +462,31 @@ def continuity_residual(
     if broken:
         raise FloatingPointError(f"continuity residual is not finite: {', '.join(broken)}")
     return ContinuityResidual(too_coarse=verdict is not None, **norms)
+
+
+def continuity_convergence(state: TwoParticleState, t_final: float, h=None, tau=None) -> dict:
+    """{"coarse": (grid, residual), "fine": (grid, residual)} at t_final, on the
+    grid_for_state grid and its refined() grid; the max-norm ratio is about 4.
+
+    The residual is translation invariant, so it is taken at the origin, where
+    the grid points keep the precision that far centers would round away. A
+    grid that _coarse_grid_verdict refuses raises ValueError before either
+    residual is evaluated; a max_norm lost to underflow, FloatingPointError.
+    """
+    state = state.at_origin()
+    coarse = grid_for_state(state, t_final, h=h, tau=tau)
+    grids = {"coarse": coarse, "fine": coarse.refined()}
+    # the fine grid's halved tau, or a default tau where none is reliable
+    for level, grid in grids.items():
+        if (verdict := _coarse_grid_verdict(state, t_final, grid.h, grid.tau)) is not None:
+            raise ValueError(f"{verdict} at t_final on the {level} grid")
+    levels = {}
+    for level, grid in grids.items():
+        res = continuity_residual(state, grid, t_final)
+        if res.max_norm < sys.float_info.min:  # its bits lost to underflow
+            raise FloatingPointError(
+                f"continuity residual underflows: the {level} grid's max_norm = "
+                f"{res.max_norm:g} is below {sys.float_info.min:g}, the smallest normal double"
+            )
+        levels[level] = (grid, res)
+    return levels

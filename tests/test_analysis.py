@@ -492,6 +492,26 @@ def test_constraint_surface_experiment():
     assert report.diff_width_analytic == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
+def test_constraint_surface_reports_a_finite_mismatch_off_the_surface(monkeypatch):
+    # every real run keeps y1 + y2 at exactly 0, where the ratio is inf; a
+    # final planted off the surface takes the finite branch
+    transport = analysis._transport
+    offsets = np.where(np.arange(500) % 2 == 0, 0.25, -0.25)
+
+    def planted(*args):
+        final, times, maps = transport(*args)
+        assert not final[0].any()
+        final[0] = offsets
+        return final, times, maps
+
+    monkeypatch.setattr(analysis, "_transport", planted)
+    report = constraint_surface_experiment(default_state(), 500, 42, default_config())
+    assert report.max_abs_sum == 0.0  # the recorded maps are not planted
+    assert report.sum_width_empirical == float(np.std(2.0 * offsets, ddof=1))
+    assert report.width_mismatch_ratio == report.sum_width_equilibrium / report.sum_width_empirical
+    assert 39.9 < report.width_mismatch_ratio < 40.0
+
+
 @pytest.mark.parametrize("column", [0, 1])
 def test_constraint_surface_refuses_a_nan_map(monkeypatch, column):
     # a NaN in one recorded map (not the final one) must not be skipped, in

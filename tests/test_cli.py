@@ -21,6 +21,7 @@ from bohm_equilibrium import (
     StepUnderflowError,
     TwoParticleState,
     constraint_surface_experiment,
+    continuity_convergence,
     equivariance_check,
     mode_coordinates,
     particle_coordinates,
@@ -76,6 +77,37 @@ def test_config_duplicate_key(tmp_path, capsys):
     assert main(["equivariance", "--config", str(path), "--out", str(out)]) == 2
     assert "duplicate key" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        ("equivariance", "times", "0.5,,2"),
+        ("sweep", "sweep_widths", "0.4, 0.2,"),
+        ("equivariance", "times", ","),
+    ],
+)
+def test_config_list_with_an_empty_entry_exits_2_without_output(
+    tmp_path, capsys, subcommand, key, value
+):
+    # empty entries were dropped: "0.5,,2" ran two report times
+    path = tmp_path / "run.cfg"
+    path.write_text(f"samples = 1000\n{key} = {value}\n")
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = f"error: {path}:2: invalid value for {key}: empty entry in {value!r}\n"
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, name", [("equivariance", "times", "times"), ("sweep", "sweep_widths", "widths")]
+)
+def test_config_list_with_no_entries_is_empty(tmp_path, capsys, subcommand, key, name):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"samples = 1000\n{key} =\n")
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be non-empty\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_config_parse_errors(tmp_path):
@@ -729,6 +761,19 @@ def test_continuity_converges_at_far_centers(tmp_path, setting):
     assert main(["continuity", "--config", str(config), "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert 3.5 <= float(rows[0][3]) / float(rows[1][3]) <= 4.5
+
+
+def test_continuity_csv_holds_the_library_norms(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("cm_center = 1e14\ngrid_tau = 5e-4\n")
+    out = tmp_path / "c.csv"
+    assert main(["continuity", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    levels = continuity_convergence(RunConfig(cm_center=1e14).state(), 2.0, tau=5e-4)
+    assert [[float(value) for value in row[1:]] for row in rows] == [
+        [grid.h, grid.tau, res.max_norm, res.l2_norm] for grid, res in levels.values()
+    ]
+    assert [row[0] for row in rows] == list(levels)
 
 
 @pytest.mark.parametrize(

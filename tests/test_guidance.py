@@ -20,6 +20,7 @@ from bohm_equilibrium import (
     PhysicalParams,
     ResidualGrid,
     TwoParticleState,
+    continuity_convergence,
     continuity_residual,
     grid_for_state,
     particle_coordinates,
@@ -616,3 +617,75 @@ def test_residual_grid_validation():
     fine = grid.refined()
     assert fine.n1 == 41 and fine.h == 0.05 and fine.tau == 5e-4
     assert fine.y1_axis[-1] == pytest.approx(grid.y1_axis[-1], abs=1e-15)
+
+
+@pytest.mark.parametrize("center", [{"cm_center": 1e13}, {"cm_center": 1e14}, {"rel_center": 1e15}])
+def test_continuity_convergence_at_far_centers(center):
+    # grid_for_state and continuity_residual on the far state itself read
+    # max-norm ratios of 1.76, 0.543 and 0.458: its grid points round away
+    # what the residual resolves
+    state = TwoParticleState.from_widths(0.05, 1.0, **center)
+    levels = continuity_convergence(state, 2.0)
+    assert list(levels) == ["coarse", "fine"]
+    (coarse_grid, coarse), (fine_grid, fine) = levels.values()
+    assert fine_grid == coarse_grid.refined()
+    assert coarse_grid == grid_for_state(state.at_origin(), 2.0)
+    for norm in ("max_norm", "l2_norm"):
+        assert 3.5 <= getattr(coarse, norm) / getattr(fine, norm) <= 4.5
+
+
+def test_continuity_convergence_refuses_an_underflowing_residual(monkeypatch):
+    # the coarse grid reads 0 on both norms; the fine grid is never evaluated
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return continuity_residual(*args)
+
+    monkeypatch.setattr(guidance, "continuity_residual", counted)
+    state = TwoParticleState.from_widths(1e-149, 1e-149)
+    text = (
+        "continuity residual underflows: the coarse grid's max_norm = 0 is below "
+        "2.22507e-308, the smallest normal double"
+    )
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(text)}$"):
+        continuity_convergence(state, 1e10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "level, grid, text",
+    [
+        ("coarse", {"h": 1.0}, "grid_h = 1 exceeds 0.559, a quarter of the narrowest density feature"),
+        # the coarse tau is admitted; its half, the fine tau, is below the shortest
+        ("fine", {"tau": 0.02}, "grid_tau = 0.01 is below 0.01455, the shortest time in which "
+         "the density changes by more than its rounding"),
+    ],
+)
+def test_continuity_convergence_refuses_a_coarse_grid_before_any_residual(
+    monkeypatch, level, grid, text
+):
+    calls = []
+    monkeypatch.setattr(guidance, "continuity_residual", lambda *args: calls.append(args))
+    t = 2.0 if level == "coarse" else 1e10
+    message = f"{text} at t_final on the {level} grid"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        continuity_convergence(default_state(), t, **grid)
+    assert calls == []
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(guidance.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(guidance.os, "cpu_count", lambda: 3)
+    assert guidance._usable_cpus() == 3
+    monkeypatch.setattr(guidance.os, "cpu_count", lambda: None)
+    assert guidance._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+def test_physical_memory_the_platform_does_not_report_is_inf(monkeypatch, error):
+    def sysconf(name):
+        raise error(name)
+
+    monkeypatch.setattr(guidance.os, "sysconf", sysconf)
+    assert guidance._physical_memory() == math.inf
