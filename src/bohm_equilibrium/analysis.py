@@ -18,7 +18,6 @@ import numpy as np
 from ._normal import _SQRT1_2, _ndtr_sorted
 from .dynamics import (
     IntegratorConfig,
-    _check_parallel_width,
     _frame_abs_sum_maxima,
     _sample_modes,
     _transport,
@@ -28,6 +27,7 @@ from .model import (
     OBSERVABLES,
     Correlation,
     TwoParticleState,
+    _require_integer,
     _require_positive,
     constraint_width,
     evolve_mode,
@@ -38,7 +38,7 @@ from .model import (
 
 def _require_samples(n: int):
     # an experiment's widths use ddof = 1
-    if n < 2:
+    if _require_integer("samples", n) < 2:
         raise ValueError(f"samples must be at least 2, got {n!r}")
 
 
@@ -227,25 +227,15 @@ def equivariance_check(
     integrate raises EnsembleFailureError, and so does an rk4 step too long
     for the state on any leg between report times. The ensemble is carried
     as offsets from the start centers, so far centers cost no precision.
+    Each leg runs config on its own step grid from the previous report time
+    (or 0) to the next, none for a report at 0.
     """
     _require_samples(n)
     times = _check_times(times, config.t_final)
-    _check_parallel_width(parallel_width)
-    # no name here holds the start ensemble, so the first leg's transport frees it
-    return _equivariance_reports(
-        state, _sample_modes(state.at_origin(), substream_normals(seed, 0, n)), config, times
-    )
-
-
-def _equivariance_reports(state: TwoParticleState, u: np.ndarray, config: IntegratorConfig, times):
-    """Transport the (2, n) offsets u, drawn at t = 0, to each report time; a snapshot at each.
-
-    Each leg runs config on its own step grid from the previous report time
-    (or 0) to the next, none for a report at 0. Its result replaces u, so a
-    caller that keeps no reference of its own to u holds one ensemble
-    between legs and two during a transport.
-    """
+    _require_integer("parallel_width", parallel_width, 1)
     origin = state.at_origin()
+    # u is the only name for the ensemble: one between legs, two during a transport
+    u = _sample_modes(origin, substream_normals(seed, 0, n))
     reports = []
     for t0, t in zip((0.0, *times), times):
         if t > t0:
@@ -374,9 +364,13 @@ def regularization_sweep(
     rows = []
     for width, row_state in row_states:
         narrow_t = evolve_mode(row_state.narrow_mode, row_state.params, config.t_final)
-        report = _equivariance_reports(
-            row_state, _sample_modes(row_state.at_origin(), z), config, [config.t_final]
-        )[0]
+        origin = row_state.at_origin()
+        # no name holds a row's ensemble, so the next row does not keep it alive
+        report = _snapshot(
+            row_state,
+            _transport(origin, _sample_modes(origin, z), replace(config, record_stride=0))[0],
+            config.t_final,
+        )
         r = narrow_t.sigma / row_state.narrow_mode.sigma0
         rows.append(
             SweepRow(

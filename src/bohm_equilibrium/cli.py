@@ -39,6 +39,7 @@ from .model import (
     PhysicalParams,
     TwoParticleState,
     _require_finite,
+    _require_integer,
     _require_positive,
     observable_normal,
 )
@@ -98,7 +99,7 @@ class RunConfig:
             self.integrator()
             analysis._require_samples(self.samples)
             dynamics._check_seed(self.seed)
-            dynamics._check_parallel_width(self.parallel)
+            _require_integer("parallel_width", self.parallel, 1)
             analysis._check_times(self.resolved_times(), self.t_final)
             for t in (0.0, self.t_final, *self.resolved_times()):
                 for name in OBSERVABLES:

@@ -30,6 +30,7 @@ from ._normal import ndtri
 from .model import (
     TwoParticleState,
     _require_finite,
+    _require_integer,
     _require_positive,
     _spread_rate,
     evolve_mode,
@@ -59,17 +60,10 @@ class EnsembleFailureError(RuntimeError):
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _require_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit word, got {seed}")
     return seed
-
-
-def _check_parallel_width(parallel_width: int):
-    if not isinstance(parallel_width, int) or parallel_width < 1:
-        raise ValueError(f"parallel_width must be a positive integer, got {parallel_width!r}")
 
 
 def _substream(seed: int, first_sample: int, n: int, columns: int, convert) -> np.ndarray:
@@ -82,6 +76,7 @@ def _substream(seed: int, first_sample: int, n: int, columns: int, convert) -> n
     are those of one draw of all n blocks.
     """
     seed = _check_seed(seed)
+    n, first_sample = _require_integer("n", n), _require_integer("first_sample", first_sample)
     if n < 1 or first_sample < 0:
         raise ValueError(f"need n >= 1 and first_sample >= 0, got {n} and {first_sample}")
     if not 1 <= columns <= _WORDS_PER_BLOCK:
@@ -201,10 +196,8 @@ class IntegratorConfig:
                 f"{self.t_final / self.dt:.6g} steps, more than the {limit:.6g} an array "
                 "can index"
             )
-        if not isinstance(self.record_stride, int) or self.record_stride < 0:
-            raise ValueError(
-                f"record_stride must be a non-negative integer, got {self.record_stride!r}"
-            )
+        stride = _require_integer("record_stride", self.record_stride, 0)
+        object.__setattr__(self, "record_stride", stride)
 
 
 @dataclass(frozen=True)
@@ -585,7 +578,7 @@ def propagate_ensemble(
         raise ValueError("initial_positions must have shape (n, 2)")
     if not np.all(np.isfinite(positions)):
         raise ValueError("initial_positions must be finite")
-    _check_parallel_width(parallel_width)
+    _require_integer("parallel_width", parallel_width, 1)
     # overflow is refused by the checks, as in integrate_trajectory
     with np.errstate(over="ignore", invalid="ignore"):
         final, times, maps = _transport(state, _mode_starts(positions), config, t0)

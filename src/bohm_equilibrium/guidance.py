@@ -63,6 +63,15 @@ def velocity(state: TwoParticleState, y1, y2, t: float) -> VelocityPair:
     return VelocityPair(*particle_coordinates(cm.velocity(big_y), rel.velocity(small_y)))
 
 
+def _require_indexable(n1, n2):
+    """Refuse, naming both point counts, a grid no array can index, before any axis is built."""
+    limit = np.iinfo(np.intp).max
+    if n1 * n2 > limit:
+        raise ValueError(
+            f"grid of {n1:.6g} x {n2:.6g} points exceeds the {limit:.6g} points an array can index"
+        )
+
+
 @dataclass(frozen=True)
 class ResidualGrid:
     """Uniform evaluation grid for the continuity residual.
@@ -85,14 +94,7 @@ class ResidualGrid:
         _require_positive("tau", self.tau)
         if self.n1 < 3 or self.n2 < 3:
             raise ValueError("grid needs at least 3 points per axis")
-        # refused before any axis is built, with a message that names both
-        # point counts: no grid this large can be evaluated
-        limit = np.iinfo(np.intp).max
-        if self.n1 * self.n2 > limit:
-            raise ValueError(
-                f"grid of {self.n1:.6g} x {self.n2:.6g} points exceeds the {limit:.6g} "
-                "points an array can index"
-            )
+        _require_indexable(self.n1, self.n2)
 
     @property
     def y1_axis(self) -> np.ndarray:
@@ -225,7 +227,10 @@ def grid_for_state(
         _require_positive("h", h)
     mean1, std = observable_normal(state, t, "y1")
     mean2 = observable_normal(state, t, "y2")[0]
-    half = math.ceil(_COVER_STDS * std / h) * h
+    steps = _COVER_STDS * std / h  # from the center to each edge
+    if math.isinf(steps):  # an h so small that no integer counts the points
+        _require_indexable(steps, steps)
+    half = math.ceil(steps) * h
     n = 2 * int(round(half / h)) + 1
     return ResidualGrid(
         y1_min=mean1 - half, y2_min=mean2 - half, n1=n, n2=n, h=h, tau=tau
@@ -395,40 +400,6 @@ def continuity_residual(
     earlier = state.evolved(t - grid.tau)
     inner = (slice(1, -1), slice(1, -1))
 
-    def residual_rows(i0, i1, ghosted, inner_rows):
-        """The residual on grid rows [i0, i1), in the first rows of inner_rows[0]."""
-        big_y, small_y, rho, flux1 = (a[: i1 - i0 + 2] for a in ghosted)
-        out, term = (a[: i1 - i0] for a in inner_rows)
-        ext1 = low1 + h * np.arange(i0, i1 + 2)  # this leaf's rows of the y1 axis
-        mode_coordinates(ext1[:, None], ext2[None, :], out=(big_y, small_y))
-
-        # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
-        mode_density(later[0], big_y[inner], out=out)
-        out *= mode_density(later[1], small_y[inner], out=term)
-        mode_density(earlier[0], big_y[inner], out=term)
-        # rho's inner rows are free until the fluxes
-        term *= mode_density(earlier[1], small_y[inner], out=rho[inner])
-        out -= term
-        out /= 2.0 * grid.tau
-
-        # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y;
-        # rho * v2 overwrites v_rel
-        mode_density(now[0], big_y, out=rho)
-        rho *= mode_density(now[1], small_y, out=flux1)
-        v_cm = now[0].velocity(big_y, out=big_y)
-        v_rel = now[1].velocity(small_y, out=small_y)
-        flux1, flux2 = particle_coordinates(v_cm, v_rel, out=(flux1, small_y))
-        flux1 *= rho
-        flux2 *= rho
-
-        np.subtract(flux1[2:, 1:-1], flux1[:-2, 1:-1], out=term)
-        term /= 2.0 * h
-        out += term
-        np.subtract(flux2[1:-1, 2:], flux2[1:-1, :-2], out=term)
-        term /= 2.0 * h
-        out += term
-        return out
-
     def new_leaf():
         """leaf(k) -> (m, e, s) over grid rows [k*rows, (k+1)*rows), with its own
         stage buffers, four ghost-extended and two inner: m is max |r|, and s
@@ -439,8 +410,39 @@ def continuity_residual(
 
         def leaf(k):
             i0 = k * rows
-            out = residual_rows(i0, min(n1, i0 + rows), ghosted, inner_rows)
-            peak = np.max(np.abs(out, out=inner_rows[1][: len(out)]))
+            i1 = min(n1, i0 + rows)
+            big_y, small_y, rho, flux1 = (a[: i1 - i0 + 2] for a in ghosted)
+            out, term = (a[: i1 - i0] for a in inner_rows)
+            ext1 = low1 + h * np.arange(i0, i1 + 2)  # this leaf's rows of the y1 axis
+            mode_coordinates(ext1[:, None], ext2[None, :], out=(big_y, small_y))
+
+            # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
+            mode_density(later[0], big_y[inner], out=out)
+            out *= mode_density(later[1], small_y[inner], out=term)
+            mode_density(earlier[0], big_y[inner], out=term)
+            # rho's inner rows are free until the fluxes
+            term *= mode_density(earlier[1], small_y[inner], out=rho[inner])
+            out -= term
+            out /= 2.0 * grid.tau
+
+            # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y;
+            # rho * v2 overwrites v_rel
+            mode_density(now[0], big_y, out=rho)
+            rho *= mode_density(now[1], small_y, out=flux1)
+            v_cm = now[0].velocity(big_y, out=big_y)
+            v_rel = now[1].velocity(small_y, out=small_y)
+            flux1, flux2 = particle_coordinates(v_cm, v_rel, out=(flux1, small_y))
+            flux1 *= rho
+            flux2 *= rho
+
+            np.subtract(flux1[2:, 1:-1], flux1[:-2, 1:-1], out=term)
+            term /= 2.0 * h
+            out += term
+            np.subtract(flux2[1:-1, 2:], flux2[1:-1, :-2], out=term)
+            term /= 2.0 * h
+            out += term
+
+            peak = np.max(np.abs(out, out=term))
             exponent = math.frexp(peak)[1]
             np.ldexp(out, -exponent, out=out)
             out *= out

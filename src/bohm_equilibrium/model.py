@@ -29,6 +29,14 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_integer(name, value, least=None) -> int:
+    """value as an int: a Python or numpy integer, at least `least` (0 or 1) if given."""
+    kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+    if not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
+
+
 def _require_positive(name, value):
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")

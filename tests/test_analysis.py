@@ -1,6 +1,7 @@
 """KS statistic, equivariance, constraint surface, regularization sweep."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -357,6 +358,51 @@ def test_equivariance_check_traces_under_48_bytes_per_sample():
     finally:
         tracemalloc.stop()
     assert peak < 48 * n
+
+
+def test_equivariance_legs_hold_one_ensemble_between_them():
+    # the leg loop traced 7.263 MB at n = 2e5; an ensemble is 16 bytes per
+    # sample, so keeping the start or any earlier leg alive adds 3.2 MB
+    n, times = 200_000, [0.5, 1.0, 1.5, 2.0]
+    state, config = default_state(), default_config()
+    equivariance_check(state, 2000, 42, config, times)  # lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        equivariance_check(state, n, 42, config, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_263_000 + 8 * n  # half an ensemble over the measured peak
+
+
+def test_numpy_integer_parallel_width_gives_the_same_reports():
+    state, config = default_state(), default_config()
+    one = equivariance_check(state, 2000, 42, config, [1.0, 2.0], parallel_width=1)
+    assert equivariance_check(state, 2000, 42, config, [1.0, 2.0], np.int64(1)) == one
+    with pytest.raises(ValueError, match=r"^parallel_width must be a positive integer, got 1\.0$"):
+        equivariance_check(state, 2000, 42, config, [1.0], parallel_width=1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_non_integer_sample_counts_are_refused(n):
+    state, config = default_state(), default_config()
+    message = f"^samples must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        equivariance_check(state, n, 42, config, [1.0])
+    with pytest.raises(ValueError, match=message):
+        constraint_surface_experiment(state, n, 42, config)
+    with pytest.raises(ValueError, match=message):
+        regularization_sweep(state, [0.1], n, 42, config)
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        sample_equilibrium(state, n, 1)
+
+
+def test_numpy_integer_sample_counts_draw_the_same_ensemble():
+    state = default_state()
+    np.testing.assert_array_equal(
+        sample_equilibrium(state, np.int64(100), np.uint64(7), np.int32(3)),
+        sample_equilibrium(state, 100, 7, 3),
+    )
 
 
 # carried as absolute positions, these runs read max KS 0.0266, 0.956,

@@ -614,6 +614,17 @@ def test_width_past_the_overflow_of_beta_t(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_subnormal_grid_h_exits_2_without_output(tmp_path, capsys):
+    # 5 stds over 5e-324 overflow to inf, and math.ceil raised OverflowError (exit 1)
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_h = 5e-324\n")
+    assert main(["continuity", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid of inf x inf points exceeds the 9.22337e+18 points an array can index\n"
+    )
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_times_past_a_tiny_t_final_exit_2_without_output(tmp_path, capsys):
     # an absolute slack of 1e-12 admitted t = 1e-13, 1e7 times past t_final,
     # and wrote rows there with exit 0

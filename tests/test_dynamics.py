@@ -217,6 +217,15 @@ def test_integrator_config_validation():
         IntegratorConfig(record_stride=-1)
 
 
+def test_record_stride_takes_numpy_integers_and_stores_an_int():
+    config = IntegratorConfig(record_stride=np.int64(2))
+    assert config.record_stride == 2 and type(config.record_stride) is int
+    assert config == IntegratorConfig(record_stride=2)
+    for stride in (2.0, np.float64(2.0), "2", np.int64(-1)):
+        with pytest.raises(ValueError, match=r"^record_stride must be a non-negative integer"):
+            IntegratorConfig(record_stride=stride)
+
+
 @pytest.mark.parametrize("dt, t_final", [(1e-308, 2.0), (1e-200, 2.0), (1e-3, 1e300)])
 def test_rk4_step_count_past_what_an_array_can_index_is_refused(dt, t_final):
     with pytest.raises(ValueError, match=r"^rk4 with t_final = .* steps, more than the"):

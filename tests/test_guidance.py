@@ -674,6 +674,16 @@ def test_continuity_convergence_refuses_a_coarse_grid_before_any_residual(
     assert calls == []
 
 
+@pytest.mark.parametrize("h", [5e-324, 1e-320])
+def test_subnormal_grid_h_is_refused_for_its_point_count(h):
+    # 5 stds over a subnormal h overflow to inf, which math.ceil cannot count
+    message = "^grid of inf x inf points exceeds the .* points an array can index$"
+    with pytest.raises(ValueError, match=message):
+        grid_for_state(default_state(), 2.0, h=h)
+    with pytest.raises(ValueError, match=message):
+        continuity_convergence(default_state(), 2.0, h=h)
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(guidance.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(guidance.os, "cpu_count", lambda: 3)
