@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     TwoParticleState,
@@ -39,7 +40,7 @@ _COVER_STDS = 5.0
 _BLOCK_POINTS = 1 << 16
 
 # most threads that evaluate the continuity residual's leaves: each holds its
-# own leaf's stage buffers (about 3.2 MB at 2877 columns), so this bounds peak
+# own leaf's stage buffers (about 2.8 MB at 2877 columns), so this bounds peak
 # memory whatever the CPU count; the speed-up was measured on 2 CPUs only
 _MAX_WORKERS = 4
 
@@ -335,10 +336,21 @@ def continuity_residual(
 
     No array spans the grid. Its rows are cut into leaves of
     max(1, _BLOCK_POINTS // n2) whole rows, the last possibly shorter, the
-    same cut whatever the CPU count. A leaf's stages (rho, velocities,
-    fluxes, rho at t ± tau) are evaluated on its rows plus one ghost row per
-    side, into four ghost-extended and two inner buffers allocated once
-    per call and worker. max_norm is the largest of the leaves' maxima. Each
+    same cut whatever the CPU count. A leaf covers its rows plus one ghost
+    row per side. On the uniform grid Y = (y1 + y2)/2 depends only on
+    s = i + j and y = y1 - y2 only on d = i - j, so the leaf takes its mode
+    coordinates, mode densities and mode velocities at t and t ± tau as 1-D
+    arrays over its rows + n2 + 3 diagonals of each kind, from the
+    mode_coordinates of the ghost corner and of the step (h, 0). Each 2-D
+    stage is one ufunc over sliding-window views of those factors, a Hankel
+    view in s and a reversed Toeplitz view in d: rho at t + tau, at t - tau
+    and at t one product each, the fluxes particle_coordinates of the
+    velocity views times rho, then the central differences. The stages go
+    into three ghost-extended and two inner buffers, and the factors into
+    four 1-D buffers, allocated once per call and worker. The diagonal
+    coordinates are within a few ulps of the farthest axis end of
+    mode_coordinates of each point's (y1, y2), not bit for bit. max_norm is
+    the largest of the leaves' maxima. Each
     leaf scales its residual by the power of two that brings its own max
     into [0.5, 1), and returns its np.sum of squares; l2_norm rescales those
     sums to the largest leaf exponent, adds them with math.fsum, which is
@@ -347,9 +359,9 @@ def continuity_residual(
     and sums are normal floats l2_norm has their bits, and where they would
     underflow or overflow it still has its value. Both norms keep their bits
     on any number of workers (see _map_leaves). Peak memory is a leaf's
-    stages per worker and the ghost y2 axis, whatever the number of grid
-    rows; where that exceeds physical memory, MemoryError is raised before
-    any of it is allocated.
+    stage buffers and factors per worker, whatever the number of grid rows;
+    where that exceeds physical memory, MemoryError is raised before any of
+    it is allocated.
 
     A norm that is not finite raises FloatingPointError naming it: the
     fluxes of a density too tall for double precision, for one, overflow. A
@@ -374,8 +386,8 @@ def continuity_residual(
     rows = max(1, min(n1, _BLOCK_POINTS // n2))
     leaves = -(-n1 // rows)
     workers, memory = _worker_count(leaves), _physical_memory()
-    # each worker's four ghost-extended and two inner stage buffers, and the ghost y2 axis
-    need = 8 * (workers * (4 * (rows + 2) * (n2 + 2) + 2 * rows * n2) + n2 + 2)
+    # each worker's three ghost-extended and two inner stage buffers and four 1-D mode factors
+    need = 8 * workers * (3 * (rows + 2) * (n2 + 2) + 2 * rows * n2 + 4 * (rows + n2 + 3))
     if need > memory:
         raise MemoryError(
             f"the continuity residual on a grid of {n1:.6g} x {n2:.6g} points needs "
@@ -394,44 +406,57 @@ def continuity_residual(
     low1, low2 = grid.y1_min - h, grid.y2_min - h
     _require_finite("y1", [low1, low1 + h * (n1 + 1)])
     _require_finite("y2", [low2, low2 + h * (n2 + 1)])
-    ext2 = low2 + h * np.arange(n2 + 2)
+    # at ghost point (i, j), Y = corner[0] + step[0] * (i + j) and y = corner[1] + step[1] * (i - j)
+    corner, step = mode_coordinates(low1, low2), mode_coordinates(h, 0.0)
     now = state.evolved(t)
     later = state.evolved(t + grid.tau)
     earlier = state.evolved(t - grid.tau)
     inner = (slice(1, -1), slice(1, -1))
 
+    def grid_view(big, small):
+        """Views of a leaf's 1-D (Y, y) factors at its ghost points: at ghost row a
+        and column b, big[a + b] (Hankel) and small[len(small) - n2 - 2 - a + b]
+        (reversed Toeplitz, so that the inner stride is +8)."""
+        return sliding_window_view(big, n2 + 2), sliding_window_view(small, n2 + 2)[::-1]
+
     def new_leaf():
         """leaf(k) -> (m, e, s) over grid rows [k*rows, (k+1)*rows), with its own
-        stage buffers, four ghost-extended and two inner: m is max |r|, and s
-        the sum of (r * 2**-e)^2, e being the exponent that puts m * 2**-e in
-        [0.5, 1) (0 for an m of 0 or one that is not finite)."""
-        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(4)]
+        stage buffers, three ghost-extended and two inner, and its four 1-D
+        mode factors: m is max |r|, and s the sum of (r * 2**-e)^2, e being
+        the exponent that puts m * 2**-e in [0.5, 1) (0 for an m of 0 or one
+        that is not finite)."""
+        ghosted = [np.empty((rows + 2, n2 + 2)) for _ in range(3)]
         inner_rows = [np.empty((rows, n2)) for _ in range(2)]
+        factors = np.empty((4, rows + n2 + 3))  # a leaf's diagonals s = i + j, and d = i - j
 
         def leaf(k):
             i0 = k * rows
             i1 = min(n1, i0 + rows)
-            big_y, small_y, rho, flux1 = (a[: i1 - i0 + 2] for a in ghosted)
+            rho, flux1, flux2 = (a[: i1 - i0 + 2] for a in ghosted)
             out, term = (a[: i1 - i0] for a in inner_rows)
-            ext1 = low1 + h * np.arange(i0, i1 + 2)  # this leaf's rows of the y1 axis
-            mode_coordinates(ext1[:, None], ext2[None, :], out=(big_y, small_y))
+            big_y, small_y, big_f, small_f = factors[:, : i1 - i0 + n2 + 3]
+            # Y over s = i0 .. i1 + n2 + 2 rising, y over d = i1 + 1 .. i0 - n2 - 1 falling
+            np.multiply(np.arange(i0, i0 + len(big_y)), step[0], out=big_y)
+            big_y += corner[0]
+            np.multiply(np.arange(i1 + 1, i1 + 1 - len(small_y), -1), step[1], out=small_y)
+            small_y += corner[1]
 
             # (rho(t + tau) - rho(t - tau)) / (2 tau) at the grid points
-            mode_density(later[0], big_y[inner], out=out)
-            out *= mode_density(later[1], small_y[inner], out=term)
-            mode_density(earlier[0], big_y[inner], out=term)
-            # rho's inner rows are free until the fluxes
-            term *= mode_density(earlier[1], small_y[inner], out=rho[inner])
+            for when, into in ((later, out), (earlier, term)):
+                mode_density(when[0], big_y, out=big_f)
+                mode_density(when[1], small_y, out=small_f)
+                big_v, small_v = grid_view(big_f, small_f)
+                np.multiply(big_v[inner], small_v[inner], out=into)
             out -= term
             out /= 2.0 * grid.tau
 
-            # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y;
-            # rho * v2 overwrites v_rel
-            mode_density(now[0], big_y, out=rho)
-            rho *= mode_density(now[1], small_y, out=flux1)
+            # rho * v1 and rho * v2 with one ghost point per side, v_cm over Y, v_rel over y
+            mode_density(now[0], big_y, out=big_f)
+            mode_density(now[1], small_y, out=small_f)
+            np.multiply(*grid_view(big_f, small_f), out=rho)
             v_cm = now[0].velocity(big_y, out=big_y)
             v_rel = now[1].velocity(small_y, out=small_y)
-            flux1, flux2 = particle_coordinates(v_cm, v_rel, out=(flux1, small_y))
+            particle_coordinates(*grid_view(v_cm, v_rel), out=(flux1, flux2))
             flux1 *= rho
             flux2 *= rho
 

@@ -30,9 +30,10 @@ def _require_finite(name, value):
 
 
 def _require_integer(name, value, least=None) -> int:
-    """value as an int: a Python or numpy integer, at least `least` (0 or 1) if given."""
+    """value as an int: a Python or numpy integer, not a bool, at least `least` (0 or 1) if given."""
     kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
-    if not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or (least is not None and value < least):
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)
 

@@ -13,7 +13,11 @@ scale; the package's adaptive maps, which step each mode's affine map
 instead, must agree with it within the tolerance. The continuity reference evaluates every
 stage of the residual over the whole grid at once, with no blocking of rows,
 from the package's own density and velocity: it checks the blocking, not
-the physics. Its leaf form adds the whole-grid squares over the package's
+the physics. It forms the mode coordinates at each grid point from the
+grid indices, Y = Y0 + (h/2)(i + j) and y = y0 + h(i - j), the definition
+the package evaluates once per diagonal, but with no leaves, no
+sliding-window views and no threads; a test can hand it other coordinates.
+Its leaf form adds the whole-grid squares over the package's
 row leaves with math.fsum, and the package must match it bit for bit; both
 forms square the residual scaled by a power of two, so a tiny residual's
 squares do not underflow. The
@@ -33,9 +37,9 @@ import math
 import numpy as np
 from numpy.random import Philox
 
-from bohm_equilibrium import _normal
+from bohm_equilibrium import _normal, model
 from bohm_equilibrium.dynamics import substream_normals
-from bohm_equilibrium.model import eval_density, evolve_mode, mode_coordinates
+from bohm_equilibrium.model import mode_coordinates
 
 
 def spectral_free_packet(sigma0, coord_mass, hbar, t, wavenumber=0.0, center0=0.0):
@@ -259,25 +263,43 @@ def rk45_reference(rhs, y, t0, t1, tolerance, monitor=None):
     return y
 
 
-def continuity_residual_reference(state, grid, t):
+def diagonal_mode_coordinates(grid, rows=slice(None)):
+    """(Y, y) at the ghost-extended grid points (i, j) of the given rows, from the indices alone.
+
+    On a uniform grid Y = (y1 + y2)/2 depends only on i + j and y = y1 - y2
+    only on i - j: Y = Y0 + (h/2) (i + j) and y = y0 + h (i - j), with
+    (Y0, y0) the mode coordinates of the ghost corner and (h/2, h) those of
+    the step (h, 0).
+    """
+    corner = mode_coordinates(grid.y1_min - grid.h, grid.y2_min - grid.h)
+    step = mode_coordinates(grid.h, 0.0)
+    i = np.arange(grid.n1 + 2, dtype=float)[rows, None]
+    j = np.arange(grid.n2 + 2, dtype=float)[None, :]
+    return corner[0] + step[0] * (i + j), corner[1] + step[1] * (i - j)
+
+
+def continuity_residual_reference(state, grid, t, coordinates=diagonal_mode_coordinates):
     """Whole-grid d_t rho + div(rho v); returns (residual, max_norm, l2_norm).
 
-    Every stage array spans the full ghost-extended grid; no blocking.
+    Every stage array spans the full ghost-extended grid; no blocking. The
+    mode coordinates of the grid points are coordinates(grid), and the
+    densities go through model.mode_density, looked up at each call.
     """
-    ext1 = (grid.y1_min - grid.h) + grid.h * np.arange(grid.n1 + 2)
-    ext2 = (grid.y2_min - grid.h) + grid.h * np.arange(grid.n2 + 2)
-    yy1 = ext1[:, None]
-    yy2 = ext2[None, :]
-    rho = eval_density(state, yy1, yy2, t)
-    big_y, small_y = mode_coordinates(yy1, yy2)
-    v_cm = evolve_mode(state.cm_mode, state.params, t).velocity(big_y)
-    v_rel = evolve_mode(state.rel_mode, state.params, t).velocity(small_y)
+    big_y, small_y = coordinates(grid)
+    now, later, earlier = (state.evolved(s) for s in (t, t + grid.tau, t - grid.tau))
+
+    def density(modes, big, small):
+        return model.mode_density(modes[0], big) * model.mode_density(modes[1], small)
+
+    rho = density(now, big_y, small_y)
+    v_cm = now[0].velocity(big_y)
+    v_rel = now[1].velocity(small_y)
     flux1 = rho * (v_cm + 0.5 * v_rel)
     flux2 = rho * (v_cm - 0.5 * v_rel)
 
-    inner1 = slice(1, -1)
-    rho_plus = eval_density(state, yy1[inner1], yy2[:, inner1], t + grid.tau)
-    rho_minus = eval_density(state, yy1[inner1], yy2[:, inner1], t - grid.tau)
+    inner = (slice(1, -1), slice(1, -1))
+    rho_plus = density(later, big_y[inner], small_y[inner])
+    rho_minus = density(earlier, big_y[inner], small_y[inner])
     dt_rho = (rho_plus - rho_minus) / (2.0 * grid.tau)
     div1 = (flux1[2:, 1:-1] - flux1[:-2, 1:-1]) / (2.0 * grid.h)
     div2 = (flux2[1:-1, 2:] - flux2[1:-1, :-2]) / (2.0 * grid.h)

@@ -383,6 +383,14 @@ def test_numpy_integer_parallel_width_gives_the_same_reports():
         equivariance_check(state, 2000, 42, config, [1.0], parallel_width=1.0)
 
 
+def test_bool_seed_and_parallel_width_are_refused():
+    state, config = default_state(), default_config()
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got True$"):
+        equivariance_check(state, 100, True, config, [1.0])
+    with pytest.raises(ValueError, match=r"^parallel_width must be a positive integer, got True$"):
+        equivariance_check(state, 100, 42, config, [1.0], parallel_width=True)
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
 def test_non_integer_sample_counts_are_refused(n):
     state, config = default_state(), default_config()

@@ -226,6 +226,14 @@ def test_record_stride_takes_numpy_integers_and_stores_an_int():
             IntegratorConfig(record_stride=stride)
 
 
+def test_bool_counts_are_refused():
+    # bool is a subclass of int, so True used to read as 1
+    with pytest.raises(ValueError, match=r"^record_stride must be a non-negative integer, got True$"):
+        IntegratorConfig(record_stride=True)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got True$"):
+        sample_equilibrium(default_state(), 3, True)
+
+
 @pytest.mark.parametrize("dt, t_final", [(1e-308, 2.0), (1e-200, 2.0), (1e-3, 1e300)])
 def test_rk4_step_count_past_what_an_array_can_index_is_refused(dt, t_final):
     with pytest.raises(ValueError, match=r"^rk4 with t_final = .* steps, more than the"):

@@ -27,9 +27,15 @@ from bohm_equilibrium import (
     substream_normals,
     velocity,
 )
-from bohm_equilibrium.model import evolve_mode, mode_density, observable_normal
+from bohm_equilibrium.model import evolve_mode, mode_coordinates, mode_density, observable_normal
 
-from _oracles import continuity_residual_reference, leaf_l2_norm, state_modes, velocity_fd
+from _oracles import (
+    continuity_residual_reference,
+    diagonal_mode_coordinates,
+    leaf_l2_norm,
+    state_modes,
+    velocity_fd,
+)
 
 PARAMS = PhysicalParams()
 
@@ -223,6 +229,62 @@ def assert_matches_whole_grid(res, state, grid, t, rows):
     assert res.l2_norm == leaf_l2_norm(residual, grid.h, rows)
     bound = (128 + math.ceil(math.log2(residual.size)) + 6) * np.finfo(float).eps
     assert abs(res.l2_norm - l2_norm) <= bound * l2_norm
+
+
+def per_point_mode_coordinates(grid, rows=slice(None)):
+    """(Y, y) at the ghost-extended grid points of the given rows, as the
+    mode_coordinates of each point's (y1, y2) axis values."""
+    y1 = (grid.y1_min - grid.h) + grid.h * np.arange(grid.n1 + 2)[rows]
+    y2 = (grid.y2_min - grid.h) + grid.h * np.arange(grid.n2 + 2)
+    return mode_coordinates(y1[:, None], y2[None, :])
+
+
+def per_point_norms(state, grid, t, rows=64):
+    """(max_norm, l2_norm) of the residual at per_point_mode_coordinates, by blocks of rows."""
+    peak, squares = 0.0, []
+    for i0 in range(0, grid.n1, rows):
+        block = slice(i0, min(grid.n1, i0 + rows) + 2)
+        residual, block_peak, _ = continuity_residual_reference(
+            state, grid, t, lambda g: per_point_mode_coordinates(g, block)
+        )
+        peak = max(peak, block_peak)
+        squares.append(float(np.sum(residual * residual)))
+    return peak, math.sqrt(math.fsum(squares)) * grid.h
+
+
+# the CLI's defaults, its fine run and a moving difference-narrow state, at t_final = 2
+ROUNDING_CASES = {
+    "defaults": (default_state(), None),
+    "grid_h=0.07": (default_state(), 0.07),
+    "moving difference-narrow": (drifting_state(), None),
+}
+
+
+@pytest.mark.parametrize("state, h", list(ROUNDING_CASES.values()), ids=list(ROUNDING_CASES))
+def test_diagonal_mode_factors_move_the_norms_by_rounding_only(state, h):
+    # the diagonal coordinates round differently from the per-point ones; the
+    # largest relative move of either norm on these six grids was 4.4e-10,
+    # the fine max_norm at grid_h = 0.07
+    t = 2.0
+    for grid, res in continuity_convergence(state, t, h=h).values():
+        max_norm, l2_norm = per_point_norms(state.at_origin(), grid, t)
+        assert abs(res.max_norm - max_norm) <= 5e-9 * max_norm
+        assert abs(res.l2_norm - l2_norm) <= 5e-9 * l2_norm
+
+
+@pytest.mark.parametrize("state, h", list(ROUNDING_CASES.values()), ids=list(ROUNDING_CASES))
+def test_diagonal_mode_coordinates_stay_within_ulps_of_the_grid_points(state, h):
+    # measured: at most 2 ulps of the farthest axis end in Y and 4 in y
+    coarse = grid_for_state(state.at_origin(), 2.0, h=h)
+    for grid in (coarse, coarse.refined()):
+        ends = [grid.y1_min - grid.h, grid.y2_min - grid.h]
+        ends += [end + grid.h * (n + 1) for end, n in zip(ends, (grid.n1, grid.n2))]
+        ulp = np.spacing(max(map(abs, ends)))
+        for i0 in range(0, grid.n1 + 2, 256):
+            rows = slice(i0, i0 + 256)
+            diagonal_rows = diagonal_mode_coordinates(grid, rows)
+            for diagonal, per_point in zip(diagonal_rows, per_point_mode_coordinates(grid, rows)):
+                assert np.max(np.abs(diagonal - per_point)) <= 4 * ulp
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
@@ -444,6 +506,24 @@ def test_one_worker_traces_six_leaf_buffers():
         finally:
             tracemalloc.stop()
     assert peak < 6.5 * buffer_bytes
+
+
+def test_one_worker_traces_five_leaf_buffers():
+    # as above; a leaf holds three ghost-extended and two inner stage
+    # buffers, and four 1-D mode factors of rows + n2 + 3 diagonals each
+    state, t = default_state(), 2.0
+    grid = grid_for_state(state, t, h=0.07).refined()
+    buffer_bytes = (leaf_rows(grid) + 2) * (grid.n2 + 2) * 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guidance, "_usable_cpus", lambda: 1)
+        continuity_residual(state, grid_for_state(state, t), t)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            continuity_residual(state, grid, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5.5 * buffer_bytes
 
 
 def test_grid_past_physical_memory_is_refused_before_allocating():
